@@ -19,7 +19,7 @@ from .broken import sample_endpoint
 from .correspondence import (build_decomposition, build_phi, fan_over,
                              index_d, log_count_w, properties_report,
                              rescale_lattice)
-from .enumeration import (MAX_ATTEMPTS, enumerate_maslov0_trees,
+from .enumeration import (MAX_ATTEMPTS, build_forest,
                           enumerate_maslov2_disks, run_count,
                           sample_generic_points)
 from .fan import builtin_fan, make_degree, make_fan
@@ -82,14 +82,16 @@ def write_out(args, text):
         sys.stdout.write(text)
 
 
-def _config_with_diagram(fan, k, seed):
-    """Sample a configuration whose tree enumeration succeeds."""
+def _resample(k, seed, build):
+    """(config, build(config)) for the first configuration drawn for `seed`
+    on which build raises no GenericityError.  Every build here fails only
+    where the Maslov-0 forest fails, so all commands accept the same
+    attempt."""
     last = None
     for attempt in range(MAX_ATTEMPTS):
         config = sample_generic_points(k, seed, attempt=attempt)
         try:
-            records = enumerate_maslov0_trees(fan, config, as_curves=False)
-            return config, records, build_diagram(fan, config)
+            return config, build(config)
         except GenericityError as e:
             last = e
     raise GenericityError("no generic configuration for seed %d after %d "
@@ -110,23 +112,27 @@ def cmd_count(args, report_key):
 
 def cmd_trees(args):
     fan = load_fan(args.fan)
-    config, records, _ = _config_with_diagram(fan, args.k, args.seed)
-    write_out(args, jsonio.dumps(jsonio.trees_doc(fan, config, records)))
+    config, forest = _resample(args.k, args.seed,
+                               lambda c: build_forest(fan, c))
+    write_out(args, jsonio.dumps(jsonio.trees_doc(fan, config, forest.trees)))
     return EXIT_OK
 
 
 def cmd_disks(args):
     fan = load_fan(args.fan)
-    config, _, diagram = _config_with_diagram(fan, args.k, args.seed)
+    config, forest = _resample(args.k, args.seed,
+                               lambda c: build_forest(fan, c))
     Q = parse_qpoint(args.q) if args.q else sample_endpoint(args.seed + 1)
-    records = enumerate_maslov2_disks(fan, config, Q, as_curves=False)
+    records = enumerate_maslov2_disks(fan, config, Q, as_curves=False,
+                                      forest=forest)
     write_out(args, jsonio.dumps(jsonio.disks_doc(fan, config, Q, records)))
     return EXIT_OK
 
 
 def cmd_scatter(args):
     fan = load_fan(args.fan)
-    config, _, diagram = _config_with_diagram(fan, args.k, args.seed)
+    config, diagram = _resample(args.k, args.seed,
+                                lambda c: build_diagram(fan, c))
     report = check_consistency(diagram)
     doc = jsonio.diagram_doc(fan, config, diagram, report)
     write_out(args, jsonio.dumps(doc))
@@ -140,7 +146,8 @@ def cmd_scatter(args):
 
 def cmd_potential(args):
     fan = load_fan(args.fan)
-    config, _, diagram = _config_with_diagram(fan, args.k, args.seed)
+    config, diagram = _resample(args.k, args.seed,
+                                lambda c: build_diagram(fan, c))
     Q = parse_qpoint(args.q) if args.q else sample_endpoint(args.seed + 1)
     report = check_consistency(diagram)
     W = eval_potential(diagram, fan, Q)

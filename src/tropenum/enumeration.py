@@ -27,8 +27,8 @@ import random
 from fractions import Fraction
 
 from .fan import degree_total, make_degree, r_vector
-from .lattice import (hdiff, hfrac, hpoint, on_ray, on_segment, primitive,
-                      ray_intersect, wedge)
+from .lattice import (hdiff, hfrac, hpoint, hshift, on_ray, on_segment,
+                      primitive, ray_intersect, ray_params, wedge)
 from .tropcurve import (GenericityError, InvariantError, ParamTropCurve,
                         TropicalDisk, TropicalTree, canonical_type,
                         geometric_signature, mikhalkin_multiplicity,
@@ -142,7 +142,8 @@ def _boxed_exponents(cap):
 
 class Tree:
     """Maslov-0 tree record: mark set, degree, wall (root + out direction),
-    out-edge weight, multiplicity, and how it was built."""
+    out-edge weight, multiplicity, how it was built, and its serial number
+    (position in Forest.trees, set when the forest files it)."""
 
     def __init__(self, marks, deg, base, out, w, mult, kind, parts, key):
         self.marks = marks
@@ -154,6 +155,7 @@ class Tree:
         self.kind = kind
         self.parts = parts
         self.key = key
+        self.serial = None
 
     def nmarks(self):
         return bin(self.marks).count("1")
@@ -195,7 +197,19 @@ class Disk:
 class Forest:
     """Shared enumeration state: all Maslov-0 trees over a configuration,
     organized by level (number of marks used), plus the backward disk tracer
-    that consumes them."""
+    that consumes them.
+
+    The tracer finds the walls a stem can hit through an index by degree.
+    Each tree gets a serial number, its position in `trees`, and is filed
+    under its degree.  For a stem monomial m, `_cands[m]` lists the pairs
+    (left, bucket) with bucket the live list of trees of degree deg <= m,
+    left = m - deg nonzero and r(left) != 0: exactly the trees a linear
+    scan of `trees` would test.  A tree of a known degree joins its bucket
+    and so every cached list at once; a tree of a new degree drops the
+    whole cache.  Hits, and the first faulty wall of a stem step, are taken
+    in serial order, so every disk, tree and document comes out in the
+    order and with the bytes of the linear scan.
+    """
 
     def __init__(self, fan, config, allowed_mask=None, degree_cap=None):
         self.fan = fan
@@ -206,6 +220,15 @@ class Forest:
         self.cap = tuple(degree_cap) if degree_cap is not None else None
         self.trees = []
         self.levels = {}
+        self._by_deg = {}       # degree -> trees of that degree, by serial
+        self._cands = {}        # stem monomial -> [(left, bucket)]
+        self._r = {}            # exponent vector -> r_vector
+
+    def _rvec(self, m):
+        r = self._r.get(m)
+        if r is None:
+            r = self._r[m] = r_vector(self.fan, m)
+        return r
 
     # -- Maslov-0 trees ----------------------------------------------------
 
@@ -251,6 +274,12 @@ class Forest:
         return self.trees
 
     def _add(self, t, level):
+        t.serial = len(self.trees)
+        bucket = self._by_deg.get(t.deg)
+        if bucket is None:
+            bucket = self._by_deg[t.deg] = []
+            self._cands.clear()
+        bucket.append(t)
         self.levels[level].append(t)
         self.trees.append(t)
 
@@ -274,7 +303,7 @@ class Forest:
         deg = tuple(a + b for a, b in zip(ta.deg, tb.deg))
         if self.cap is not None and any(d > c for d, c in zip(deg, self.cap)):
             return None
-        r = r_vector(self.fan, deg)
+        r = self._rvec(deg)
         if r == (0, 0):
             return None
         out, w = primitive((-r[0], -r[1]))
@@ -311,44 +340,65 @@ class Forest:
         for m in sorted(mfins):
             if not sum(m) or any(x < 0 for x in m):
                 continue
-            if r_vector(self.fan, m) == (0, 0):
+            if self._rvec(m) == (0, 0):
                 continue
             self._trace(boundary, boundary, m, allowed_mask, [], out)
         return out
+
+    def _candidates(self, m):
+        cands = self._cands.get(m)
+        if cands is None:
+            cands = []
+            for deg, bucket in self._by_deg.items():
+                left = tuple(a - b for a, b in zip(m, deg))
+                if any(x < 0 for x in left) or not sum(left):
+                    continue
+                if self._rvec(left) == (0, 0):
+                    continue
+                cands.append((left, bucket))
+            self._cands[m] = cands
+        return cands
 
     def _trace(self, X0, X, m, rmask, steps, out):
         if sum(m) == 1:
             self._emit(X0, m, steps, out)
             return
-        r = r_vector(self.fan, m)
+        r = self._rvec(m)
         hits = []
-        for t in self.trees:
-            if t.marks & ~rmask:
-                continue
-            left = tuple(a - b for a, b in zip(m, t.deg))
-            if any(x < 0 for x in left) or not sum(left):
-                continue
-            if r_vector(self.fan, left) == (0, 0):
-                continue
-            hit = ray_intersect(X, r, t.base, t.out)
-            if hit is None:
-                if wedge(r, hdiff(X, t.base)) == 0:
-                    if on_ray(t.base, X, r) or on_ray(X, t.base, t.out):
-                        raise GenericityError("stem runs along a tree wall")
-                continue
-            s, tt, den, V = hit
-            if s < 0 or tt < 0:
-                continue
-            if s == 0:
-                prev = steps[-1][1] if steps else None
-                if prev is not None and wedge(prev.out, t.out) == 0:
-                    continue        # co-supported with the wall just used
-                raise GenericityError("stem vertex lies on a tree wall")
-            if tt == 0:
-                raise GenericityError("stem hits a tree wall at its root")
-            hits.append((V, t, left))
+        fault = None        # (serial, reason) of the first faulty wall
+        for left, bucket in self._candidates(m):
+            for t in bucket:
+                if t.marks & ~rmask:
+                    continue
+                p = ray_params(X, r, t.base, t.out)
+                if p is None:
+                    if (wedge(r, hdiff(X, t.base)) == 0
+                            and (on_ray(t.base, X, r)
+                                 or on_ray(X, t.base, t.out))):
+                        reason = "stem runs along a tree wall"
+                    else:
+                        continue
+                else:
+                    s, tt, den = p
+                    if s < 0 or tt < 0:
+                        continue
+                    if s == 0:
+                        prev = steps[-1][1] if steps else None
+                        if prev is not None and wedge(prev.out, t.out) == 0:
+                            continue    # co-supported with the wall just used
+                        reason = "stem vertex lies on a tree wall"
+                    elif tt == 0:
+                        reason = "stem hits a tree wall at its root"
+                    else:
+                        hits.append((t.serial, hshift(X, s, den, r), t, left))
+                        continue
+                if fault is None or t.serial < fault[0]:
+                    fault = (t.serial, reason)
+        if fault is not None:
+            raise GenericityError(fault[1])
+        hits.sort(key=lambda h: h[0])
         by_point = {}
-        for V, t, left in hits:
+        for _, V, t, _ in hits:
             by_point.setdefault(V, []).append(t)
         for ts in by_point.values():
             for a in range(len(ts)):
@@ -356,7 +406,7 @@ class Forest:
                     if wedge(ts[a].out, ts[b].out) != 0:
                         raise GenericityError("two transversal walls cross "
                                               "the stem at one point")
-        for V, t, left in hits:
+        for _, V, t, left in hits:
             steps.append((V, t, m))
             self._trace(X0, V, left, rmask & ~t.marks, steps, out)
             steps.pop()
@@ -368,10 +418,10 @@ class Forest:
         mult = 1
         for V, t, mm in steps:
             marks |= t.marks
-            r_dn = r_vector(self.fan, mm)
+            r_dn = self._rvec(mm)
             dn, w_dn = primitive((-r_dn[0], -r_dn[1]))
             mult *= t.mult * t.w * w_dn * abs(wedge(t.out, dn))
-        r_fin = r_vector(self.fan, m_fin)
+        r_fin = self._rvec(m_fin)
         u, w = primitive((-r_fin[0], -r_fin[1]))
         verts = [X0] + [V for V, _, _ in steps]
         if len(set(verts)) != len(verts):
@@ -473,6 +523,14 @@ def _assemble_pair(d1, d2, pivot_label, pivot_point, fan):
 # -- public enumeration entry points ----------------------------------------
 
 
+def build_forest(fan, config, max_marks=None, degree_cap=None):
+    """The Maslov-0 forest over the configuration, built up to max_marks
+    marks (default: all of them)."""
+    forest = Forest(fan, config, degree_cap=degree_cap)
+    forest.build(len(config) if max_marks is None else max_marks)
+    return forest
+
+
 def enumerate_maslov0_trees(fan, config, max_marks=None, degree_cap=None,
                             as_curves=True):
     """All Maslov-0 trees over the configuration, by level.
@@ -480,21 +538,23 @@ def enumerate_maslov0_trees(fan, config, max_marks=None, degree_cap=None,
     Returns curve objects (TropicalTree) carrying their construction record
     as `.record`; pass as_curves=False for the raw records.
     """
-    forest = Forest(fan, config, degree_cap=degree_cap)
-    forest.build(len(config) if max_marks is None else max_marks)
+    forest = build_forest(fan, config, max_marks, degree_cap)
     if not as_curves:
         return list(forest.trees)
     return [tree_to_curve(t, fan) for t in forest.trees]
 
 
-def enumerate_maslov2_disks(fan, config, Q, degree_cap=None, as_curves=True):
+def enumerate_maslov2_disks(fan, config, Q, degree_cap=None, as_curves=True,
+                            forest=None):
     """All Maslov-2 disks with boundary Q over the configuration.
 
     Q must avoid every tree wall; a wall through Q raises GenericityError.
+    A caller that already holds build_forest(fan, config, degree_cap=...)
+    passes it as `forest` to save building it again.
     """
     qpt = hpoint(Fraction(Q[0]), Fraction(Q[1])) if len(Q) == 2 else Q
-    forest = Forest(fan, config, degree_cap=degree_cap)
-    forest.build(len(config))
+    if forest is None:
+        forest = build_forest(fan, config, degree_cap=degree_cap)
     for t in forest.trees:
         if on_ray(qpt, t.base, t.out):
             raise GenericityError("base point lies on a tree wall")

@@ -294,28 +294,39 @@ def hshift(A, s_num, s_den, d):
                  aw * s_den)
 
 
-def ray_intersect(A, da, B, db):
-    """Intersection of the lines A + s*da and B + t*db (homogeneous points,
-    integer directions).
+def ray_params(A, da, B, db):
+    """Parameters of the crossing of the lines A + s*da and B + t*db
+    (homogeneous points, integer directions), without building the point.
 
-    Returns (s_num, t_num, den, P) with den > 0, s = s_num/den, t = t_num/den,
-    and P the homogeneous intersection point; None when the directions are
-    parallel.  Callers impose their own sign conditions on s and t.
+    Returns (s_num, t_num, den) with den > 0, s = s_num/den and
+    t = t_num/den; None when the directions are parallel.  Callers impose
+    their own sign conditions on s and t.  The arithmetic is written out
+    rather than built from wedge and hdiff because the stem tracer runs it
+    once per candidate wall.
     """
-    c = wedge(da, db)
+    c = da[0] * db[1] - da[1] * db[0]
     if c == 0:
         return None
-    K = A[2] * B[2]
-    D = hdiff(A, B)
-    den = K * c
-    s_num = wedge(D, db)
-    t_num = wedge(D, da)
+    ax, ay, aw = A
+    bx, by, bw = B
+    Dx = bx * aw - ax * bw
+    Dy = by * aw - ay * bw
+    den = aw * bw * c
+    s_num = Dx * db[1] - Dy * db[0]
+    t_num = Dx * da[1] - Dy * da[0]
     if den < 0:
-        den, s_num, t_num = -den, -s_num, -t_num
-    P = hnorm(A[0] * den + s_num * da[0] * A[2],
-              A[1] * den + s_num * da[1] * A[2],
-              A[2] * den)
-    return s_num, t_num, den, P
+        return -s_num, -t_num, -den
+    return s_num, t_num, den
+
+
+def ray_intersect(A, da, B, db):
+    """ray_params plus the homogeneous intersection point:
+    (s_num, t_num, den, P), or None when the directions are parallel."""
+    p = ray_params(A, da, B, db)
+    if p is None:
+        return None
+    s_num, t_num, den = p
+    return s_num, t_num, den, hshift(A, s_num, den, da)
 
 
 def line_param(P, B, d):

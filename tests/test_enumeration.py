@@ -151,6 +151,13 @@ def test_cubic_count_single_seed():
         [c.vertices for c in rep1.curves]
 
 
+@pytest.mark.slow
+def test_quartic_count():
+    rep = run_count(P2, (4, 4, 4), seed=1)
+    assert rep.n_trop == kontsevich_number(4) == 620
+    assert rep.w_trop == 240
+
+
 def test_dp6_counts_and_multisets():
     allowed = {(1,) * 8 + (4,), (1,) * 9 + (3,)}
     for seed in (1, 2, 3, 4, 5, 9):

@@ -1,0 +1,144 @@
+"""Property tests of the homogeneous-point kernels against plain Fraction
+arithmetic written here, sharing no code with tropenum.lattice beyond
+hpoint, which turns a Fraction pair into the triple the kernels take."""
+
+from fractions import Fraction
+from math import gcd
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tropenum.lattice import (hfrac, hpoint, line_param, on_ray, on_segment,
+                              ray_intersect, ray_params)
+
+coord = st.fractions(min_value=-20, max_value=20, max_denominator=60)
+pair = st.tuples(coord, coord)
+small = st.integers(min_value=-6, max_value=6)
+vector = st.tuples(small, small).filter(lambda v: v != (0, 0))
+scale = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+SETTINGS = settings(max_examples=200, deadline=None)
+
+
+def cross(a, b):
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def sub(a, b):
+    return (a[0] - b[0], a[1] - b[1])
+
+
+def along(p, lam, d):
+    return (p[0] + lam * d[0], p[1] + lam * d[1])
+
+
+def ref_crossing(a, da, b, db):
+    """(s, t) with a + s*da == b + t*db, or None for parallel lines."""
+    c = cross(da, db)
+    if c == 0:
+        return None
+    w = sub(b, a)
+    return Fraction(cross(w, db), c), Fraction(cross(w, da), c)
+
+
+def ref_param(p, b, d):
+    """t with p == b + t*d, or None if p is off the line."""
+    w = sub(p, b)
+    if cross(w, d) != 0:
+        return None
+    return w[0] / d[0] if d[0] else w[1] / d[1]
+
+
+def normalized(P):
+    X, Y, W = P
+    return W > 0 and gcd(X, Y, W) == 1
+
+
+@st.composite
+def ray_pairs(draw):
+    """Two lines that are parallel, collinear or crossing, about equally."""
+    a, da = draw(pair), draw(vector)
+    kind = draw(st.sampled_from(("any", "parallel", "collinear")))
+    if kind == "any":
+        return a, da, draw(pair), draw(vector)
+    db = (da[0] * draw(st.sampled_from((1, -1, 2))),
+          da[1] * draw(st.sampled_from((1, -1, 2))))
+    if cross(da, db) != 0:
+        db = da
+    b = along(a, draw(scale), da) if kind == "collinear" else draw(pair)
+    return a, da, b, db
+
+
+@st.composite
+def point_on_or_off(draw, base):
+    """A point on the line base + t*d about half the time."""
+    d = draw(vector)
+    if draw(st.booleans()):
+        return along(base, draw(scale), d), d
+    return draw(pair), d
+
+
+@SETTINGS
+@given(ray_pairs())
+def test_ray_params_matches_fraction_reference(lines):
+    a, da, b, db = lines
+    got = ray_params(hpoint(*a), da, hpoint(*b), db)
+    want = ref_crossing(a, da, b, db)
+    if want is None:
+        assert got is None
+        return
+    s_num, t_num, den = got
+    assert den > 0
+    assert (Fraction(s_num, den), Fraction(t_num, den)) == want
+
+
+@SETTINGS
+@given(ray_pairs())
+def test_ray_intersect_matches_fraction_reference(lines):
+    a, da, b, db = lines
+    got = ray_intersect(hpoint(*a), da, hpoint(*b), db)
+    want = ref_crossing(a, da, b, db)
+    if want is None:
+        assert got is None
+        return
+    s_num, t_num, den, P = got
+    s, t = want
+    assert den > 0
+    assert (Fraction(s_num, den), Fraction(t_num, den)) == (s, t)
+    assert normalized(P)
+    assert hfrac(P) == along(a, s, da) == along(b, t, db)
+
+
+@SETTINGS
+@given(st.data(), pair)
+def test_line_param_and_on_ray_match_fraction_reference(data, b):
+    p, d = data.draw(point_on_or_off(b))
+    P, B = hpoint(*p), hpoint(*b)
+    want = ref_param(p, b, d)
+    got = line_param(P, B, d)
+    if want is None:
+        assert got is None
+        assert not on_ray(P, B, d) and not on_ray(P, B, d, strict=True)
+        return
+    t_num, t_den = got
+    assert t_den > 0
+    assert Fraction(t_num, t_den) == want
+    assert on_ray(P, B, d) == (want >= 0)
+    assert on_ray(P, B, d, strict=True) == (want > 0)
+
+
+@SETTINGS
+@given(st.data(), pair, pair)
+def test_on_segment_matches_fraction_reference(data, a, b):
+    if data.draw(st.booleans()):
+        p = along(a, data.draw(scale), sub(b, a))
+    else:
+        p = data.draw(pair)
+    P, A, B = hpoint(*p), hpoint(*a), hpoint(*b)
+    lam = None
+    if a != b and cross(sub(p, a), sub(b, a)) == 0:
+        w, d = sub(p, a), sub(b, a)
+        lam = w[0] / d[0] if d[0] else w[1] / d[1]
+    assert on_segment(P, A, B) == (lam is not None and 0 <= lam <= 1)
+    assert on_segment(P, A, B, strict=True) == (lam is not None
+                                                and 0 < lam < 1)
