@@ -5,7 +5,7 @@ Run:  python3 demos/demo_scattering.py
 """
 
 from tropenum import (ScatteringDiagram, build_diagram, builtin_fan,
-                      check_consistency, format_element, loop_automorphism,
+                      check_consistency, format_element, hfrac,
                       sample_generic_points)
 
 P2 = builtin_fan("p2")
@@ -16,8 +16,7 @@ d = build_diagram(P2, cfg)
 print("two marked points, %d walls:" % len(d.walls))
 for w in sorted(d.walls, key=lambda w: (w.base, w.dirvec)):
     print("  base (%s, %s)  direction (%d, %d)  f = %s"
-          % (w.base_pair()[0], w.base_pair()[1], w.dirvec[0], w.dirvec[1],
-             format_element(w.f, NAMES)))
+          % (hfrac(w.base) + w.dirvec + (format_element(w.f, NAMES),)))
 
 rep = check_consistency(d)
 print()
@@ -25,7 +24,7 @@ print("%d singular points on the support" % len(rep.rows))
 for point, marked, is_id, aut in rep.rows:
     kind = "marked point" if marked else "wall crossing"
     verdict = "identity" if is_id else "records the point"
-    print("  (%s, %s): %s, loop %s" % (point[0], point[1], kind, verdict))
+    print("  (%s, %s): %s, loop %s" % (hfrac(point) + (kind, verdict)))
 print("diagram is consistent:", rep.ok)
 
 # now remove the scattered walls (the ones carrying both u variables)
@@ -38,6 +37,6 @@ print()
 print("after dropping %d scattered wall(s): consistent = %s"
       % (len(d.walls) - len(kept), rep2.ok))
 for point, marked, is_id, theta in rep2.failures():
-    print("  loop around (%s, %s) is not the identity:" % point)
+    print("  loop around (%s, %s) is not the identity:" % hfrac(point))
     for j, img in enumerate(theta.images):
         print("    x%d -> %s" % (j, format_element(img, NAMES)))

@@ -63,11 +63,17 @@ def line_dir(key):
     return (key[1], -key[0])
 
 
-def line_param(key, P):
+def line_coord(key, P):
     """Coordinate of P along the line, the value of the functional
     (b, -a); monotone in the canonical direction but not unit speed."""
     x, y = hfrac(P)
     return key[1] * x - key[0] * y
+
+
+def on_line(key, P):
+    """Does the homogeneous point P lie on the line with this key?"""
+    a, b, c = key
+    return a * P[0] + b * P[1] == c * P[2]
 
 
 def point_at(key, t):
@@ -117,8 +123,8 @@ class Overlay:
             raise ValueError("zero-length segment")
         dp, _ = primitive(d)
         key = line_key(A, dp)
-        ta = line_param(key, A)
-        tb = line_param(key, B)
+        ta = line_coord(key, A)
+        tb = line_coord(key, B)
         if ta > tb:
             ta, tb = tb, ta
         self._intervals(key).append((ta, tb, frozenset([tag])))
@@ -127,7 +133,7 @@ class Overlay:
         A = hnorm(*A)
         dp, _ = primitive(d)
         key = line_key(A, dp)
-        t = line_param(key, A)
+        t = line_coord(key, A)
         if dp == line_dir(key):
             self._intervals(key).append((t, None, frozenset([tag])))
         else:
@@ -162,11 +168,10 @@ class Overlay:
                     events[keys[i]].add(t1)
                     events[keys[j]].add(t2)
         for P in self._points:
-            x, y = hfrac(P)
             hit = False
             for k in keys:
-                if k[0] * x + k[1] * y == k[2]:
-                    t = k[1] * x - k[0] * y
+                if on_line(k, P):
+                    t = line_coord(k, P)
                     if _covered(self._lines[k], t):
                         events[k].add(t)
                         hit = True

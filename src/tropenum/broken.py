@@ -25,18 +25,14 @@ import itertools
 
 from fractions import Fraction
 
-from .enumeration import enumerate_maslov2_disks, sample_generic_points
+from .enumeration import (enumerate_maslov2_disks, mask_labels,
+                          sample_generic_points)
 from .fan import r_vector
-from .lattice import dot, hfrac, wedge
+from .lattice import (as_hpoint, dot, hdiff, hfrac, hshift, ray_params,
+                      wedge)
 from .scattering import (RingElement, build_diagram, path_automorphism,
                          ring_mono)
 from .tropcurve import GenericityError, InvariantError
-
-
-def _as_pair(P):
-    if len(P) == 3:
-        return hfrac(P)
-    return (Fraction(P[0]), Fraction(P[1]))
 
 
 class BrokenLine:
@@ -44,7 +40,8 @@ class BrokenLine:
     monomial carried on each segment, and the endpoint Q.
 
     segs is a tuple of (start, end, (c, I, m)); the first start is None
-    for the unbounded segment and the last end is Q.
+    for the unbounded segment and the last end is Q.  Points are
+    homogeneous triples.
     """
 
     __slots__ = ("fan", "init_ray", "segs", "endpoint")
@@ -77,8 +74,8 @@ class BrokenLine:
 
 
 class Potential:
-    """Value of the superpotential at an endpoint Q: y0 plus the final
-    monomials of all broken lines ending at Q."""
+    """Value of the superpotential at an endpoint Q (a homogeneous triple):
+    y0 plus the final monomials of all broken lines ending at Q."""
 
     __slots__ = ("fan", "k", "endpoint", "value", "lines")
 
@@ -108,7 +105,7 @@ class Potential:
 
     def __repr__(self):
         return "Potential(at=%s, %d lines)" % (
-            list(self.endpoint), len(self.lines))
+            list(hfrac(self.endpoint)), len(self.lines))
 
 
 def sample_endpoint(seed, bbox=(-10, 10), attempt=0):
@@ -122,7 +119,7 @@ class _Tracer:
     def __init__(self, diagram, Q):
         self.d = diagram
         self.fan = diagram.fan
-        self.Q = _as_pair(Q)
+        self.Q = as_hpoint(Q)
         if diagram.supp_contains(self.Q):
             raise GenericityError("endpoint lies on the diagram support; "
                                   "resample the endpoint")
@@ -142,27 +139,24 @@ class _Tracer:
 
     def _leg(self, X, m):
         """Validate the backward ray X + s*r(m), s > 0, and return its
-        transversal wall crossings as (s, widx, e, t) sorted by s."""
+        transversal wall crossings as (s, widx, e, V) sorted by s, with V
+        the crossing point and e = |wedge(wall direction, r(m))|."""
         r = r_vector(self.fan, m)
         cands = []
         for widx, w in enumerate(self.d.walls):
-            den = wedge(w.dirvec, r)
-            base = w.base_pair()
-            dx, dy = X[0] - base[0], X[1] - base[1]
-            if den == 0:
-                if wedge(w.dirvec, (dx, dy)) != 0:
+            p = ray_params(X, r, w.base, w.dirvec)
+            if p is None:
+                D = hdiff(w.base, X)
+                if wedge(w.dirvec, D) != 0:
                     continue
                 # collinear with the travel line: any support overlap at
                 # s > 0 makes the picture non-generic
-                t0 = dot(w.dirvec, (dx, dy))
-                mu = dot(w.dirvec, r)
-                if w.carrier == "line" or t0 >= 0 or mu > 0:
+                if (w.carrier == "line" or dot(w.dirvec, D) >= 0
+                        or dot(w.dirvec, r) > 0):
                     raise GenericityError("broken line segment runs along "
                                           "a wall; resample the endpoint")
                 continue
-            s = Fraction(wedge(w.dirvec, (base[0] - X[0], base[1] - X[1])),
-                         den)
-            t = Fraction(wedge(r, (base[0] - X[0], base[1] - X[1])), den)
+            s, t, den = p
             if s <= 0:
                 continue
             if w.carrier == "ray" and t < 0:
@@ -170,7 +164,8 @@ class _Tracer:
             if t == 0:
                 raise GenericityError("broken line segment through a wall "
                                       "base; resample the endpoint")
-            cands.append((s, widx, abs(den), t))
+            cands.append((Fraction(s, den), widx,
+                          abs(wedge(w.dirvec, r)), hshift(X, s, den, r)))
         cands.sort(key=lambda c: (c[0], c[1]))
         for a, b in zip(cands, cands[1:]):
             if a[0] == b[0]:
@@ -187,11 +182,9 @@ class _Tracer:
         if sum(m) == 1:
             self._emit(m.index(1), bends_rev)
             return
-        r = r_vector(self.fan, m)
-        for s, widx, e, _ in cands:
+        for _, widx, e, V in cands:
             w = self.d.walls[widx]
             g = w.f.pow(e)
-            V = (X[0] + s * r[0], X[1] + s * r[1])
             for (mt, ut), ct in sorted(g.terms.items(),
                                        key=lambda kv: (kv[0][0],
                                                        sorted(kv[0][1]))):
@@ -240,7 +233,7 @@ def potential(d, fan, Q):
     val = RingElement(n, {}, y0=Fraction(1))
     for bl in lines:
         val = val.add(bl.final_element())
-    return Potential(fan, d.k(), _as_pair(Q), val, lines)
+    return Potential(fan, d.k(), as_hpoint(Q), val, lines)
 
 
 def transport(d, W, path):
@@ -248,7 +241,8 @@ def transport(d, W, path):
     ordered wall crossing automorphism of the path to W.value.  The path
     must start in the chamber of W.endpoint."""
     aut = path_automorphism(d, path)
-    return Potential(W.fan, W.k, _as_pair(path[-1]), aut.apply(W.value), ())
+    Q = as_hpoint(path[-1])
+    return Potential(W.fan, W.k, Q, aut.apply(W.value), ())
 
 
 def verify_disk_correspondence(fan, config, Q):
@@ -263,7 +257,7 @@ def verify_disk_correspondence(fan, config, Q):
     for rec in enumerate_maslov2_disks(fan, config, Q, as_curves=False):
         mult, marks, deg = rec.mono()
         c = Fraction(mult)
-        bits = tuple(i for i in range(marks.bit_length()) if marks >> i & 1)
-        want.append((deg, bits, (c.numerator, c.denominator)))
+        want.append((deg, tuple(mask_labels(marks)),
+                     (c.numerator, c.denominator)))
     want.sort()
     return got == want

@@ -11,8 +11,6 @@ import json
 import os
 import sys
 
-from fractions import Fraction
-
 from . import jsonio, svgout
 from .broken import potential as eval_potential
 from .broken import sample_endpoint
@@ -23,6 +21,7 @@ from .enumeration import (MAX_ATTEMPTS, build_forest,
                           enumerate_maslov2_disks, run_count,
                           sample_generic_points)
 from .fan import builtin_fan, make_degree, make_fan
+from .lattice import as_hpoint
 from .scattering import build_diagram, check_consistency
 from .tropcurve import GenericityError, InvariantError
 
@@ -65,8 +64,9 @@ def parse_degree(fan, text):
 
 
 def parse_qpoint(text):
+    """The endpoint "x,y" (two rationals) as a homogeneous triple."""
     x, _, y = text.partition(",")
-    return (Fraction(x), Fraction(y))
+    return as_hpoint((x, y))
 
 
 def default_seed():
@@ -101,7 +101,7 @@ def _resample(k, seed, build):
 def cmd_count(args, report_key):
     fan = load_fan(args.fan)
     deg = parse_degree(fan, args.degree)
-    report = run_count(fan, deg, args.seed, jobs=args.jobs)
+    report = run_count(fan, deg, args.seed)
     doc = jsonio.count_doc(report)
     write_out(args, jsonio.dumps(doc))
     print("%s = %d  (fan %s, degree %s, seed %d)"
@@ -160,7 +160,7 @@ def cmd_potential(args):
 def cmd_phi_check(args):
     fan = load_fan(args.fan)
     deg = parse_degree(fan, args.degree)
-    report = run_count(fan, deg, args.seed, jobs=args.jobs)
+    report = run_count(fan, deg, args.seed)
     rows = []
     for c, m in zip(report.curves, report.mults):
         sysm = build_phi(c)
@@ -178,7 +178,7 @@ def cmd_phi_check(args):
 def cmd_degenerate(args):
     fan = load_fan(args.fan)
     deg = parse_degree(fan, args.degree)
-    report = run_count(fan, deg, args.seed, jobs=args.jobs)
+    report = run_count(fan, deg, args.seed)
     pd = build_decomposition(report.curves, fan, report.config.points)
     props = properties_report(pd, report.curves, fan)
     if args.rescale:
@@ -214,7 +214,8 @@ def build_parser():
         p.add_argument("--fan", default="p2",
                        help="builtin fan name (p2, p1xp1, dp6) or JSON path")
         p.add_argument("--seed", type=int, default=default_seed())
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=int, default=1,
+                       help="accepted for compatibility; has no effect")
         p.add_argument("--out", default="-", help="output path, - = stdout")
         if degree:
             p.add_argument("--degree", required=True,

@@ -18,8 +18,8 @@ the surface fan.
 
 from math import gcd
 
-from .arrangement import Overlay, line_dir, line_key, line_param
-from .lattice import (cokernel_order, hdiff, hfrac, hnorm, hpoint,
+from .arrangement import Overlay, line_coord, line_dir, line_key, on_line
+from .lattice import (as_hpoint, cokernel_order, hdiff, hfrac, hnorm,
                       primitive, rot90, smith_normal_form, wedge)
 from .tropcurve import InvariantError, mikhalkin_multiplicity
 
@@ -249,12 +249,6 @@ class PolyDecomp:
             len(self.vertices), len(self.edges), len(self.faces), self.scale)
 
 
-def _as_triple(P):
-    if len(P) == 3:
-        return hnorm(*P)
-    return hpoint(P[0], P[1])
-
-
 def build_decomposition(curves, fan, points):
     """Overlay the given solutions into a decomposition of the plane.
 
@@ -271,7 +265,7 @@ def build_decomposition(curves, fan, points):
             ov.add_segment(c.vertices[i], c.vertices[j], tag)
         for i, d, w in c.uedges:
             ov.add_ray(c.vertices[i], d, tag)
-    pts = [_as_triple(P) for P in points]
+    pts = [as_hpoint(P) for P in points]
     for pi, P in enumerate(pts):
         tag = "fan:%d" % pi
         for r in fan.rays:
@@ -294,22 +288,22 @@ def _cover_query(pd, A, B, d):
         dp, _ = primitive(d)
     key = line_key(A, dp)
     sign = 1 if dp == line_dir(key) else -1
-    sa = sign * line_param(key, A)
-    sb = sign * line_param(key, B) if B is not None else None
+    sa = sign * line_coord(key, A)
+    sb = sign * line_coord(key, B) if B is not None else None
     if sb is not None and sb < sa:
         sa, sb = sb, sa
     spans = []
     for e in pd.edges:
         if e[0] == "seg":
             va, vb = pd.vertices[e[1]], pd.vertices[e[2]]
-            if _on_line(key, va) and _on_line(key, vb):
-                t1 = sign * line_param(key, va)
-                t2 = sign * line_param(key, vb)
+            if on_line(key, va) and on_line(key, vb):
+                t1 = sign * line_coord(key, va)
+                t2 = sign * line_coord(key, vb)
                 spans.append((min(t1, t2), max(t1, t2)))
         else:
             va = pd.vertices[e[1]]
-            if _on_line(key, va) and wedge(e[2], dp) == 0:
-                t1 = sign * line_param(key, va)
+            if on_line(key, va) and wedge(e[2], dp) == 0:
+                t1 = sign * line_coord(key, va)
                 if e[2] == dp:
                     spans.append((t1, None))
                 else:
@@ -324,11 +318,6 @@ def _cover_query(pd, A, B, d):
         if hi > cur:
             cur = hi
     return sb is not None and cur >= sb
-
-
-def _on_line(key, P):
-    x, y = hfrac(P)
-    return key[0] * x + key[1] * y == key[2]
 
 
 def properties_report(pd, curves, fan):

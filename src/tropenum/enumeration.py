@@ -22,13 +22,12 @@ pivot disks.  Throughout, any coincidence that only happens on a measure-zero
 set of configurations raises GenericityError and the caller resamples.
 """
 
-import multiprocessing
 import random
 from fractions import Fraction
 
 from .fan import degree_total, make_degree, r_vector
-from .lattice import (hdiff, hfrac, hpoint, hshift, on_ray, on_segment,
-                      primitive, ray_intersect, ray_params, wedge)
+from .lattice import (as_hpoint, hdiff, hfrac, hpoint, hshift, on_ray,
+                      on_segment, primitive, ray_intersect, ray_params, wedge)
 from .tropcurve import (GenericityError, InvariantError, ParamTropCurve,
                         TropicalDisk, TropicalTree, canonical_type,
                         geometric_signature, mikhalkin_multiplicity,
@@ -131,6 +130,11 @@ def precheck_config(fan, deg, config):
                 raise GenericityError(
                     "points %d, %d aligned with a curve direction" % (i, j))
     return True
+
+
+def mask_labels(mask):
+    """The 0-based labels of the marks in a mark mask, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def _boxed_exponents(cap):
@@ -552,7 +556,7 @@ def enumerate_maslov2_disks(fan, config, Q, degree_cap=None, as_curves=True,
     A caller that already holds build_forest(fan, config, degree_cap=...)
     passes it as `forest` to save building it again.
     """
-    qpt = hpoint(Fraction(Q[0]), Fraction(Q[1])) if len(Q) == 2 else Q
+    qpt = as_hpoint(Q)
     if forest is None:
         forest = build_forest(fan, config, degree_cap=degree_cap)
     for t in forest.trees:
@@ -588,22 +592,7 @@ class CountReport:
                 % (self.n_trop, self.w_trop, len(self.curves)))
 
 
-_POOL_STATE = {}
-
-
-def _pool_init(forest, pivot_point, others_mask):
-    _POOL_STATE["forest"] = forest
-    _POOL_STATE["pivot"] = pivot_point
-    _POOL_STATE["others"] = others_mask
-
-
-def _pool_disks(mfins):
-    forest = _POOL_STATE["forest"]
-    return forest.disks(_POOL_STATE["pivot"], _POOL_STATE["others"],
-                        mfins=mfins)
-
-
-def enumerate_rational_curves(fan, deg, config, jobs=1):
+def enumerate_rational_curves(fan, deg, config):
     """CountReport for rational curves of degree `deg` through the |Delta|-1
     points of `config`.  Raises GenericityError when the configuration hits a
     coincidence; the counting wrappers resample on that."""
@@ -627,18 +616,8 @@ def enumerate_rational_curves(fan, deg, config, jobs=1):
              if sum(m) and sum(m) < degree_total(deg)
              and r_vector(fan, m) != (0, 0)]
     mfins.sort()
-    if jobs > 1 and len(mfins) > 1:
-        chunks = [mfins[i::jobs] for i in range(jobs)]
-        chunks = [c for c in chunks if c]
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(len(chunks), _pool_init,
-                      (forest, pivot_point, others)) as pool:
-            disk_lists = pool.map(_pool_disks, chunks)
-        pivot_disks = [d for lst in disk_lists for d in lst]
-        pivot_disks.sort(key=lambda d: d.key)
-    else:
-        pivot_disks = forest.disks(pivot_point, others, mfins=mfins)
-        pivot_disks.sort(key=lambda d: d.key)
+    pivot_disks = forest.disks(pivot_point, others, mfins=mfins)
+    pivot_disks.sort(key=lambda d: d.key)
     groups = {}
     for d in pivot_disks:
         groups.setdefault((d.marks, d.deg), []).append(d)
@@ -670,7 +649,7 @@ def enumerate_rational_curves(fan, deg, config, jobs=1):
     return CountReport(fan, deg, config, curves, mults, wmults)
 
 
-def run_count(fan, deg, seed, jobs=1, bbox=(-10, 10)):
+def run_count(fan, deg, seed, bbox=(-10, 10)):
     """Resampling wrapper: draw configurations for `seed` until one is
     generic, then enumerate.  Returns the CountReport."""
     deg = make_degree(fan, deg)
@@ -679,16 +658,16 @@ def run_count(fan, deg, seed, jobs=1, bbox=(-10, 10)):
     for attempt in range(MAX_ATTEMPTS):
         config = sample_generic_points(k, seed, bbox=bbox, attempt=attempt)
         try:
-            return enumerate_rational_curves(fan, deg, config, jobs=jobs)
+            return enumerate_rational_curves(fan, deg, config)
         except GenericityError as e:
             last = e
     raise GenericityError("no generic configuration for seed %d after %d "
                           "attempts (last: %s)" % (seed, MAX_ATTEMPTS, last))
 
 
-def count_n_trop(fan, deg, seed, jobs=1):
-    return run_count(fan, deg, seed, jobs=jobs).n_trop
+def count_n_trop(fan, deg, seed):
+    return run_count(fan, deg, seed).n_trop
 
 
-def count_w_trop(fan, deg, seed, jobs=1):
-    return run_count(fan, deg, seed, jobs=jobs).w_trop
+def count_w_trop(fan, deg, seed):
+    return run_count(fan, deg, seed).w_trop

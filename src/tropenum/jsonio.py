@@ -12,6 +12,7 @@ import json
 
 from fractions import Fraction
 
+from .enumeration import mask_labels
 from .lattice import hfrac
 from .scattering import format_element
 from .tropcurve import InvariantError
@@ -41,7 +42,8 @@ def parse_q(s):
 
 
 def fmt_point(p):
-    x, y = hfrac(p) if len(p) == 3 else (Fraction(p[0]), Fraction(p[1]))
+    """["x", "y"] for a homogeneous triple."""
+    x, y = hfrac(p)
     return [fmt_q(x), fmt_q(y)]
 
 
@@ -119,10 +121,6 @@ def load_count(doc):
 # -- tree and disk records ---------------------------------------------------
 
 
-def _bits(mask):
-    return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
-
-
 def trees_doc(fan, config, records):
     return {
         "schema": schema_id("trees"),
@@ -133,7 +131,7 @@ def trees_doc(fan, config, records):
         "attempt": config.attempt,
         "points": [fmt_point(p) for p in config.points],
         "trees": [{
-            "marks": _bits(t.marks),
+            "marks": [i + 1 for i in mask_labels(t.marks)],
             "degree": list(t.deg),
             "base": fmt_point(t.base),
             "out": [t.out[0], t.out[1]],
@@ -157,8 +155,9 @@ def disks_doc(fan, config, Q, records):
     names = ["x%d" % i for i in range(fan.nrays())]
     out = []
     for d in records:
+        marks = [i + 1 for i in mask_labels(d.marks)]
         out.append({
-            "marks": _bits(d.marks),
+            "marks": marks,
             "degree": list(d.deg),
             "init_ray": d.init_ray,
             "weight": d.w,
@@ -166,7 +165,7 @@ def disks_doc(fan, config, Q, records):
             "bends": len(d.bends),
             "monomial": "%d*%s%s" % (
                 d.mult,
-                "".join("u%d*" % i for i in _bits(d.marks)),
+                "".join("u%d*" % i for i in marks),
                 "*".join(n for n, e in zip(names, d.deg) for _ in range(e))),
         })
     return {
@@ -214,8 +213,7 @@ def parse_element(doc, nrays):
 
 
 def diagram_doc(fan, config, diagram, report):
-    rows = [{"point": [fmt_q(p[0]), fmt_q(p[1])], "marked": marked,
-             "identity": ident}
+    rows = [{"point": fmt_point(p), "marked": marked, "identity": ident}
             for p, marked, ident, _ in report.rows]
     return {
         "schema": schema_id("diagram"),
@@ -252,8 +250,8 @@ def potential_doc(fan, config, diagram, report, W):
         segs = []
         for a, b, (c, iset, m) in bl.segs:
             segs.append({
-                "start": None if a is None else [fmt_q(a[0]), fmt_q(a[1])],
-                "end": [fmt_q(b[0]), fmt_q(b[1])],
+                "start": None if a is None else fmt_point(a),
+                "end": fmt_point(b),
                 "coeff": fmt_q(c),
                 "u": [i + 1 for i in sorted(iset)],
                 "z": list(m),
@@ -268,7 +266,7 @@ def potential_doc(fan, config, diagram, report, W):
         "seed": config.seed,
         "attempt": config.attempt,
         "points": doc["points"],
-        "endpoint": [fmt_q(W.endpoint[0]), fmt_q(W.endpoint[1])],
+        "endpoint": fmt_point(W.endpoint),
         "value": element_doc(W.value),
         "pretty": format_element(
             W.value, ["x%d" % i for i in range(fan.nrays())]),

@@ -3,10 +3,12 @@
 Everything downstream (fans, curves, arrangements, wall crossing) reduces to
 arithmetic in M = Z^2 and its rational span.  This module owns that arithmetic:
 primitive vectors, the wedge form identifying M ^ M with Z, Smith normal form
-and cokernel orders of integer matrices, exact affine solving over Q, and a
-small kit of homogeneous-coordinate helpers for rational plane points used by
-the enumeration hot paths (a point is an int triple (X, Y, W), W > 0, gcd 1,
-standing for (X/W, Y/W)).
+and cokernel orders of integer matrices, exact affine solving over Q, and the
+one point type of the package: a rational plane point is an int triple
+(X, Y, W), W > 0, gcd 1, standing for (X/W, Y/W).  `as_hpoint` turns what
+callers pass (a triple or a pair of rationals) into one, and `ray_params` is
+the crossing kernel of the three tracers (Maslov-0 stems, scattering paths,
+broken lines).
 
 Floating point is forbidden here and in every caller.
 """
@@ -257,6 +259,14 @@ def hpoint(x, y):
                  fy.numerator * (w // fy.denominator), w)
 
 
+def as_hpoint(P):
+    """The normalized triple of P, given as a homogeneous triple or as a
+    pair of rationals (anything Fraction accepts)."""
+    if len(P) == 3:
+        return hnorm(*P)
+    return hpoint(P[0], P[1])
+
+
 def hnorm(X, Y, W):
     if W == 0:
         raise ValueError("point at infinity")
@@ -301,7 +311,7 @@ def ray_params(A, da, B, db):
     Returns (s_num, t_num, den) with den > 0, s = s_num/den and
     t = t_num/den; None when the directions are parallel.  Callers impose
     their own sign conditions on s and t.  The arithmetic is written out
-    rather than built from wedge and hdiff because the stem tracer runs it
+    rather than built from wedge and hdiff because every tracer runs it
     once per candidate wall.
     """
     c = da[0] * db[1] - da[1] * db[0]

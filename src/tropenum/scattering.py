@@ -17,10 +17,10 @@ assumed.
 
 from fractions import Fraction
 
-from .enumeration import enumerate_maslov0_trees
+from .enumeration import enumerate_maslov0_trees, mask_labels
 from .fan import r_vector
-from .lattice import (angle_key, dot, hfrac, hnorm, hpoint, primitive,
-                      rot90, wedge)
+from .lattice import (angle_key, as_hpoint, dot, hdiff, hfrac, hshift,
+                      primitive, ray_params, rot90, wedge)
 from .tropcurve import GenericityError, InvariantError
 
 
@@ -266,18 +266,6 @@ def apply_generator(fan, c, uset, m, n):
     return RingAutomorphism(nrays, images)
 
 
-def _as_pair(P):
-    if len(P) == 3:
-        return hfrac(P)
-    return (Fraction(P[0]), Fraction(P[1]))
-
-
-def _as_triple(P):
-    if len(P) == 3:
-        return hnorm(*P)
-    return hpoint(Fraction(P[0]), Fraction(P[1]))
-
-
 class Wall:
     """Ray or line with an attached function of z^{m0}.
 
@@ -293,7 +281,7 @@ class Wall:
         if carrier not in ("ray", "line"):
             raise InvariantError("carrier must be 'ray' or 'line'")
         self.fan = fan
-        self.base = _as_triple(base)
+        self.base = as_hpoint(base)
         self.m0 = tuple(int(x) for x in m0)
         r = r_vector(fan, self.m0)
         if r == (0, 0):
@@ -318,11 +306,10 @@ class Wall:
                                      "in z^{m0}")
         self.f = f
 
-    def base_pair(self):
-        return hfrac(self.base)
-
     def support_contains(self, X):
-        v = (X[0] - self.base_pair()[0], X[1] - self.base_pair()[1])
+        """Is X (a homogeneous triple or a rational pair) on the wall's
+        support?"""
+        v = hdiff(self.base, as_hpoint(X))
         if wedge(self.dirvec, v) != 0:
             return False
         if self.carrier == "line":
@@ -364,39 +351,32 @@ class ScatteringDiagram:
     def __init__(self, fan, walls, marked_points):
         self.fan = fan
         self.walls = tuple(walls)
-        self.marked = tuple(_as_triple(p) for p in marked_points)
+        self.marked = tuple(as_hpoint(p) for p in marked_points)
 
     def k(self):
         return len(self.marked)
 
     def supp_contains(self, X):
-        X = _as_pair(X)
         return any(w.support_contains(X) for w in self.walls)
 
     def sing_points(self):
-        """Wall base points plus pairwise transversal support crossings."""
-        pts = {}
-        for w in self.walls:
-            if w.carrier == "ray":
-                pts[w.base_pair()] = True
+        """Wall base points plus pairwise transversal support crossings,
+        as homogeneous triples sorted by their (x, y) values."""
+        pts = {w.base for w in self.walls if w.carrier == "ray"}
         for a in range(len(self.walls)):
             wa = self.walls[a]
             for b in range(a + 1, len(self.walls)):
                 wb = self.walls[b]
-                den = wedge(wa.dirvec, wb.dirvec)
-                if den == 0:
+                p = ray_params(wa.base, wa.dirvec, wb.base, wb.dirvec)
+                if p is None:
                     continue
-                ba, bb = wa.base_pair(), wb.base_pair()
-                dx, dy = bb[0] - ba[0], bb[1] - ba[1]
-                s = Fraction(wedge((dx, dy), wb.dirvec), den)
-                t = Fraction(wedge((dx, dy), wa.dirvec), den)
+                s, t, den = p
                 if wa.carrier == "ray" and s < 0:
                     continue
                 if wb.carrier == "ray" and t < 0:
                     continue
-                pts[(ba[0] + s * wa.dirvec[0], ba[1] + s * wa.dirvec[1])] \
-                    = True
-        return sorted(pts)
+                pts.add(hshift(wa.base, s, den, wa.dirvec))
+        return sorted(pts, key=hfrac)
 
     def __repr__(self):
         return ("ScatteringDiagram(%d walls, %d marked points)"
@@ -407,11 +387,12 @@ def path_crossings(diagram, path):
     """The walls a polyline crosses, in order: a list of (wall index, n0)
     with n0 the primitive wall normal against the travel direction.
 
-    Raises GenericityError("non-transverse path ...") when the path runs
+    Path vertices are homogeneous triples or rational pairs.  Raises
+    GenericityError("non-transverse path ...") when the path runs
     along a wall, passes through a singular point or a wall base, or has
     a vertex on the support.
     """
-    pts = [_as_pair(P) for P in path]
+    pts = [as_hpoint(P) for P in path]
     if len(pts) < 2:
         raise InvariantError("path needs at least two vertices")
     for P in pts:
@@ -420,26 +401,25 @@ def path_crossings(diagram, path):
                                   "support")
     crossings = []
     for A, B in zip(pts, pts[1:]):
-        seg = (B[0] - A[0], B[1] - A[1])
+        seg = hdiff(A, B)
         if seg == (0, 0):
             continue
+        end = A[2] * B[2]       # B = A + seg / end
         hits = []
         for widx, w in enumerate(diagram.walls):
-            den = wedge(w.dirvec, seg)
-            base = w.base_pair()
-            dx, dy = base[0] - A[0], base[1] - A[1]
-            if den == 0:
-                if wedge(w.dirvec, (dx, dy)) == 0 and _overlaps(w, A, B):
+            p = ray_params(A, seg, w.base, w.dirvec)
+            if p is None:
+                if (wedge(w.dirvec, hdiff(A, w.base)) == 0
+                        and _overlaps(w, A, B)):
                     raise GenericityError("non-transverse path: tangent to "
                                           "a wall")
                 continue
-            t = wedge(w.dirvec, (dx, dy)) / den
-            s = wedge(seg, (dx, dy)) / den
-            if t < 0 or t > 1:
+            t, s, den = p
+            if t < 0 or t * end > den:
                 continue
             if w.carrier == "ray" and s < 0:
                 continue
-            if t == 0 or t == 1:
+            if t == 0 or t * end == den:
                 raise GenericityError("non-transverse path: vertex on the "
                                       "support")
             if w.carrier == "ray" and s == 0:
@@ -447,7 +427,7 @@ def path_crossings(diagram, path):
                                       "base")
             nraw = rot90(w.dirvec)
             n0 = nraw if dot(nraw, seg) < 0 else (-nraw[0], -nraw[1])
-            hits.append((t, widx, n0))
+            hits.append((Fraction(t, den), widx, n0))
         hits.sort(key=lambda h: (h[0], h[1]))
         for i in range(len(hits) - 1):
             if hits[i][0] == hits[i + 1][0]:
@@ -471,24 +451,11 @@ def path_automorphism(diagram, path):
 
 def _overlaps(wall, A, B):
     # A, B on the wall's line; does [A, B] meet the support?
-    base = wall.base_pair()
-    d = wall.dirvec
-    ta = dot(d, (A[0] - base[0], A[1] - base[1]))
-    tb = dot(d, (B[0] - base[0], B[1] - base[1]))
     if wall.carrier == "line":
         return True
-    return max(ta, tb) >= 0
-
-
-def _bits(mask):
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return frozenset(out)
+    d = wall.dirvec
+    return (dot(d, hdiff(wall.base, A)) >= 0
+            or dot(d, hdiff(wall.base, B)) >= 0)
 
 
 def build_diagram(fan, config):
@@ -498,7 +465,7 @@ def build_diagram(fan, config):
     walls = []
     for t in enumerate_maslov0_trees(fan, config, as_curves=False):
         f = ring_one(nrays).add(ring_mono(nrays, t.w * t.mult,
-                                          _bits(t.marks), t.deg))
+                                          mask_labels(t.marks), t.deg))
         w = Wall(fan, t.base, t.deg, f, carrier="ray")
         if w.dirvec != t.out:
             raise InvariantError("wall direction disagrees with the tree "
@@ -510,11 +477,10 @@ def build_diagram(fan, config):
 def loop_automorphism(diagram, X):
     """Automorphism of a small counterclockwise loop around X, composed
     exactly from the wall germs at X in angular order."""
-    X = _as_pair(X)
+    X = as_hpoint(X)
     germs = []
     for widx, w in enumerate(diagram.walls):
-        base = w.base_pair()
-        v = (X[0] - base[0], X[1] - base[1])
+        v = hdiff(w.base, X)
         if wedge(w.dirvec, v) != 0:
             continue
         along = dot(w.dirvec, v)
@@ -539,8 +505,8 @@ def loop_automorphism(diagram, X):
 
 class ConsistencyReport:
     """Loop check at every singular point; rows are (point, marked,
-    identity, automorphism).  Marked points are recorded, never required
-    to close up."""
+    identity, automorphism) with the point a homogeneous triple.  Marked
+    points are recorded, never required to close up."""
 
     def __init__(self, rows):
         self.rows = tuple(rows)
@@ -558,7 +524,7 @@ class ConsistencyReport:
 
 
 def check_consistency(diagram):
-    marked = {_as_pair(p) for p in diagram.marked}
+    marked = set(diagram.marked)
     rows = []
     for X in diagram.sing_points():
         auto = loop_automorphism(diagram, X)

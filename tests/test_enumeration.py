@@ -143,12 +143,8 @@ def test_p1xp1_counts():
 
 
 def test_cubic_count_single_seed():
-    rep = run_count(P2, (3, 3, 3), seed=11, jobs=2)
+    rep = run_count(P2, (3, 3, 3), seed=11)
     assert rep.n_trop == 12
-    rep1 = run_count(P2, (3, 3, 3), seed=11, jobs=1)
-    assert rep1.n_trop == 12
-    assert [c.vertices for c in rep.curves] == \
-        [c.vertices for c in rep1.curves]
 
 
 @pytest.mark.slow

@@ -152,9 +152,8 @@ def test_build_diagram_k1():
     cfg = sample_generic_points(1, 3)
     d = build_diagram(P2, cfg)
     assert len(d.walls) == 3
-    p1 = hfrac(cfg.points[0])
     for w in d.walls:
-        assert w.base_pair() == p1
+        assert w.base == cfg.points[0]
         m, iset, c = non_unit(w)
         assert iset == frozenset([0])
         assert c == 1
@@ -253,7 +252,7 @@ def test_path_through_singular_point_rejected():
     d = build_diagram(P2, cfg)
     glue = [w for w in d.walls if non_unit(w)[1] == frozenset([0, 1])]
     assert glue
-    sx, sy = glue[0].base_pair()
+    sx, sy = hfrac(glue[0].base)
     path = [(sx - 1, sy - Fraction(1, 173)),
             (sx + 1, sy + Fraction(1, 173))]
     with pytest.raises(GenericityError) as err:
@@ -264,7 +263,7 @@ def test_path_through_singular_point_rejected():
 def test_loop_automorphism_identity_off_marks():
     cfg = sample_generic_points(2, 5)
     d = build_diagram(P2, cfg)
-    marked = {hfrac(p) for p in cfg.points}
+    marked = set(cfg.points)
     checked = 0
     for P in d.sing_points():
         if P in marked:
@@ -279,13 +278,13 @@ def test_scattered_walls_carry_joint_u_sets():
     d = build_diagram(P2, cfg)
     joint = [w for w in d.walls if non_unit(w)[1] == frozenset([0, 1])]
     assert joint
-    marked = {hfrac(p) for p in cfg.points}
+    marked = set(cfg.points)
     for w in joint:
         m, _, c = non_unit(w)
         assert sum(m) >= 2
         assert c >= 1
     # at least one joint wall comes from a glue event off the marks
-    assert any(w.base_pair() not in marked for w in joint)
+    assert any(w.base not in marked for w in joint)
 
 
 def test_consistency_report_shape():
@@ -293,7 +292,7 @@ def test_consistency_report_shape():
     d = build_diagram(P2, cfg)
     rep = check_consistency(d)
     pts = [row[0] for row in rep.rows]
-    assert pts == sorted(pts)
+    assert pts == sorted(pts, key=hfrac)
     assert len(set(pts)) == len(pts)
     for point, marked, is_id, aut in rep.rows:
         assert isinstance(marked, bool)
