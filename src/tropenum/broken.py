@@ -184,7 +184,7 @@ class _Tracer:
             return
         for _, widx, e, V in cands:
             w = self.d.walls[widx]
-            g = w.f.pow(e)
+            g = w.pow(e)
             for (mt, ut), ct in sorted(g.terms.items(),
                                        key=lambda kv: (kv[0][0],
                                                        sorted(kv[0][1]))):

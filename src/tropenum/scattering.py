@@ -9,10 +9,14 @@ monomial rather than collapsing to 1.
 An automorphism is pinned by its images on the ray generators and fixes
 every u_i and the additive constant y0.  Crossing a wall with function f
 sends z^m to z^m * f^{<n0, r(m)>}, where n0 is the primitive normal of
-the wall support chosen against the direction of travel.  The diagram
-built from Maslov-0 trees carries one ray per tree; its consistency at
-non-marked singular points is checked by composing an exact loop, never
-assumed.
+the wall support chosen against the direction of travel.  Since the
+crossing is a ring map fixing the u_i, it is applied term by term
+(_cross): each term c*u_I*z^m of an element is multiplied by one power
+of f, and each wall memoizes its powers f^e (Wall.pow), so a loop or a
+path folds its ordered crossings through the current generator images
+without raising images to fresh powers.  The diagram built from Maslov-0
+trees carries one ray per tree; its consistency at non-marked singular
+points is checked by composing an exact loop, never assumed.
 """
 
 from fractions import Fraction
@@ -275,7 +279,7 @@ class Wall:
     nilpotent and f is invertible exactly.
     """
 
-    __slots__ = ("fan", "base", "m0", "f", "carrier", "dirvec")
+    __slots__ = ("fan", "base", "m0", "f", "carrier", "dirvec", "_pows")
 
     def __init__(self, fan, base, m0, f, carrier="ray"):
         if carrier not in ("ray", "line"):
@@ -305,6 +309,14 @@ class Wall:
                 raise InvariantError("wall function is not a polynomial "
                                      "in z^{m0}")
         self.f = f
+        self._pows = {}
+
+    def pow(self, e):
+        """f^e, memoized per exponent; e may be negative."""
+        g = self._pows.get(e)
+        if g is None:
+            g = self._pows[e] = self.f.pow(e)
+        return g
 
     def support_contains(self, X):
         """Is X (a homogeneous triple or a rational pair) on the wall's
@@ -322,12 +334,34 @@ class Wall:
                    format_element(self.f)))
 
 
-def _crossing_auto(wall, n0):
-    nrays = wall.fan.nrays()
-    images = []
-    for ridx, v in enumerate(wall.fan.rays):
-        g = ray_generator(nrays, ridx)
-        images.append(g.mul(wall.f.pow(dot(n0, v))))
+def _cross(wall, n0, elem):
+    """Image of elem under crossing wall with normal n0: each term
+    c*u_I*z^m picks up the factor f^{<n0, r(m)>}."""
+    ns = [dot(n0, v) for v in wall.fan.rays]
+    out = {}
+    for (m, uset), c in elem.terms.items():
+        g = wall.pow(sum(a * b for a, b in zip(m, ns)))
+        for (mt, ut), ct in g.terms.items():
+            if uset & ut:
+                continue            # u_i^2 = 0
+            key = (tuple(a + b for a, b in zip(m, mt)), uset | ut)
+            c2 = out.get(key, 0) + c * ct
+            if c2:
+                out[key] = c2
+            else:
+                out.pop(key, None)
+    img = RingElement(elem.nrays, y0=elem.y0)
+    img.terms = out
+    return img
+
+
+def _fold(fan, crossings):
+    """Automorphism of an ordered list of (wall, n0) crossings, the
+    first crossing applied first."""
+    nrays = fan.nrays()
+    images = [ray_generator(nrays, i) for i in range(nrays)]
+    for wall, n0 in crossings:
+        images = [_cross(wall, n0, im) for im in images]
     return RingAutomorphism(nrays, images)
 
 
@@ -342,7 +376,7 @@ def wall_crossing(wall, crossing_sign):
     n = rot90(wall.dirvec)
     if crossing_sign < 0:
         n = (-n[0], -n[1])
-    return _crossing_auto(wall, n)
+    return _fold(wall.fan, [(wall, n)])
 
 
 class ScatteringDiagram:
@@ -388,9 +422,9 @@ def path_crossings(diagram, path):
     with n0 the primitive wall normal against the travel direction.
 
     Path vertices are homogeneous triples or rational pairs.  Raises
-    GenericityError("non-transverse path ...") when the path runs
-    along a wall, passes through a singular point or a wall base, or has
-    a vertex on the support.
+    GenericityError("non-transverse path ...") when the path has a vertex
+    on the support (as every path running along a wall has) or passes
+    through a singular point or a wall base.
     """
     pts = [as_hpoint(P) for P in path]
     if len(pts) < 2:
@@ -407,21 +441,16 @@ def path_crossings(diagram, path):
         end = A[2] * B[2]       # B = A + seg / end
         hits = []
         for widx, w in enumerate(diagram.walls):
+            # a hit at a segment end, or a segment along a wall, puts a
+            # vertex on the support, which the check above rejected
             p = ray_params(A, seg, w.base, w.dirvec)
             if p is None:
-                if (wedge(w.dirvec, hdiff(A, w.base)) == 0
-                        and _overlaps(w, A, B)):
-                    raise GenericityError("non-transverse path: tangent to "
-                                          "a wall")
                 continue
             t, s, den = p
             if t < 0 or t * end > den:
                 continue
             if w.carrier == "ray" and s < 0:
                 continue
-            if t == 0 or t * end == den:
-                raise GenericityError("non-transverse path: vertex on the "
-                                      "support")
             if w.carrier == "ray" and s == 0:
                 raise GenericityError("non-transverse path: through a wall "
                                       "base")
@@ -443,19 +472,8 @@ def path_crossings(diagram, path):
 def path_automorphism(diagram, path):
     """Ordered composition of the wall crossings along a polyline, the
     first wall crossed applied first."""
-    total = identity_automorphism(diagram.fan.nrays())
-    for widx, n0 in path_crossings(diagram, path):
-        total = _crossing_auto(diagram.walls[widx], n0).compose(total)
-    return total
-
-
-def _overlaps(wall, A, B):
-    # A, B on the wall's line; does [A, B] meet the support?
-    if wall.carrier == "line":
-        return True
-    d = wall.dirvec
-    return (dot(d, hdiff(wall.base, A)) >= 0
-            or dot(d, hdiff(wall.base, B)) >= 0)
+    return _fold(diagram.fan, [(diagram.walls[widx], n0)
+                               for widx, n0 in path_crossings(diagram, path)])
 
 
 def build_diagram(fan, config):
@@ -494,13 +512,12 @@ def loop_automorphism(diagram, X):
         elif along == 0:
             germs.append((d, widx))
     germs.sort(key=lambda g: (angle_key(g[0]), g[1]))
-    nrays = diagram.fan.nrays()
-    total = identity_automorphism(nrays)
+    crossings = []
     for g, widx in germs:
         n0 = rot90(g)
         n0 = (-n0[0], -n0[1])       # against the ccw travel direction
-        total = _crossing_auto(diagram.walls[widx], n0).compose(total)
-    return total
+        crossings.append((diagram.walls[widx], n0))
+    return _fold(diagram.fan, crossings)
 
 
 class ConsistencyReport:

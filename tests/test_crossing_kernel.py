@@ -1,0 +1,147 @@
+"""Term-by-term wall crossings against the composed automorphisms they
+replaced.
+
+ref_loop_automorphism and ref_path_automorphism are the earlier
+implementations, kept here as the reference: each wall crossing is a
+RingAutomorphism whose generator images are z^{e_i} * f^{<n0, v_i>}, built
+with RingElement.pow, and the crossings are chained with
+RingAutomorphism.compose.  The library applies each crossing term by term
+to the current images with memoized wall powers.  On the same diagrams both
+must give equal automorphisms at every singular point and along every path,
+and broken.transport must agree with the reference.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from tropenum.broken import potential, sample_endpoint, transport
+from tropenum.enumeration import sample_generic_points
+from tropenum.fan import builtin_fan
+from tropenum.lattice import angle_key, as_hpoint, dot, hdiff, rot90, wedge
+from tropenum.scattering import (RingAutomorphism, build_diagram,
+                                 identity_automorphism, loop_automorphism,
+                                 path_automorphism, path_crossings,
+                                 ray_generator)
+from tropenum.tropcurve import GenericityError
+
+P2 = builtin_fan("p2")
+P1P1 = builtin_fan("p1xp1")
+
+
+# -- the compose-based reference ----------------------------------------------
+
+
+def ref_crossing_auto(wall, n0):
+    nrays = wall.fan.nrays()
+    return RingAutomorphism(nrays, [
+        ray_generator(nrays, i).mul(wall.f.pow(dot(n0, v)))
+        for i, v in enumerate(wall.fan.rays)])
+
+
+def ref_compose(fan, crossings):
+    total = identity_automorphism(fan.nrays())
+    for wall, n0 in crossings:
+        total = ref_crossing_auto(wall, n0).compose(total)
+    return total
+
+
+def ref_loop_automorphism(diagram, X):
+    X = as_hpoint(X)
+    germs = []
+    for widx, w in enumerate(diagram.walls):
+        v = hdiff(w.base, X)
+        if wedge(w.dirvec, v) != 0:
+            continue
+        along = dot(w.dirvec, v)
+        d = w.dirvec
+        if w.carrier == "line" or along > 0:
+            germs.append((d, widx))
+            germs.append(((-d[0], -d[1]), widx))
+        elif along == 0:
+            germs.append((d, widx))
+    germs.sort(key=lambda g: (angle_key(g[0]), g[1]))
+    crossings = []
+    for g, widx in germs:
+        n0 = rot90(g)
+        crossings.append((diagram.walls[widx], (-n0[0], -n0[1])))
+    return ref_compose(diagram.fan, crossings)
+
+
+def ref_path_automorphism(diagram, path):
+    return ref_compose(diagram.fan, [(diagram.walls[widx], n0)
+                                     for widx, n0 in path_crossings(diagram,
+                                                                    path)])
+
+
+# -- comparison ---------------------------------------------------------------
+
+
+def outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except GenericityError as e:
+        return ("generic", str(e))
+
+
+@pytest.fixture(scope="module")
+def diagrams():
+    """(fan, seed, diagram) over P2 and P1xP1, k = 2..4 and ten seeds
+    each."""
+    out = []
+    for fan in (P2, P1P1):
+        for k in (2, 3, 4):
+            for seed in range(1, 11):
+                try:
+                    d = build_diagram(fan, sample_generic_points(k, seed))
+                except GenericityError:
+                    continue
+                out.append((fan, seed, d))
+    return out
+
+
+def sample_paths(seed):
+    """Two- and three-vertex paths through sampled endpoints."""
+    pts = [sample_endpoint(2000 + 10 * seed + i) for i in range(5)]
+    pts.append((Fraction(0), Fraction(0)))
+    cyc = pts + pts[:2]
+    return [cyc[i:i + 2 + i % 2] for i in range(len(pts))]
+
+
+def test_loops_match_reference(diagrams):
+    points = nontrivial = 0
+    for _, _, d in diagrams:
+        for X in d.sing_points():
+            got = loop_automorphism(d, X)
+            assert got == ref_loop_automorphism(d, X), X
+            points += 1
+            nontrivial += not got.is_identity()
+    assert len(diagrams) >= 50
+    assert points >= 1000
+    # the marked points: loops that do not close up are compared too
+    assert nontrivial >= 100
+
+
+def test_paths_and_transport_match_reference(diagrams):
+    paths = nontrivial = transported = 0
+    for fan, seed, d in diagrams:
+        for i, path in enumerate(sample_paths(seed)):
+            want = outcome(ref_path_automorphism, d, path)
+            assert outcome(path_automorphism, d, path) == want, path
+            paths += 1
+            if want[0] != "ok":
+                continue
+            nontrivial += not want[1].is_identity()
+            if i != seed % 2:
+                continue        # one transport per diagram
+            try:
+                W = potential(d, fan, path[0])
+            except GenericityError:
+                continue
+            moved = transport(d, W, path)
+            assert moved.value == want[1].apply(W.value)
+            assert moved.endpoint == as_hpoint(path[-1])
+            transported += 1
+    assert paths >= 300
+    assert nontrivial >= 100
+    assert transported >= 50

@@ -1,7 +1,9 @@
+import json
 from fractions import Fraction
 
 import pytest
 
+from tropenum import cli
 from tropenum.bruteforce import bruteforce_rational_curves
 from tropenum.enumeration import (Forest, PointConfig,
                                   enumerate_maslov0_trees,
@@ -152,6 +154,17 @@ def test_quartic_count():
     rep = run_count(P2, (4, 4, 4), seed=1)
     assert rep.n_trop == kontsevich_number(4) == 620
     assert rep.w_trop == 240
+
+
+@pytest.mark.slow
+def test_scatter_k6(capsys):
+    assert cli.main(["scatter", "--k", "6", "--seed", "1"]) == cli.EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["walls"]) == 692
+    rows = doc["consistency"]["rows"]
+    assert len(rows) == 1660
+    assert all(r["identity"] for r in rows if not r["marked"])
+    assert doc["consistency"]["ok"]
 
 
 def test_dp6_counts_and_multisets():

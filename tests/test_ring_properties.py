@@ -1,0 +1,84 @@
+"""Property tests of the nilpotent coefficient ring, the memoized wall
+powers and the term-by-term wall crossing.
+
+Elements have up to four terms over three point labels u1..u3; wall
+functions are 1 plus up to three u-carrying terms in powers of z^{m0}, as
+Wall requires.  The crossing kernel _cross is checked against
+RingAutomorphism.apply of the crossing automorphism, which raises the
+generator images to powers instead.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tropenum.fan import builtin_fan, r_vector
+from tropenum.lattice import rot90
+from tropenum.scattering import (RingElement, Wall, _cross, ring_one,
+                                 wall_crossing)
+
+FANS = [builtin_fan("p2"), builtin_fan("p1xp1")]
+FAN_IDS = ["p2", "p1xp1"]
+K = 3
+
+coef = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
+labels = st.frozensets(st.integers(0, K - 1))
+coord = st.fractions(min_value=-20, max_value=20, max_denominator=60)
+
+SETTINGS = settings(max_examples=100, deadline=None)
+
+
+def elements(nrays, nilpotent=False):
+    exps = st.tuples(*[st.integers(-2, 2)] * nrays)
+    uset = labels.filter(bool) if nilpotent else labels
+    return st.dictionaries(st.tuples(exps, uset), coef, max_size=4).map(
+        lambda terms: RingElement(nrays, terms))
+
+
+def draw_wall(data, fan):
+    n = fan.nrays()
+    m0 = data.draw(st.tuples(*[st.integers(0, 2)] * n).filter(
+        lambda m: r_vector(fan, m) != (0, 0)))
+    terms = {}
+    for j in range(1, data.draw(st.integers(0, 3)) + 1):
+        key = (tuple(j * x for x in m0), data.draw(labels.filter(bool)))
+        terms[key] = data.draw(coef)
+    f = ring_one(n).add(RingElement(n, terms))
+    base = (data.draw(coord), data.draw(coord))
+    return Wall(fan, base, m0, f, carrier=data.draw(
+        st.sampled_from(["ray", "line"])))
+
+
+@pytest.mark.parametrize("fan", FANS, ids=FAN_IDS)
+@SETTINGS
+@given(data=st.data())
+def test_mul_commutative_and_associative(fan, data):
+    a, b, c = (data.draw(elements(fan.nrays())) for _ in range(3))
+    assert a.mul(b) == b.mul(a)
+    assert a.mul(b).mul(c) == a.mul(b.mul(c))
+
+
+@pytest.mark.parametrize("fan", FANS, ids=FAN_IDS)
+@SETTINGS
+@given(data=st.data(), a=st.integers(-4, 4), b=st.integers(-4, 4))
+def test_wall_powers_add(fan, data, a, b):
+    w = draw_wall(data, fan)
+    assert w.pow(a).mul(w.pow(b)) == w.pow(a + b)
+    assert w.pow(a) == w.f.pow(a)
+    assert w.pow(a) is w.pow(a)
+    assert w.pow(0) == ring_one(fan.nrays())
+
+
+@pytest.mark.parametrize("fan", FANS, ids=FAN_IDS)
+@SETTINGS
+@given(data=st.data(), sign=st.sampled_from([1, -1]),
+       y0=st.integers(-2, 2))
+def test_cross_is_the_crossing_automorphism(fan, data, sign, y0):
+    w = draw_wall(data, fan)
+    x = data.draw(elements(fan.nrays(), nilpotent=True))
+    x = x.add(RingElement(fan.nrays(), y0=y0))
+    n = rot90(w.dirvec)
+    n0 = (sign * n[0], sign * n[1])
+    assert _cross(w, n0, x) == wall_crossing(w, sign).apply(x)
+    # crossing back undoes the crossing
+    assert _cross(w, (-n0[0], -n0[1]), _cross(w, n0, x)) == x

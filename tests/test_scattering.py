@@ -247,6 +247,21 @@ def test_trivial_and_degenerate_paths():
         path_automorphism(d, through_base)
 
 
+def test_path_along_or_onto_a_wall_rejected():
+    # both need a vertex on the support, so the vertex check rejects both
+    cfg = sample_generic_points(1, 3)
+    d = build_diagram(P2, cfg)
+    x, y = hfrac(cfg.points[0])
+    # from off the walls, through the base and along the west ray
+    along = [(x + 1, y), (x - 3, y)]
+    # ends on the south ray
+    onto = [(x - 9, y + Fraction(1, 3)), (x, y - 2)]
+    for path in (along, onto):
+        with pytest.raises(GenericityError) as err:
+            path_crossings(d, path)
+        assert str(err.value) == "non-transverse path: vertex on the support"
+
+
 def test_path_through_singular_point_rejected():
     cfg = sample_generic_points(2, 5)
     d = build_diagram(P2, cfg)
