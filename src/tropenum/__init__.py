@@ -11,8 +11,7 @@ from .correspondence import (Fan3D, PhiSystem, PolyDecomp,
                              index_d, log_count_w, properties_report,
                              reduced_graph, rescale_lattice,
                              verify_correspondence)
-from .enumeration import (CountReport, PointConfig, count_n_trop,
-                          count_w_trop, disk_to_curve,
+from .enumeration import (CountReport, PointConfig, disk_to_curve,
                           enumerate_maslov0_trees, enumerate_maslov2_disks,
                           enumerate_rational_curves, run_count,
                           sample_generic_points, tree_to_curve)

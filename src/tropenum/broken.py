@@ -7,15 +7,18 @@ z^{e_rho} for a single fan ray rho.  At a bend the line crosses a wall and
 the monomial picks up one non-unit term of f^e, where e = <n0, r(m)> > 0
 is measured against the incoming direction.
 
-We trace backwards from Q.  The final exponent m_fin is bounded because
-every bend adds the exponent of a wall term and the u-index sets consumed
-along the way are pairwise disjoint, so sum(m_fin) <= 1 + k for k marked
-points.  For each candidate m_fin the tracer walks the ray Q + s*r(m),
-s > 0, branching over admissible bends, and accepts when the exponent has
-dropped to a single ray generator.  All arithmetic is exact; the bend
-multiplier e = |wedge(w.dirvec, r(m))| is unchanged by the bend itself
-since every wall term exponent is parallel to the wall direction, so no
-division ever enters the coefficients.
+We trace backwards from Q.  The final exponent m_fin is bounded: a wall
+of build_diagram is f = 1 + c*u_I*z^{Delta(h)} for a Maslov-0 tree h
+through the marks I, with |Delta(h)| = |I|, and u_i^2 = 0 gives
+f^e = 1 + e*c*u_I*z^{Delta(h)}.  So every bend adds an exponent of size
+|I|, the u-index sets consumed along the way are pairwise disjoint, and
+sum(m_fin) <= 1 + k for k marked points.  For each candidate m_fin the
+tracer walks the ray Q + s*r(m), s > 0, branching over admissible bends,
+and accepts when the exponent has dropped to a single ray generator.
+All arithmetic is exact; the bend multiplier e = |wedge(w.dirvec, r(m))|
+is unchanged by the bend itself since every wall term exponent is
+parallel to the wall direction, so no division ever enters the
+coefficients.
 
 Degenerate pictures (a segment along a wall, through a wall base or a
 wall crossing) raise GenericityError asking for a fresh endpoint.
@@ -30,7 +33,7 @@ from .enumeration import (enumerate_maslov2_disks, mask_labels,
 from .fan import r_vector
 from .lattice import (as_hpoint, dot, hdiff, hfrac, hshift, ray_params,
                       wedge)
-from .scattering import (RingElement, build_diagram, path_automorphism,
+from .scattering import (RingElement, _cross, build_diagram, path_crossings,
                          ring_mono)
 from .tropcurve import GenericityError, InvariantError
 
@@ -108,11 +111,11 @@ class Potential:
             list(hfrac(self.endpoint)), len(self.lines))
 
 
-def sample_endpoint(seed, bbox=(-10, 10), attempt=0):
+def sample_endpoint(seed, attempt=0):
     """A generic rational endpoint for broken line counts.  Use a seed
     disjoint from the point configuration's, otherwise Q duplicates the
     first marked point."""
-    return sample_generic_points(1, seed, bbox, attempt).points[0]
+    return sample_generic_points(1, seed, attempt).points[0]
 
 
 class _Tracer:
@@ -237,12 +240,13 @@ def potential(d, fan, Q):
 
 
 def transport(d, W, path):
-    """Parallel transport of a potential along a path: applies the
-    ordered wall crossing automorphism of the path to W.value.  The path
+    """Parallel transport of a potential along a path: crosses the walls
+    of the path in order, each applied to W.value term by term.  The path
     must start in the chamber of W.endpoint."""
-    aut = path_automorphism(d, path)
-    Q = as_hpoint(path[-1])
-    return Potential(W.fan, W.k, Q, aut.apply(W.value), ())
+    val = W.value
+    for widx, n0 in path_crossings(d, path):
+        val = _cross(d.walls[widx], n0, val)
+    return Potential(W.fan, W.k, as_hpoint(path[-1]), val, ())
 
 
 def verify_disk_correspondence(fan, config, Q):

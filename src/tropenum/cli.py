@@ -17,9 +17,8 @@ from .broken import sample_endpoint
 from .correspondence import (build_decomposition, build_phi, fan_over,
                              index_d, log_count_w, properties_report,
                              rescale_lattice)
-from .enumeration import (MAX_ATTEMPTS, build_forest,
-                          enumerate_maslov2_disks, run_count,
-                          sample_generic_points)
+from .enumeration import (build_forest, enumerate_maslov2_disks, resample,
+                          run_count)
 from .fan import builtin_fan, make_degree, make_fan
 from .lattice import as_hpoint
 from .scattering import build_diagram, check_consistency
@@ -82,22 +81,6 @@ def write_out(args, text):
         sys.stdout.write(text)
 
 
-def _resample(k, seed, build):
-    """(config, build(config)) for the first configuration drawn for `seed`
-    on which build raises no GenericityError.  Every build here fails only
-    where the Maslov-0 forest fails, so all commands accept the same
-    attempt."""
-    last = None
-    for attempt in range(MAX_ATTEMPTS):
-        config = sample_generic_points(k, seed, attempt=attempt)
-        try:
-            return config, build(config)
-        except GenericityError as e:
-            last = e
-    raise GenericityError("no generic configuration for seed %d after %d "
-                          "attempts (last: %s)" % (seed, MAX_ATTEMPTS, last))
-
-
 def cmd_count(args, report_key):
     fan = load_fan(args.fan)
     deg = parse_degree(fan, args.degree)
@@ -112,16 +95,16 @@ def cmd_count(args, report_key):
 
 def cmd_trees(args):
     fan = load_fan(args.fan)
-    config, forest = _resample(args.k, args.seed,
-                               lambda c: build_forest(fan, c))
+    config, forest = resample(args.k, args.seed,
+                              lambda c: build_forest(fan, c))
     write_out(args, jsonio.dumps(jsonio.trees_doc(fan, config, forest.trees)))
     return EXIT_OK
 
 
 def cmd_disks(args):
     fan = load_fan(args.fan)
-    config, forest = _resample(args.k, args.seed,
-                               lambda c: build_forest(fan, c))
+    config, forest = resample(args.k, args.seed,
+                              lambda c: build_forest(fan, c))
     Q = parse_qpoint(args.q) if args.q else sample_endpoint(args.seed + 1)
     records = enumerate_maslov2_disks(fan, config, Q, as_curves=False,
                                       forest=forest)
@@ -131,8 +114,8 @@ def cmd_disks(args):
 
 def cmd_scatter(args):
     fan = load_fan(args.fan)
-    config, diagram = _resample(args.k, args.seed,
-                                lambda c: build_diagram(fan, c))
+    config, diagram = resample(args.k, args.seed,
+                               lambda c: build_diagram(fan, c))
     report = check_consistency(diagram)
     doc = jsonio.diagram_doc(fan, config, diagram, report)
     write_out(args, jsonio.dumps(doc))
@@ -146,8 +129,8 @@ def cmd_scatter(args):
 
 def cmd_potential(args):
     fan = load_fan(args.fan)
-    config, diagram = _resample(args.k, args.seed,
-                                lambda c: build_diagram(fan, c))
+    config, diagram = resample(args.k, args.seed,
+                               lambda c: build_diagram(fan, c))
     Q = parse_qpoint(args.q) if args.q else sample_endpoint(args.seed + 1)
     report = check_consistency(diagram)
     W = eval_potential(diagram, fan, Q)

@@ -26,14 +26,15 @@ import random
 from fractions import Fraction
 
 from .fan import degree_total, make_degree, r_vector
-from .lattice import (as_hpoint, hdiff, hfrac, hpoint, hshift, on_ray,
-                      on_segment, primitive, ray_intersect, ray_params, wedge)
+from .lattice import (as_hpoint, hdiff, hpoint, hshift, on_ray, on_segment,
+                      primitive, ray_intersect, ray_params, wedge)
 from .tropcurve import (GenericityError, InvariantError, ParamTropCurve,
                         TropicalDisk, TropicalTree, canonical_type,
                         geometric_signature, mikhalkin_multiplicity,
                         validate_curve, welschinger_multiplicity)
 
 MAX_ATTEMPTS = 32
+BBOX = (-10, 10)        # sampled coordinates lie strictly inside BBOX^2
 
 
 def _sieve_primes(lo, hi):
@@ -60,12 +61,9 @@ class PointConfig:
     def __len__(self):
         return len(self.points)
 
-    def fractions(self):
-        return [hfrac(p) for p in self.points]
 
-
-def sample_generic_points(k, seed, bbox=(-10, 10), attempt=0):
-    """k points with distinct prime denominators inside bbox x bbox.
+def sample_generic_points(k, seed, attempt=0):
+    """k points with distinct prime denominators inside BBOX x BBOX.
 
     Each coordinate is n/p with p prime in [1009, 9973] and p not dividing n;
     2k distinct primes make all coordinates pairwise distinct automatically,
@@ -75,9 +73,7 @@ def sample_generic_points(k, seed, bbox=(-10, 10), attempt=0):
     if k < 0:
         raise ValueError("k must be nonnegative")
     rng = random.Random(seed * 0x9E3779B97F4A7C15 + attempt)
-    lo, hi = bbox
-    if not lo < hi:
-        raise ValueError("empty bbox")
+    lo, hi = BBOX
     denoms = rng.sample(_PRIMES, 2 * k) if k else []
     pts = []
     for i in range(k):
@@ -325,26 +321,24 @@ class Forest:
 
     # -- Maslov-2 disks ----------------------------------------------------
 
-    def disks(self, boundary, allowed_mask, total=None, mfins=None):
+    def disks(self, boundary, allowed_mask, total=None):
         """All disks with the given boundary; marks drawn from allowed_mask.
 
-        `total` restricts to |deg| == total (hence exactly total - 1 marks);
-        `mfins` gives an explicit candidate degree list instead.  Every
-        emitted disk satisfies |deg| == number of marks + 1.
+        `total` restricts to |deg| == total (hence exactly total - 1 marks).
+        Without it the bound is derived: each bend subtracts the degree of a
+        tree, whose |deg| is its number of marks, and the trees along one
+        stem have disjoint marks, so every disk has |deg| == marks + 1 <=
+        popcount(allowed_mask) + 1.  The candidates m <= cap (or the box of
+        that bound when uncapped) with |m| in range are traced in
+        lexicographic order.
         """
-        if mfins is None:
-            cap = self.cap
-            if cap is None:
-                top = (total if total is not None
-                       else bin(allowed_mask).count("1") + 1)
-                cap = tuple(min(top, 9) for _ in self.rays)
-            mfins = [m for m in _boxed_exponents(cap)
-                     if sum(m) and (total is None or sum(m) == total)]
+        if total is None:
+            lo, top = 1, bin(allowed_mask).count("1") + 1
+        else:
+            lo = top = total
         out = []
-        for m in sorted(mfins):
-            if not sum(m) or any(x < 0 for x in m):
-                continue
-            if self._rvec(m) == (0, 0):
+        for m in _boxed_exponents(self.cap or (top,) * len(self.rays)):
+            if not lo <= sum(m) <= top or self._rvec(m) == (0, 0):
                 continue
             self._trace(boundary, boundary, m, allowed_mask, [], out)
         return out
@@ -527,38 +521,30 @@ def _assemble_pair(d1, d2, pivot_label, pivot_point, fan):
 # -- public enumeration entry points ----------------------------------------
 
 
-def build_forest(fan, config, max_marks=None, degree_cap=None):
-    """The Maslov-0 forest over the configuration, built up to max_marks
-    marks (default: all of them)."""
-    forest = Forest(fan, config, degree_cap=degree_cap)
-    forest.build(len(config) if max_marks is None else max_marks)
+def build_forest(fan, config):
+    """The Maslov-0 forest over all marks of the configuration."""
+    forest = Forest(fan, config)
+    forest.build(len(config))
     return forest
 
 
-def enumerate_maslov0_trees(fan, config, max_marks=None, degree_cap=None,
-                            as_curves=True):
-    """All Maslov-0 trees over the configuration, by level.
-
-    Returns curve objects (TropicalTree) carrying their construction record
-    as `.record`; pass as_curves=False for the raw records.
-    """
-    forest = build_forest(fan, config, max_marks, degree_cap)
-    if not as_curves:
-        return list(forest.trees)
-    return [tree_to_curve(t, fan) for t in forest.trees]
+def enumerate_maslov0_trees(fan, config):
+    """All Maslov-0 trees over the configuration, by level, as curve
+    objects (TropicalTree) carrying their construction record as
+    `.record`."""
+    return [tree_to_curve(t, fan) for t in build_forest(fan, config).trees]
 
 
-def enumerate_maslov2_disks(fan, config, Q, degree_cap=None, as_curves=True,
-                            forest=None):
+def enumerate_maslov2_disks(fan, config, Q, as_curves=True, forest=None):
     """All Maslov-2 disks with boundary Q over the configuration.
 
     Q must avoid every tree wall; a wall through Q raises GenericityError.
-    A caller that already holds build_forest(fan, config, degree_cap=...)
-    passes it as `forest` to save building it again.
+    A caller that already holds build_forest(fan, config) passes it as
+    `forest` to save building it again.
     """
     qpt = as_hpoint(Q)
     if forest is None:
-        forest = build_forest(fan, config, degree_cap=degree_cap)
+        forest = build_forest(fan, config)
     for t in forest.trees:
         if on_ray(qpt, t.base, t.out):
             raise GenericityError("base point lies on a tree wall")
@@ -612,11 +598,7 @@ def enumerate_rational_curves(fan, deg, config):
     for t in forest.trees:
         if on_ray(pivot_point, t.base, t.out):
             raise GenericityError("tree wall passes through the pivot point")
-    mfins = [m for m in _boxed_exponents(deg)
-             if sum(m) and sum(m) < degree_total(deg)
-             and r_vector(fan, m) != (0, 0)]
-    mfins.sort()
-    pivot_disks = forest.disks(pivot_point, others, mfins=mfins)
+    pivot_disks = forest.disks(pivot_point, others)
     pivot_disks.sort(key=lambda d: d.key)
     groups = {}
     for d in pivot_disks:
@@ -649,25 +631,25 @@ def enumerate_rational_curves(fan, deg, config):
     return CountReport(fan, deg, config, curves, mults, wmults)
 
 
-def run_count(fan, deg, seed, bbox=(-10, 10)):
-    """Resampling wrapper: draw configurations for `seed` until one is
-    generic, then enumerate.  Returns the CountReport."""
-    deg = make_degree(fan, deg)
-    k = degree_total(deg) - 1
+def resample(k, seed, build):
+    """(config, build(config)) for the first configuration of k points
+    drawn for `seed` on which build raises no GenericityError.  The builds
+    of the trees, disks, scatter and potential commands fail only where the
+    Maslov-0 forest fails, so those commands accept the same attempt."""
     last = None
     for attempt in range(MAX_ATTEMPTS):
-        config = sample_generic_points(k, seed, bbox=bbox, attempt=attempt)
+        config = sample_generic_points(k, seed, attempt=attempt)
         try:
-            return enumerate_rational_curves(fan, deg, config)
+            return config, build(config)
         except GenericityError as e:
             last = e
     raise GenericityError("no generic configuration for seed %d after %d "
                           "attempts (last: %s)" % (seed, MAX_ATTEMPTS, last))
 
 
-def count_n_trop(fan, deg, seed):
-    return run_count(fan, deg, seed).n_trop
-
-
-def count_w_trop(fan, deg, seed):
-    return run_count(fan, deg, seed).w_trop
+def run_count(fan, deg, seed):
+    """Resample configurations for `seed` until one is generic, then
+    enumerate.  Returns the CountReport."""
+    deg = make_degree(fan, deg)
+    return resample(degree_total(deg) - 1, seed,
+                    lambda c: enumerate_rational_curves(fan, deg, c))[1]

@@ -62,6 +62,18 @@ def loads(text):
     return doc
 
 
+def _header(kind, fan, config):
+    """The common header fields of docs/schemas.md."""
+    return {
+        "schema": schema_id(kind),
+        "fan": fan.name,
+        "rays": [[r[0], r[1]] for r in fan.rays],
+        "seed": config.seed,
+        "attempt": config.attempt,
+        "points": [fmt_point(p) for p in config.points],
+    }
+
+
 def _expect(doc, kind):
     want = schema_id(kind)
     if doc.get("schema") != want:
@@ -84,13 +96,8 @@ def curve_doc(c):
 
 def count_doc(report):
     return {
-        "schema": schema_id("count"),
-        "fan": report.fan.name,
-        "rays": [[r[0], r[1]] for r in report.fan.rays],
+        **_header("count", report.fan, report.config),
         "degree": list(report.deg),
-        "seed": report.config.seed,
-        "attempt": report.config.attempt,
-        "points": [fmt_point(p) for p in report.config.points],
         "n_trop": report.n_trop,
         "w_trop": report.w_trop,
         "multiplicities": sorted(report.mults),
@@ -123,13 +130,8 @@ def load_count(doc):
 
 def trees_doc(fan, config, records):
     return {
-        "schema": schema_id("trees"),
-        "fan": fan.name,
-        "rays": [[r[0], r[1]] for r in fan.rays],
+        **_header("trees", fan, config),
         "k": len(config.points),
-        "seed": config.seed,
-        "attempt": config.attempt,
-        "points": [fmt_point(p) for p in config.points],
         "trees": [{
             "marks": [i + 1 for i in mask_labels(t.marks)],
             "degree": list(t.deg),
@@ -169,13 +171,8 @@ def disks_doc(fan, config, Q, records):
                 "*".join(n for n, e in zip(names, d.deg) for _ in range(e))),
         })
     return {
-        "schema": schema_id("disks"),
-        "fan": fan.name,
-        "rays": [[r[0], r[1]] for r in fan.rays],
+        **_header("disks", fan, config),
         "k": len(config.points),
-        "seed": config.seed,
-        "attempt": config.attempt,
-        "points": [fmt_point(p) for p in config.points],
         "endpoint": fmt_point(Q),
         "disks": out,
     }
@@ -216,13 +213,8 @@ def diagram_doc(fan, config, diagram, report):
     rows = [{"point": fmt_point(p), "marked": marked, "identity": ident}
             for p, marked, ident, _ in report.rows]
     return {
-        "schema": schema_id("diagram"),
-        "fan": fan.name,
-        "rays": [[r[0], r[1]] for r in fan.rays],
+        **_header("diagram", fan, config),
         "k": len(config.points),
-        "seed": config.seed,
-        "attempt": config.attempt,
-        "points": [fmt_point(p) for p in config.points],
         "walls": [{
             "base": fmt_point(w.base),
             "dir": [w.dirvec[0], w.dirvec[1]],
@@ -257,22 +249,14 @@ def potential_doc(fan, config, diagram, report, W):
                 "z": list(m),
             })
         lines.append({"init_ray": bl.init_ray, "segments": segs})
-    doc = diagram_doc(fan, config, diagram, report)
     return {
+        **diagram_doc(fan, config, diagram, report),
         "schema": schema_id("potential"),
-        "fan": fan.name,
-        "rays": [[r[0], r[1]] for r in fan.rays],
-        "k": W.k,
-        "seed": config.seed,
-        "attempt": config.attempt,
-        "points": doc["points"],
         "endpoint": fmt_point(W.endpoint),
         "value": element_doc(W.value),
         "pretty": format_element(
             W.value, ["x%d" % i for i in range(fan.nrays())]),
         "lines": lines,
-        "walls": doc["walls"],
-        "consistency": doc["consistency"],
     }
 
 
@@ -343,13 +327,11 @@ def decomposition_doc(fan, report, pd, props, fan3):
             edges.append({"kind": "ray", "a": e[1],
                           "dir": [e[2][0], e[2][1]],
                           "tags": sorted(str(t) for t in e[3])})
+    doc = _header("decomposition", fan, report.config)
+    del doc["points"]       # not part of the decomposition schema
     return {
-        "schema": schema_id("decomposition"),
-        "fan": fan.name,
-        "rays": [[r[0], r[1]] for r in fan.rays],
+        **doc,
         "degree": list(report.deg),
-        "seed": report.config.seed,
-        "attempt": report.config.attempt,
         "scale": pd.scale,
         "vertices": [fmt_point(v) for v in pd.vertices],
         "edges": edges,

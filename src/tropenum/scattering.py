@@ -21,7 +21,7 @@ points is checked by composing an exact loop, never assumed.
 
 from fractions import Fraction
 
-from .enumeration import enumerate_maslov0_trees, mask_labels
+from .enumeration import build_forest, mask_labels
 from .fan import r_vector
 from .lattice import (angle_key, as_hpoint, dot, hdiff, hfrac, hshift,
                       primitive, ray_params, rot90, wedge)
@@ -481,7 +481,7 @@ def build_diagram(fan, config):
     out direction, function 1 + w(E_out) Mult(h) u_{I(h)} z^{Delta(h)}."""
     nrays = fan.nrays()
     walls = []
-    for t in enumerate_maslov0_trees(fan, config, as_curves=False):
+    for t in build_forest(fan, config).trees:
         f = ring_one(nrays).add(ring_mono(nrays, t.w * t.mult,
                                           mask_labels(t.marks), t.deg))
         w = Wall(fan, t.base, t.deg, f, carrier="ray")

@@ -2,9 +2,12 @@
 
 ScanForest is the reference: it files trees in one list, recomputes
 r_vector every time, and at each stem step scans every tree in order,
-exactly as the tracer did before the degree index.  Both forests run on
-the same configurations; per attempt they must build the same trees, trace
-the same disks, and raise the same GenericityError at the same place.
+exactly as the tracer did before the degree index.  It also keeps the
+candidate degree rule Forest.disks had before its bound was derived: the
+box capped at min(top, 9) when the forest is uncapped, and the explicit
+pivot degree list of enumerate_rational_curves.  Both forests run on the
+same configurations; per attempt they must build the same trees, trace the
+same disks, and raise the same GenericityError at the same place.
 """
 
 import random
@@ -15,7 +18,7 @@ import pytest
 from tropenum.broken import sample_endpoint
 from tropenum.enumeration import (Forest, PointConfig, _boxed_exponents,
                                   sample_generic_points)
-from tropenum.fan import builtin_fan, degree_total, make_degree, r_vector
+from tropenum.fan import builtin_fan, make_degree, r_vector
 from tropenum.lattice import hdiff, hpoint, on_ray, ray_intersect, wedge
 from tropenum.tropcurve import GenericityError
 
@@ -33,6 +36,26 @@ class ScanForest(Forest):
 
     def _rvec(self, m):
         return r_vector(self.fan, m)
+
+    def disks(self, boundary, allowed_mask, total=None):
+        if self.cap is None:
+            top = (total if total is not None
+                   else bin(allowed_mask).count("1") + 1)
+            box = (min(top, 9),) * len(self.rays)
+            mfins = [m for m in _boxed_exponents(box)
+                     if sum(m) and (total is None or sum(m) == total)]
+        elif total is not None:
+            mfins = [m for m in _boxed_exponents(self.cap) if sum(m) == total]
+        else:
+            # only the pivot disks of a capped forest come without a total:
+            # 0 < |m| < |Delta|, the cap being Delta
+            mfins = [m for m in _boxed_exponents(self.cap)
+                     if 0 < sum(m) < sum(self.cap)]
+        out = []
+        for m in sorted(mfins):
+            if r_vector(self.fan, m) != (0, 0):
+                self._trace(boundary, boundary, m, allowed_mask, [], out)
+        return out
 
     def _trace(self, X0, X, m, rmask, steps, out):
         if sum(m) == 1:
@@ -80,7 +103,7 @@ class ScanForest(Forest):
             steps.pop()
 
 
-def _run(cls, fan, config, allowed, cap, level, boundary, mask, mfins):
+def _run(cls, fan, config, allowed, cap, level, boundary, mask):
     """Build the forest, then trace the disks at `boundary`.  Returns the
     tree keys, the disk keys and the GenericityError raised, if any."""
     forest = cls(fan, config, allowed_mask=allowed, degree_cap=cap)
@@ -88,7 +111,7 @@ def _run(cls, fan, config, allowed, cap, level, boundary, mask, mfins):
     error = None
     try:
         forest.build(level)
-        disks = forest.disks(boundary, mask, mfins=mfins)
+        disks = forest.disks(boundary, mask)
     except GenericityError as e:
         error = str(e)
     return [t.key for t in forest.trees], [d.key for d in disks], error
@@ -98,17 +121,14 @@ def _pivot_case(fan, deg, config):
     """The forest and pivot disks of enumerate_rational_curves."""
     k = len(config)
     others = (1 << (k - 1)) - 1
-    mfins = sorted(m for m in _boxed_exponents(deg)
-                   if sum(m) and sum(m) < degree_total(deg)
-                   and r_vector(fan, m) != (0, 0))
     return (fan, config, others, deg, max(1, k - 1), config.points[k - 1],
-            others, mfins)
+            others)
 
 
 def _free_case(fan, config, Q):
     """The uncapped forest and the disks of enumerate_maslov2_disks."""
     k = len(config)
-    return (fan, config, None, None, k, Q, (1 << k) - 1, None)
+    return (fan, config, None, None, k, Q, (1 << k) - 1)
 
 
 def _grid_config(k, seed):

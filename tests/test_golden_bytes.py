@@ -3,9 +3,12 @@
 The digests are sha256 of stdout of the CLI commands below.  The k = 3
 ones were recorded before scattering and broken lines moved to
 homogeneous integer points, the k = 4 ones (the benchmark's k) before
-wall crossings were applied term by term with memoized wall powers.  A
-change to the point or ring arithmetic that alters any canonical document
-(docs/schemas.md) fails here.
+wall crossings were applied term by term with memoized wall powers, and
+the rest (forest trees, disks on P1xP1 and dP6, counts, degenerations)
+before the forest front end was reduced to one resample loop and one
+derived disk-degree rule.  A change to the point, ring or forest
+arithmetic that alters any canonical document (docs/schemas.md) fails
+here.
 """
 
 import hashlib
@@ -39,6 +42,20 @@ GOLDEN = {
         "be4ea28e3c314c199c4255508579aaeb09251d19197cac6f162033ea0c116fdb",
     "potential --k 4 --seed 2":
         "48ac921178b0766bed39512d1a040f73694270e1994e6151ce45fba266398c91",
+    "trees --k 3 --seed 1":
+        "6708f9fc88cb18defbc7de9fd389bd1f3938eb6a41fc9d96239717310c486081",
+    "disks --fan dp6 --k 2 --seed 3":
+        "e233b3ad3a1c84478f35db1d4c765e3f9abe283db354bfaddbc2d59b4820f4e8",
+    "disks --fan p1xp1 --k 3 --seed 3":
+        "de7c789c01cb4f1d15d33c41129509422d3d2d63b49cfbb75ceb6dba46c03ece",
+    "count --degree 3 --seed 1":
+        "8d2e8d0fce390414984c49ef9f9af66a606480f5e92eb115c137477ff1e05df1",
+    "welschinger --fan p1xp1 --degree 2 --seed 1":
+        "d596496a17a190adf5198b7c17ea8c3ca14838215d02c6cbbb85a66292a8f619",
+    "degenerate --fan dp6 --degree anticanonical --rescale --seed 1":
+        "91217fa627fe7b5787f91a0001ce87280b8ec505eeb0f17b00ac1ca0ceb9daa0",
+    "phi-check --fan dp6 --degree anticanonical --seed 1":
+        "d8d21adabfb79f41863d68bac071e3a1cc6c4a15b529e445ebb46cb2f36e9d30",
     # an endpoint given as a rational pair on the command line
     "potential --k 3 --seed 2 --q 1/3,-2/7":
         "104b7c94bb5947c7fe02885274377897cdf77d14bbcb281355efb757a3398a9b",
