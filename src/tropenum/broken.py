@@ -4,7 +4,7 @@ A broken line for a scattering diagram is a piecewise straight path ending
 at a chosen generic endpoint Q.  Each segment carries a monomial c*u_I*z^m
 and travels in the direction -r(m); the unbounded initial segment carries
 z^{e_rho} for a single fan ray rho.  At a bend the line crosses a wall and
-the monomial picks up one non-unit term of f^e, where e = <n0, r(m)> > 0
+the monomial picks up the non-unit term of f^e, where e = <n0, r(m)> > 0
 is measured against the incoming direction.
 
 We trace backwards from Q.  The final exponent m_fin is bounded: a wall
@@ -154,15 +154,12 @@ class _Tracer:
                     continue
                 # collinear with the travel line: any support overlap at
                 # s > 0 makes the picture non-generic
-                if (w.carrier == "line" or dot(w.dirvec, D) >= 0
-                        or dot(w.dirvec, r) > 0):
+                if dot(w.dirvec, D) >= 0 or dot(w.dirvec, r) > 0:
                     raise GenericityError("broken line segment runs along "
                                           "a wall; resample the endpoint")
                 continue
             s, t, den = p
-            if s <= 0:
-                continue
-            if w.carrier == "ray" and t < 0:
+            if s <= 0 or t < 0:
                 continue
             if t == 0:
                 raise GenericityError("broken line segment through a wall "
@@ -186,23 +183,18 @@ class _Tracer:
             self._emit(m.index(1), bends_rev)
             return
         for _, widx, e, V in cands:
+            # the one bend at this wall takes the term e*c*u_I*z^{m0} of f^e
             w = self.d.walls[widx]
-            g = w.pow(e)
-            for (mt, ut), ct in sorted(g.terms.items(),
-                                       key=lambda kv: (kv[0][0],
-                                                       sorted(kv[0][1]))):
-                if not any(mt):
-                    continue
-                if ut & taken:
-                    continue
-                m_in = tuple(a - b for a, b in zip(m, mt))
-                if any(a < 0 for a in m_in) or not any(m_in):
-                    continue
-                if r_vector(self.fan, m_in) == (0, 0):
-                    continue
-                bends_rev.append((V, widx, mt, ut, ct))
-                self._trace(V, m_in, taken | ut, bends_rev)
-                bends_rev.pop()
+            if w.uset & taken:
+                continue
+            m_in = tuple(a - b for a, b in zip(m, w.m0))
+            if any(a < 0 for a in m_in) or not any(m_in):
+                continue
+            if r_vector(self.fan, m_in) == (0, 0):
+                continue
+            bends_rev.append((V, widx, w.m0, w.uset, e * w.c))
+            self._trace(V, m_in, taken | w.uset, bends_rev)
+            bends_rev.pop()
 
     def _emit(self, rho, bends_rev):
         n = self.fan.nrays()
@@ -258,7 +250,7 @@ def verify_disk_correspondence(fan, config, Q):
     lines = enumerate_broken_lines(d, fan, Q)
     got = sorted(bl.key() for bl in lines)
     want = []
-    for rec in enumerate_maslov2_disks(fan, config, Q, as_curves=False):
+    for rec in enumerate_maslov2_disks(fan, config, Q):
         mult, marks, deg = rec.mono()
         c = Fraction(mult)
         want.append((deg, tuple(mask_labels(marks)),

@@ -11,6 +11,8 @@ import json
 import os
 import sys
 
+from fractions import Fraction
+
 from . import jsonio, svgout
 from .broken import potential as eval_potential
 from .broken import sample_endpoint
@@ -64,8 +66,11 @@ def parse_degree(fan, text):
 
 def parse_qpoint(text):
     """The endpoint "x,y" (two rationals) as a homogeneous triple."""
-    x, _, y = text.partition(",")
-    return as_hpoint((x, y))
+    try:
+        x, y = text.split(",")
+        return as_hpoint((Fraction(x), Fraction(y)))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError("--q needs two rationals x,y") from None
 
 
 def default_seed():
@@ -106,8 +111,7 @@ def cmd_disks(args):
     config, forest = resample(args.k, args.seed,
                               lambda c: build_forest(fan, c))
     Q = parse_qpoint(args.q) if args.q else sample_endpoint(args.seed + 1)
-    records = enumerate_maslov2_disks(fan, config, Q, as_curves=False,
-                                      forest=forest)
+    records = enumerate_maslov2_disks(fan, config, Q, forest=forest)
     write_out(args, jsonio.dumps(jsonio.disks_doc(fan, config, Q, records)))
     return EXIT_OK
 

@@ -18,9 +18,9 @@ the surface fan.
 
 from math import gcd
 
-from .arrangement import Overlay, line_coord, line_dir, line_key, on_line
+from .arrangement import Overlay, line_coord, line_dir, line_key
 from .lattice import (as_hpoint, cokernel_order, hdiff, hfrac, hnorm,
-                      primitive, rot90, smith_normal_form, wedge)
+                      primitive, rot90, smith_normal_form)
 from .tropcurve import InvariantError, mikhalkin_multiplicity
 
 
@@ -275,9 +275,27 @@ def build_decomposition(curves, fan, points):
     return PolyDecomp(cx.vertices, cx.edges, cx.faces, pts)
 
 
-def _cover_query(pd, A, B, d):
-    """Do the decomposition edges tile the segment A-B (d None) or the ray
-    from A in direction d (B None)?
+def _edges_by_line(pd):
+    """line_key -> the decomposition edges on that line, each as
+    (coordinate of its start, coordinate of its end or None for a ray,
+    the ray direction or None for a segment)."""
+    index = {}
+    for e in pd.edges:
+        va = pd.vertices[e[1]]
+        if e[0] == "seg":
+            vb = pd.vertices[e[2]]
+            key = line_key(va, e[3])
+            span = (line_coord(key, va), line_coord(key, vb), None)
+        else:
+            key = line_key(va, e[2])
+            span = (line_coord(key, va), None, e[2])
+        index.setdefault(key, []).append(span)
+    return index
+
+
+def _cover_query(index, A, B, d):
+    """Do the decomposition edges (index: _edges_by_line) tile the segment
+    A-B (d None) or the ray from A in direction d (B None)?
 
     Works in coordinates oriented along the query, so one upward sweep
     covers both cases; None stands for the infinite end.
@@ -293,21 +311,15 @@ def _cover_query(pd, A, B, d):
     if sb is not None and sb < sa:
         sa, sb = sb, sa
     spans = []
-    for e in pd.edges:
-        if e[0] == "seg":
-            va, vb = pd.vertices[e[1]], pd.vertices[e[2]]
-            if on_line(key, va) and on_line(key, vb):
-                t1 = sign * line_coord(key, va)
-                t2 = sign * line_coord(key, vb)
-                spans.append((min(t1, t2), max(t1, t2)))
+    for t1, t2, rdir in index.get(key, ()):
+        t1 = sign * t1
+        if rdir is None:
+            t2 = sign * t2
+            spans.append((min(t1, t2), max(t1, t2)))
+        elif rdir == dp:
+            spans.append((t1, None))
         else:
-            va = pd.vertices[e[1]]
-            if on_line(key, va) and wedge(e[2], dp) == 0:
-                t1 = sign * line_coord(key, va)
-                if e[2] == dp:
-                    spans.append((t1, None))
-                else:
-                    spans.append((None, t1))
+            spans.append((None, t1))
     cur = sa
     for lo, hi in sorted(spans,
                          key=lambda s: (0, 0) if s[0] is None else (1, s[0])):
@@ -329,12 +341,14 @@ def properties_report(pd, curves, fan):
     4. every cell has at least one vertex,
     5. every cell's recession cone is a cone of the fan.
     """
+    index = _edges_by_line(pd)
     ok1 = True
     for c in curves:
         for i, j, w, d in c.bedges:
-            ok1 = ok1 and _cover_query(pd, c.vertices[i], c.vertices[j], None)
+            ok1 = ok1 and _cover_query(index, c.vertices[i], c.vertices[j],
+                                       None)
         for i, d, w in c.uedges:
-            ok1 = ok1 and _cover_query(pd, c.vertices[i], None, d)
+            ok1 = ok1 and _cover_query(index, c.vertices[i], None, d)
     vset = set(pd.vertices)
     ok2 = all(p in vset for p in pd.points)
     ok3 = all(isinstance(t, int) for v in pd.vertices for t in v) and \

@@ -535,8 +535,9 @@ def enumerate_maslov0_trees(fan, config):
     return [tree_to_curve(t, fan) for t in build_forest(fan, config).trees]
 
 
-def enumerate_maslov2_disks(fan, config, Q, as_curves=True, forest=None):
-    """All Maslov-2 disks with boundary Q over the configuration.
+def enumerate_maslov2_disks(fan, config, Q, forest=None):
+    """All Maslov-2 disk records with boundary Q over the configuration;
+    disk_to_curve turns one into a curve object.
 
     Q must avoid every tree wall; a wall through Q raises GenericityError.
     A caller that already holds build_forest(fan, config) passes it as
@@ -551,10 +552,7 @@ def enumerate_maslov2_disks(fan, config, Q, as_curves=True, forest=None):
     for p in config.points:
         if p == qpt:
             raise GenericityError("base point coincides with a marked point")
-    records = forest.disks(qpt, forest.allowed)
-    if not as_curves:
-        return records
-    return [disk_to_curve(d, fan) for d in records]
+    return forest.disks(qpt, forest.allowed)
 
 
 class CountReport:
@@ -651,5 +649,7 @@ def run_count(fan, deg, seed):
     """Resample configurations for `seed` until one is generic, then
     enumerate.  Returns the CountReport."""
     deg = make_degree(fan, deg)
+    if degree_total(deg) < 2:
+        raise ValueError("degree too small: no marked points")
     return resample(degree_total(deg) - 1, seed,
                     lambda c: enumerate_rational_curves(fan, deg, c))[1]

@@ -219,7 +219,7 @@ def diagram_doc(fan, config, diagram, report):
             "base": fmt_point(w.base),
             "dir": [w.dirvec[0], w.dirvec[1]],
             "exponent": list(w.m0),
-            "carrier": w.carrier,
+            "carrier": "ray",
             "function": element_doc(w.f),
         } for w in diagram.walls],
         "consistency": {"ok": report.ok, "rows": rows},

@@ -9,14 +9,18 @@ monomial rather than collapsing to 1.
 An automorphism is pinned by its images on the ray generators and fixes
 every u_i and the additive constant y0.  Crossing a wall with function f
 sends z^m to z^m * f^{<n0, r(m)>}, where n0 is the primitive normal of
-the wall support chosen against the direction of travel.  Since the
-crossing is a ring map fixing the u_i, it is applied term by term
-(_cross): each term c*u_I*z^m of an element is multiplied by one power
-of f, and each wall memoizes its powers f^e (Wall.pow), so a loop or a
-path folds its ordered crossings through the current generator images
-without raising images to fresh powers.  The diagram built from Maslov-0
-trees carries one ray per tree; its consistency at non-marked singular
-points is checked by composing an exact loop, never assumed.
+the wall support chosen against the direction of travel.
+
+The diagram built from Maslov-0 trees carries one ray per tree h, with
+f = 1 + c*u_I*z^{m0}, c = w(E_out) Mult(h), I the marks of h (never
+empty) and m0 = Delta(h).  Since u_i^2 = 0, f^e = 1 + e*c*u_I*z^{m0}
+exactly for every integer e, so a crossing is applied term by term in
+closed form (_cross) with no powers raised and nothing memoized: a term
+c'*u_J*z^m stays and, when e = <n0, r(m)> is non-zero and J misses I,
+gains e*c'*c*u_{J+I}*z^{m+m0}.  A loop or a path folds its ordered
+crossings through the current generator images.  Consistency at
+non-marked singular points is checked by composing an exact loop, never
+assumed.
 """
 
 from fractions import Fraction
@@ -271,19 +275,16 @@ def apply_generator(fan, c, uset, m, n):
 
 
 class Wall:
-    """Ray or line with an attached function of z^{m0}.
+    """Ray from base along -r(m0) with the function f = 1 + c*u_I*z^{m0}.
 
-    The support runs from base along -r(m0): the full line for carrier
-    "line", the half line for carrier "ray".  f must be 1 plus terms in
-    positive powers of z^{m0} that all carry u variables, so f - 1 is
-    nilpotent and f is invertible exactly.
+    c is a non-zero rational and I (uset) a non-empty set of point
+    labels, so f - 1 is nilpotent and f^e = 1 + e*c*u_I*z^{m0}.  f is
+    kept as a RingElement for the documents and the general ring code.
     """
 
-    __slots__ = ("fan", "base", "m0", "f", "carrier", "dirvec", "_pows")
+    __slots__ = ("fan", "base", "m0", "c", "uset", "f", "dirvec")
 
-    def __init__(self, fan, base, m0, f, carrier="ray"):
-        if carrier not in ("ray", "line"):
-            raise InvariantError("carrier must be 'ray' or 'line'")
+    def __init__(self, fan, base, m0, c, uset):
         self.fan = fan
         self.base = as_hpoint(base)
         self.m0 = tuple(int(x) for x in m0)
@@ -291,65 +292,44 @@ class Wall:
         if r == (0, 0):
             raise InvariantError("wall exponent has no direction")
         self.dirvec = primitive((-r[0], -r[1]))[0]
-        self.carrier = carrier
-        if f.nrays != fan.nrays() or f.y0:
-            raise InvariantError("wall function lives in the wrong ring")
-        if f.unit() != 1:
+        self.c = Fraction(c)
+        self.uset = frozenset(uset)
+        if not self.c:
+            raise InvariantError("wall coefficient is zero")
+        if not self.uset:
             raise InvariantError("unsupported wall function: f - 1 is not "
                                  "nilpotent")
-        i0 = next(i for i, x in enumerate(self.m0) if x)
-        for (m, uset), c in f.terms.items():
-            if (m, uset) == (_zerovec(f.nrays), frozenset()):
-                continue
-            if not uset:
-                raise InvariantError("unsupported wall function: f - 1 is "
-                                     "not nilpotent")
-            j, rem = divmod(m[i0], self.m0[i0])
-            if rem or j < 1 or m != tuple(j * x for x in self.m0):
-                raise InvariantError("wall function is not a polynomial "
-                                     "in z^{m0}")
-        self.f = f
-        self._pows = {}
-
-    def pow(self, e):
-        """f^e, memoized per exponent; e may be negative."""
-        g = self._pows.get(e)
-        if g is None:
-            g = self._pows[e] = self.f.pow(e)
-        return g
+        nrays = fan.nrays()
+        self.f = ring_one(nrays).add(ring_mono(nrays, self.c, self.uset,
+                                               self.m0))
 
     def support_contains(self, X):
-        """Is X (a homogeneous triple or a rational pair) on the wall's
-        support?"""
+        """Is X (a homogeneous triple or a rational pair) on the ray?"""
         v = hdiff(self.base, as_hpoint(X))
-        if wedge(self.dirvec, v) != 0:
-            return False
-        if self.carrier == "line":
-            return True
-        return dot(self.dirvec, v) >= 0
+        return wedge(self.dirvec, v) == 0 and dot(self.dirvec, v) >= 0
 
     def __repr__(self):
-        return ("Wall(%s at %s, dir %s, f=%s)"
-                % (self.carrier, self.base, self.dirvec,
-                   format_element(self.f)))
+        return ("Wall(ray at %s, dir %s, f=%s)"
+                % (self.base, self.dirvec, format_element(self.f)))
 
 
 def _cross(wall, n0, elem):
     """Image of elem under crossing wall with normal n0: each term
-    c*u_I*z^m picks up the factor f^{<n0, r(m)>}."""
+    c*u_J*z^m picks up the factor f^e = 1 + e*c_w*u_I*z^{m0}, with
+    e = <n0, r(m)>."""
     ns = [dot(n0, v) for v in wall.fan.rays]
-    out = {}
+    cw, iw, m0 = wall.c, wall.uset, wall.m0
+    out = dict(elem.terms)
     for (m, uset), c in elem.terms.items():
-        g = wall.pow(sum(a * b for a, b in zip(m, ns)))
-        for (mt, ut), ct in g.terms.items():
-            if uset & ut:
-                continue            # u_i^2 = 0
-            key = (tuple(a + b for a, b in zip(m, mt)), uset | ut)
-            c2 = out.get(key, 0) + c * ct
-            if c2:
-                out[key] = c2
-            else:
-                out.pop(key, None)
+        e = sum(a * b for a, b in zip(m, ns))
+        if not e or uset & iw:
+            continue                # f^0 = 1, or u_i^2 = 0
+        key = (tuple(a + b for a, b in zip(m, m0)), uset | iw)
+        c2 = out.get(key, 0) + e * c * cw
+        if c2:
+            out[key] = c2
+        else:
+            out.pop(key, None)
     img = RingElement(elem.nrays, y0=elem.y0)
     img.terms = out
     return img
@@ -396,7 +376,7 @@ class ScatteringDiagram:
     def sing_points(self):
         """Wall base points plus pairwise transversal support crossings,
         as homogeneous triples sorted by their (x, y) values."""
-        pts = {w.base for w in self.walls if w.carrier == "ray"}
+        pts = {w.base for w in self.walls}
         for a in range(len(self.walls)):
             wa = self.walls[a]
             for b in range(a + 1, len(self.walls)):
@@ -405,9 +385,7 @@ class ScatteringDiagram:
                 if p is None:
                     continue
                 s, t, den = p
-                if wa.carrier == "ray" and s < 0:
-                    continue
-                if wb.carrier == "ray" and t < 0:
+                if s < 0 or t < 0:
                     continue
                 pts.add(hshift(wa.base, s, den, wa.dirvec))
         return sorted(pts, key=hfrac)
@@ -449,9 +427,9 @@ def path_crossings(diagram, path):
             t, s, den = p
             if t < 0 or t * end > den:
                 continue
-            if w.carrier == "ray" and s < 0:
+            if s < 0:
                 continue
-            if w.carrier == "ray" and s == 0:
+            if s == 0:
                 raise GenericityError("non-transverse path: through a wall "
                                       "base")
             nraw = rot90(w.dirvec)
@@ -479,12 +457,9 @@ def path_automorphism(diagram, path):
 def build_diagram(fan, config):
     """One ray per Maslov-0 tree: support from the tree's root along its
     out direction, function 1 + w(E_out) Mult(h) u_{I(h)} z^{Delta(h)}."""
-    nrays = fan.nrays()
     walls = []
     for t in build_forest(fan, config).trees:
-        f = ring_one(nrays).add(ring_mono(nrays, t.w * t.mult,
-                                          mask_labels(t.marks), t.deg))
-        w = Wall(fan, t.base, t.deg, f, carrier="ray")
+        w = Wall(fan, t.base, t.deg, t.w * t.mult, mask_labels(t.marks))
         if w.dirvec != t.out:
             raise InvariantError("wall direction disagrees with the tree "
                                  "out-edge")
@@ -503,10 +478,7 @@ def loop_automorphism(diagram, X):
             continue
         along = dot(w.dirvec, v)
         d = w.dirvec
-        if w.carrier == "line":
-            germs.append((d, widx))
-            germs.append(((-d[0], -d[1]), widx))
-        elif along > 0:
+        if along > 0:
             germs.append((d, widx))
             germs.append(((-d[0], -d[1]), widx))
         elif along == 0:

@@ -133,9 +133,6 @@ def _render_diagram(doc, extra=None):
             "*z^%s" % (t["z"],) for t in w["function"]["terms"]) or "1"
         board.line(base, end, _wall_color(w), 1.2, title="1 + " + label
                    if w["function"]["terms"] else "1")
-        if w["carrier"] == "line":
-            other = board.clip_ray(base, [-w["dir"][0], -w["dir"][1]])
-            board.line(base, other, _wall_color(w), 1.2)
     rays = doc.get("rays", [])
     for line in lines:
         segs = line["segments"]

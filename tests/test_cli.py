@@ -107,6 +107,21 @@ def test_usage_errors_exit_one():
     assert run_cli("frobnicate").returncode == 1
 
 
+def test_degree_zero_names_the_degree():
+    p = run_cli("count", "--degree", "0")
+    assert p.returncode == 1
+    assert p.stderr.decode() == "error: degree too small: no marked points\n"
+
+
+def test_bad_endpoint_exits_one():
+    for q in ("1/0,2", "1", "1,2,3", "x,1"):
+        p = run_cli("potential", "--k", "1", "--q", q)
+        err = p.stderr.decode()
+        assert p.returncode == 1, q
+        assert "Traceback" not in err, q
+        assert err == "error: --q needs two rationals x,y\n", q
+
+
 def test_endpoint_on_support_exits_two():
     pt = sample_generic_points(1, 3).points[0]
     qx, qy = Fraction(pt[0], pt[2]), Fraction(pt[1], pt[2])

@@ -6,9 +6,9 @@ implementations, kept here as the reference: each wall crossing is a
 RingAutomorphism whose generator images are z^{e_i} * f^{<n0, v_i>}, built
 with RingElement.pow, and the crossings are chained with
 RingAutomorphism.compose.  The library applies each crossing term by term
-to the current images with memoized wall powers.  On the same diagrams both
-must give equal automorphisms at every singular point and along every path,
-and broken.transport must agree with the reference.
+to the current images in closed form, f^e = 1 + e*c*u_I*z^{m0}.  On the
+same diagrams both must give equal automorphisms at every singular point
+and along every path, and broken.transport must agree with the reference.
 """
 
 from fractions import Fraction
@@ -55,7 +55,7 @@ def ref_loop_automorphism(diagram, X):
             continue
         along = dot(w.dirvec, v)
         d = w.dirvec
-        if w.carrier == "line" or along > 0:
+        if along > 0:
             germs.append((d, widx))
             germs.append(((-d[0], -d[1]), widx))
         elif along == 0:

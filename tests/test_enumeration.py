@@ -5,7 +5,7 @@ import pytest
 
 from tropenum import cli
 from tropenum.bruteforce import bruteforce_rational_curves
-from tropenum.enumeration import (Forest, PointConfig,
+from tropenum.enumeration import (Forest, PointConfig, disk_to_curve,
                                   enumerate_maslov0_trees,
                                   enumerate_maslov2_disks,
                                   enumerate_rational_curves, precheck_config,
@@ -69,7 +69,8 @@ def test_trees_grow_with_more_points():
 
 def test_disks_at_base_point():
     cfg = sample_generic_points(0, seed=5)
-    disks = enumerate_maslov2_disks(P2, cfg, (0, 0))
+    disks = [disk_to_curve(d, P2)
+             for d in enumerate_maslov2_disks(P2, cfg, (0, 0))]
     assert len(disks) == 3
     for c in disks:
         assert maslov_index(c, P2) == 2
@@ -77,7 +78,8 @@ def test_disks_at_base_point():
         validate_curve(c, P2)
 
     cfg1 = sample_generic_points(1, seed=5)
-    disks1 = enumerate_maslov2_disks(P2, cfg1, (0, 0))
+    disks1 = [disk_to_curve(d, P2)
+              for d in enumerate_maslov2_disks(P2, cfg1, (0, 0))]
     assert len(disks1) > 3
     for c in disks1:
         assert maslov_index(c, P2) == 2

@@ -4,11 +4,13 @@ The digests are sha256 of stdout of the CLI commands below.  The k = 3
 ones were recorded before scattering and broken lines moved to
 homogeneous integer points, the k = 4 ones (the benchmark's k) before
 wall crossings were applied term by term with memoized wall powers, and
-the rest (forest trees, disks on P1xP1 and dP6, counts, degenerations)
-before the forest front end was reduced to one resample loop and one
-derived disk-degree rule.  A change to the point, ring or forest
-arithmetic that alters any canonical document (docs/schemas.md) fails
-here.
+the forest trees, disks on P1xP1 and dP6, counts and degenerations before
+the forest front end was reduced to one resample loop and one derived
+disk-degree rule.  The potentials at k = 5 and on P1xP1 and dP6, and the
+SVG bytes of `render` on a diagram and a potential document, were
+recorded before every wall became a single-term ray crossed in closed
+form.  A change to the point, ring or forest arithmetic that alters any
+canonical document (docs/schemas.md) or its picture fails here.
 """
 
 import hashlib
@@ -59,6 +61,20 @@ GOLDEN = {
     # an endpoint given as a rational pair on the command line
     "potential --k 3 --seed 2 --q 1/3,-2/7":
         "104b7c94bb5947c7fe02885274377897cdf77d14bbcb281355efb757a3398a9b",
+    "potential --k 5 --seed 1":
+        "870988d533c0b7ad9e9f2fd1bf2313e9a1ba47e624e095f4e9ef7fcb81a865a9",
+    "potential --fan p1xp1 --k 4 --seed 3":
+        "91adece4a73c3c3d9cafc9bca4cbf8149f9636a663ad5e52e4dc7a98aa534f6d",
+    "potential --fan dp6 --k 3 --seed 2":
+        "6a9cdc9f4539ebdc925b379afd1f97e1eb11b9ee9205cd171418098d3e825c77",
+}
+
+# sha256 of the SVG that `render` draws from the document of each command
+SVG_GOLDEN = {
+    "scatter --k 3 --seed 1":
+        "03305a2d62d20e3243099b49f3bea4f479b87ff46332df858578daf98e2f41dd",
+    "potential --k 3 --seed 1":
+        "6a1327f2bf6d2d01bfedde22fa1dd036e38ec0d73e9f36264d3d5964204276b6",
 }
 
 
@@ -67,3 +83,13 @@ def test_document_bytes(argv, capsys):
     assert cli.main(argv.split()) == cli.EXIT_OK
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
+
+
+@pytest.mark.parametrize("argv", sorted(SVG_GOLDEN))
+def test_render_bytes(argv, capsys, tmp_path):
+    assert cli.main(argv.split()) == cli.EXIT_OK
+    doc = tmp_path / "doc.json"
+    doc.write_text(capsys.readouterr().out)
+    svg = tmp_path / "doc.svg"
+    assert cli.main(["render", str(doc), str(svg)]) == cli.EXIT_OK
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == SVG_GOLDEN[argv]

@@ -33,18 +33,11 @@ P1P1 = builtin_fan("p1xp1")
 def ref_support_contains(w, X):
     base = hfrac(w.base)
     v = (X[0] - base[0], X[1] - base[1])
-    if wedge(w.dirvec, v) != 0:
-        return False
-    if w.carrier == "line":
-        return True
-    return dot(w.dirvec, v) >= 0
+    return wedge(w.dirvec, v) == 0 and dot(w.dirvec, v) >= 0
 
 
 def ref_sing_points(d):
-    pts = {}
-    for w in d.walls:
-        if w.carrier == "ray":
-            pts[hfrac(w.base)] = True
+    pts = {hfrac(w.base): True for w in d.walls}
     for a in range(len(d.walls)):
         wa = d.walls[a]
         for b in range(a + 1, len(d.walls)):
@@ -56,9 +49,7 @@ def ref_sing_points(d):
             dx, dy = bb[0] - ba[0], bb[1] - ba[1]
             s = Fraction(wedge((dx, dy), wb.dirvec), den)
             t = Fraction(wedge((dx, dy), wa.dirvec), den)
-            if wa.carrier == "ray" and s < 0:
-                continue
-            if wb.carrier == "ray" and t < 0:
+            if s < 0 or t < 0:
                 continue
             pts[(ba[0] + s * wa.dirvec[0], ba[1] + s * wa.dirvec[1])] = True
     return sorted(pts)
@@ -69,8 +60,6 @@ def ref_overlaps(wall, A, B):
     d = wall.dirvec
     ta = dot(d, (A[0] - base[0], A[1] - base[1]))
     tb = dot(d, (B[0] - base[0], B[1] - base[1]))
-    if wall.carrier == "line":
-        return True
     return max(ta, tb) >= 0
 
 
@@ -96,14 +85,12 @@ def ref_path_crossings(d, pts):
                 continue
             t = wedge(w.dirvec, (dx, dy)) / den
             s = wedge(seg, (dx, dy)) / den
-            if t < 0 or t > 1:
-                continue
-            if w.carrier == "ray" and s < 0:
+            if t < 0 or t > 1 or s < 0:
                 continue
             if t == 0 or t == 1:
                 raise GenericityError("non-transverse path: vertex on the "
                                       "support")
-            if w.carrier == "ray" and s == 0:
+            if s == 0:
                 raise GenericityError("non-transverse path: through a wall "
                                       "base")
             nraw = rot90(w.dirvec)
@@ -135,15 +122,13 @@ def ref_leg(d, X, m):
                 continue
             t0 = dot(w.dirvec, (dx, dy))
             mu = dot(w.dirvec, r)
-            if w.carrier == "line" or t0 >= 0 or mu > 0:
+            if t0 >= 0 or mu > 0:
                 raise GenericityError("broken line segment runs along "
                                       "a wall; resample the endpoint")
             continue
         s = Fraction(wedge(w.dirvec, (base[0] - X[0], base[1] - X[1])), den)
         t = Fraction(wedge(r, (base[0] - X[0], base[1] - X[1])), den)
-        if s <= 0:
-            continue
-        if w.carrier == "ray" and t < 0:
+        if s <= 0 or t < 0:
             continue
         if t == 0:
             raise GenericityError("broken line segment through a wall "

@@ -1,11 +1,11 @@
-"""Property tests of the nilpotent coefficient ring, the memoized wall
-powers and the term-by-term wall crossing.
+"""Property tests of the nilpotent coefficient ring, the powers of a wall
+function and the closed-form wall crossing.
 
-Elements have up to four terms over three point labels u1..u3; wall
-functions are 1 plus up to three u-carrying terms in powers of z^{m0}, as
-Wall requires.  The crossing kernel _cross is checked against
-RingAutomorphism.apply of the crossing automorphism, which raises the
-generator images to powers instead.
+Elements have up to four terms over three point labels u1..u3; walls are
+rays with f = 1 + c*u_I*z^{m0} and I non-empty, as Wall requires.  The
+crossing kernel _cross is checked against RingAutomorphism.apply of the
+crossing automorphism, which raises the generator images to powers with
+RingElement.pow instead.
 """
 
 import pytest
@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from tropenum.fan import builtin_fan, r_vector
 from tropenum.lattice import rot90
-from tropenum.scattering import (RingElement, Wall, _cross, ring_one,
-                                 wall_crossing)
+from tropenum.scattering import (RingElement, Wall, _cross, ring_mono,
+                                 ring_one, wall_crossing)
 
 FANS = [builtin_fan("p2"), builtin_fan("p1xp1")]
 FAN_IDS = ["p2", "p1xp1"]
@@ -36,17 +36,10 @@ def elements(nrays, nilpotent=False):
 
 
 def draw_wall(data, fan):
-    n = fan.nrays()
-    m0 = data.draw(st.tuples(*[st.integers(0, 2)] * n).filter(
+    m0 = data.draw(st.tuples(*[st.integers(0, 2)] * fan.nrays()).filter(
         lambda m: r_vector(fan, m) != (0, 0)))
-    terms = {}
-    for j in range(1, data.draw(st.integers(0, 3)) + 1):
-        key = (tuple(j * x for x in m0), data.draw(labels.filter(bool)))
-        terms[key] = data.draw(coef)
-    f = ring_one(n).add(RingElement(n, terms))
     base = (data.draw(coord), data.draw(coord))
-    return Wall(fan, base, m0, f, carrier=data.draw(
-        st.sampled_from(["ray", "line"])))
+    return Wall(fan, base, m0, data.draw(coef), data.draw(labels.filter(bool)))
 
 
 @pytest.mark.parametrize("fan", FANS, ids=FAN_IDS)
@@ -63,10 +56,10 @@ def test_mul_commutative_and_associative(fan, data):
 @given(data=st.data(), a=st.integers(-4, 4), b=st.integers(-4, 4))
 def test_wall_powers_add(fan, data, a, b):
     w = draw_wall(data, fan)
-    assert w.pow(a).mul(w.pow(b)) == w.pow(a + b)
-    assert w.pow(a) == w.f.pow(a)
-    assert w.pow(a) is w.pow(a)
-    assert w.pow(0) == ring_one(fan.nrays())
+    n = fan.nrays()
+    # u_i^2 = 0 makes the binomial series stop after its linear term
+    assert w.f.pow(a) == ring_one(n).add(ring_mono(n, a * w.c, w.uset, w.m0))
+    assert w.f.pow(a).mul(w.f.pow(b)) == w.f.pow(a + b)
 
 
 @pytest.mark.parametrize("fan", FANS, ids=FAN_IDS)

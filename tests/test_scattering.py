@@ -106,43 +106,36 @@ def test_apply_generator_fixes_annihilated_ray():
 
 def test_wall_validation():
     base = hfrac((Fraction(1), Fraction(2), Fraction(1)))
-    f = ring_one(3).add(ring_mono(3, 1, (0,), (0, 0, 1)))
-    w = Wall(P2, base, (0, 0, 1), f)
+    w = Wall(P2, base, (0, 0, 1), 1, (0,))
     # r((0,0,1)) = (-1,-1), so the wall points the other way
     assert w.dirvec == (1, 1)
+    assert w.f == ring_one(3).add(ring_mono(3, 1, (0,), (0, 0, 1)))
     assert w.support_contains((Fraction(3), Fraction(4)))
     assert not w.support_contains((Fraction(-1), Fraction(0)))
     assert not w.support_contains((Fraction(3), Fraction(5)))
     with pytest.raises(InvariantError):
-        Wall(P2, base, (1, 1, 1), f)  # r = 0
+        Wall(P2, base, (1, 1, 1), 1, (0,))  # r = 0
     with pytest.raises(InvariantError):
-        Wall(P2, base, (0, 0, 1),
-             ring_one(3).add(ring_mono(3, 1, (), (0, 0, 1))))
+        Wall(P2, base, (0, 0, 1), 1, ())    # f - 1 not nilpotent
     with pytest.raises(InvariantError):
-        Wall(P2, base, (0, 0, 1),
-             ring_one(3).add(ring_mono(3, 1, (0,), (0, 1, 0))))
-    with pytest.raises(InvariantError):
-        Wall(P2, base, (0, 0, 1), f, carrier="segment")
+        Wall(P2, base, (0, 0, 1), 0, (0,))  # f = 1
 
 
 def test_wall_crossing_inverse_and_trivial():
     base = hfrac((Fraction(0), Fraction(0), Fraction(1)))
-    f = ring_one(3).add(ring_mono(3, 2, (0,), (0, 0, 1)))
-    w = Wall(P2, base, (0, 0, 1), f)
+    w = Wall(P2, base, (0, 0, 1), 2, (0,))
     fwd = wall_crossing(w, 1)
     bck = wall_crossing(w, -1)
     assert fwd.compose(bck).is_identity()
     assert not fwd.is_identity()
-    trivial = Wall(P2, base, (0, 0, 1), ring_one(3))
-    assert wall_crossing(trivial, 1).is_identity()
+    # the normal (-1, 1) annihilates the ray (-1, -1): its generator is fixed
+    assert fwd.images[2] == bck.images[2] == ring_mono(3, 1, (), (0, 0, 1))
 
 
 def test_cosupported_walls_commute():
     base = hfrac((Fraction(0), Fraction(0), Fraction(1)))
-    fa = ring_one(3).add(ring_mono(3, 1, (0,), (0, 0, 1)))
-    fb = ring_one(3).add(ring_mono(3, 1, (1,), (0, 0, 2)))
-    wa = Wall(P2, base, (0, 0, 1), fa)
-    wb = Wall(P2, base, (0, 0, 1), fb)
+    wa = Wall(P2, base, (0, 0, 1), 1, (0,))
+    wb = Wall(P2, base, (0, 0, 2), 1, (1,))
     ta = wall_crossing(wa, 1)
     tb = wall_crossing(wb, 1)
     assert ta.compose(tb) == tb.compose(ta)
