@@ -31,8 +31,7 @@ from fractions import Fraction
 from .enumeration import (enumerate_maslov2_disks, mask_labels,
                           sample_generic_points)
 from .fan import r_vector
-from .lattice import (as_hpoint, dot, hdiff, hfrac, hshift, ray_params,
-                      wedge)
+from .lattice import as_hpoint, hfrac, hshift, wedge
 from .scattering import (RingElement, _cross, build_diagram, path_crossings,
                          ring_mono)
 from .tropcurve import GenericityError, InvariantError
@@ -118,6 +117,13 @@ def sample_endpoint(seed, attempt=0):
     return sample_generic_points(1, seed, attempt).points[0]
 
 
+_LEG_FAULTS = ("broken line segment through a wall base; resample the "
+               "endpoint",
+               "broken line segment through a wall crossing; resample the "
+               "endpoint",
+               "broken line segment runs along a wall; resample the endpoint")
+
+
 class _Tracer:
     def __init__(self, diagram, Q):
         self.d = diagram
@@ -140,49 +146,13 @@ class _Tracer:
         self.out.sort(key=lambda bl: bl.key())
         return self.out
 
-    def _leg(self, X, m):
-        """Validate the backward ray X + s*r(m), s > 0, and return its
-        transversal wall crossings as (s, widx, e, V) sorted by s, with V
-        the crossing point and e = |wedge(wall direction, r(m))|."""
-        r = r_vector(self.fan, m)
-        cands = []
-        for widx, w in enumerate(self.d.walls):
-            p = ray_params(X, r, w.base, w.dirvec)
-            if p is None:
-                D = hdiff(w.base, X)
-                if wedge(w.dirvec, D) != 0:
-                    continue
-                # collinear with the travel line: any support overlap at
-                # s > 0 makes the picture non-generic
-                if dot(w.dirvec, D) >= 0 or dot(w.dirvec, r) > 0:
-                    raise GenericityError("broken line segment runs along "
-                                          "a wall; resample the endpoint")
-                continue
-            s, t, den = p
-            if s <= 0 or t < 0:
-                continue
-            if t == 0:
-                raise GenericityError("broken line segment through a wall "
-                                      "base; resample the endpoint")
-            cands.append((Fraction(s, den), widx,
-                          abs(wedge(w.dirvec, r)), hshift(X, s, den, r)))
-        cands.sort(key=lambda c: (c[0], c[1]))
-        for a, b in zip(cands, cands[1:]):
-            if a[0] == b[0]:
-                wa = self.d.walls[a[1]]
-                wb = self.d.walls[b[1]]
-                if wedge(wa.dirvec, wb.dirvec) != 0:
-                    raise GenericityError("broken line segment through a "
-                                          "wall crossing; resample the "
-                                          "endpoint")
-        return cands
-
     def _trace(self, X, m, taken, bends_rev):
-        cands = self._leg(X, m)
+        r = r_vector(self.fan, m)
+        hits = self.d.crossings(X, r, _LEG_FAULTS)
         if sum(m) == 1:
             self._emit(m.index(1), bends_rev)
             return
-        for _, widx, e, V in cands:
+        for _, s, den, widx in hits:
             # the one bend at this wall takes the term e*c*u_I*z^{m0} of f^e
             w = self.d.walls[widx]
             if w.uset & taken:
@@ -192,6 +162,8 @@ class _Tracer:
                 continue
             if r_vector(self.fan, m_in) == (0, 0):
                 continue
+            V = hshift(X, s, den, r)
+            e = abs(wedge(w.dirvec, r))
             bends_rev.append((V, widx, w.m0, w.uset, e * w.c))
             self._trace(V, m_in, taken | w.uset, bends_rev)
             bends_rev.pop()

@@ -57,7 +57,7 @@ def dumps(doc):
 
 def loads(text):
     doc = json.loads(text)
-    if not isinstance(doc, dict) or "schema" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("schema"), str):
         raise InvariantError("not a tropenum document: missing schema id")
     return doc
 
@@ -367,4 +367,8 @@ def load_any(text):
     loader = LOADERS.get(doc["schema"])
     if loader is None:
         raise InvariantError("no loader for schema %r" % (doc["schema"],))
-    return loader(doc)
+    try:
+        return loader(doc)
+    except (KeyError, IndexError, TypeError) as e:
+        raise InvariantError("malformed %s document: %s %s"
+                             % (doc["schema"], type(e).__name__, e)) from e

@@ -7,8 +7,9 @@ and cokernel orders of integer matrices, exact affine solving over Q, and the
 one point type of the package: a rational plane point is an int triple
 (X, Y, W), W > 0, gcd 1, standing for (X/W, Y/W).  `as_hpoint` turns what
 callers pass (a triple or a pair of rationals) into one, and `ray_params` is
-the crossing kernel of the three tracers (Maslov-0 stems, scattering paths,
-broken lines).
+the crossing kernel of the Maslov-0 stem tracer and of
+`ScatteringDiagram.crossings`, the one wall scan of scattering paths and
+broken lines.
 
 Floating point is forbidden here and in every caller.
 """

@@ -21,9 +21,18 @@ gains e*c'*c*u_{J+I}*z^{m+m0}.  A loop or a path folds its ordered
 crossings through the current generator images.  Consistency at
 non-marked singular points is checked by composing an exact loop, never
 assumed.
+
+A diagram owns its incidences.  ScatteringDiagram.germs sweeps the wall
+pairs once and maps every singular point (a wall base or a transversal
+crossing) to its wall germs in angular order; sing_points and
+loop_automorphism read that table.  ScatteringDiagram.crossings is the
+one scan of the walls a ray or a segment crosses transversally, with the
+caller's GenericityError messages; path_crossings and the broken-line
+tracer both use it.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 from .enumeration import build_forest, mask_labels
 from .fan import r_vector
@@ -103,11 +112,6 @@ class RingElement:
         e = RingElement(self.nrays)
         e.terms = out
         return e
-
-    def unit(self):
-        """Coefficient of the empty monomial z^0 u_{}."""
-        return self.terms.get((_zerovec(self.nrays), frozenset()),
-                              Fraction(0))
 
     def pow(self, e):
         e = int(e)
@@ -366,6 +370,7 @@ class ScatteringDiagram:
         self.fan = fan
         self.walls = tuple(walls)
         self.marked = tuple(as_hpoint(p) for p in marked_points)
+        self._germs = None
 
     def k(self):
         return len(self.marked)
@@ -373,26 +378,78 @@ class ScatteringDiagram:
     def supp_contains(self, X):
         return any(w.support_contains(X) for w in self.walls)
 
-    def sing_points(self):
-        """Wall base points plus pairwise transversal support crossings,
-        as homogeneous triples sorted by their (x, y) values."""
-        pts = {w.base for w in self.walls}
-        for a in range(len(self.walls)):
-            wa = self.walls[a]
-            for b in range(a + 1, len(self.walls)):
-                wb = self.walls[b]
+    def germs(self):
+        """Singular point (homogeneous triple) -> its wall germs
+        (direction, wall index) sorted by (angle_key, index), built in one
+        sweep over the wall pairs and cached.  A wall base gives its
+        outgoing germ; a wall crossed at parameter x gives its outgoing
+        germ, and the opposite one when x > 0.  A wall that meets a point
+        only collinearly with the other walls there is left out: its two
+        germs commute with every germ at the point and cancel."""
+        if self._germs is None:
+            table = {}
+            for widx, w in enumerate(self.walls):
+                table.setdefault(w.base, set()).add((w.dirvec, widx))
+            for (a, wa), (b, wb) in combinations(enumerate(self.walls), 2):
                 p = ray_params(wa.base, wa.dirvec, wb.base, wb.dirvec)
-                if p is None:
+                if p is None or p[0] < 0 or p[1] < 0:
                     continue
                 s, t, den = p
-                if s < 0 or t < 0:
-                    continue
-                pts.add(hshift(wa.base, s, den, wa.dirvec))
-        return sorted(pts, key=hfrac)
+                at = table.setdefault(hshift(wa.base, s, den, wa.dirvec),
+                                      set())
+                for x, widx, d in ((s, a, wa.dirvec), (t, b, wb.dirvec)):
+                    at.add((d, widx))
+                    if x > 0:
+                        at.add(((-d[0], -d[1]), widx))
+            self._germs = {
+                X: tuple(sorted(gs, key=lambda g: (angle_key(g[0]), g[1])))
+                for X, gs in table.items()}
+        return self._germs
+
+    def sing_points(self):
+        """The singular points, sorted by their (x, y) values."""
+        return sorted(self.germs(), key=hfrac)
+
+    def crossings(self, X, d, faults, end=None):
+        """Transversal wall crossings of X + s*d, s > 0 (and s < 1/end for
+        a segment): (s, s_num, den, wall index) sorted by (s, index).
+
+        faults = (at_base, coincident, along) are the GenericityError
+        messages for a hit at a wall base, for two transversal walls hit
+        at one s, and for a ray (end None) along a wall; the faulty wall
+        of lowest index comes first, a coincident crossing last."""
+        at_base, coincident, along = faults
+        hits = []
+        for widx, w in enumerate(self.walls):
+            p = ray_params(X, d, w.base, w.dirvec)
+            if p is None:
+                if end is None:
+                    D = hdiff(w.base, X)
+                    # collinear with the ray: any support overlap at s > 0
+                    if wedge(w.dirvec, D) == 0 and (dot(w.dirvec, D) >= 0
+                                                    or dot(w.dirvec, d) > 0):
+                        raise GenericityError(along)
+                continue
+            s, t, den = p
+            if s <= 0 or t < 0 or (end is not None and s * end >= den):
+                continue
+            if t == 0:
+                raise GenericityError(at_base)
+            hits.append((Fraction(s, den), s, den, widx))
+        hits.sort(key=lambda h: (h[0], h[3]))
+        for a, b in zip(hits, hits[1:]):
+            if a[0] == b[0] and wedge(self.walls[a[3]].dirvec,
+                                      self.walls[b[3]].dirvec) != 0:
+                raise GenericityError(coincident)
+        return hits
 
     def __repr__(self):
         return ("ScatteringDiagram(%d walls, %d marked points)"
                 % (len(self.walls), len(self.marked)))
+
+
+_PATH_FAULTS = ("non-transverse path: through a wall base",
+                "non-transverse path: through a singular point", None)
 
 
 def path_crossings(diagram, path):
@@ -416,34 +473,13 @@ def path_crossings(diagram, path):
         seg = hdiff(A, B)
         if seg == (0, 0):
             continue
-        end = A[2] * B[2]       # B = A + seg / end
-        hits = []
-        for widx, w in enumerate(diagram.walls):
-            # a hit at a segment end, or a segment along a wall, puts a
-            # vertex on the support, which the check above rejected
-            p = ray_params(A, seg, w.base, w.dirvec)
-            if p is None:
-                continue
-            t, s, den = p
-            if t < 0 or t * end > den:
-                continue
-            if s < 0:
-                continue
-            if s == 0:
-                raise GenericityError("non-transverse path: through a wall "
-                                      "base")
-            nraw = rot90(w.dirvec)
+        # B = A + seg / end; a hit at a segment end, or a segment along a
+        # wall, puts a vertex on the support, which the check above rejected
+        for _, _, _, widx in diagram.crossings(A, seg, _PATH_FAULTS,
+                                               end=A[2] * B[2]):
+            nraw = rot90(diagram.walls[widx].dirvec)
             n0 = nraw if dot(nraw, seg) < 0 else (-nraw[0], -nraw[1])
-            hits.append((Fraction(t, den), widx, n0))
-        hits.sort(key=lambda h: (h[0], h[1]))
-        for i in range(len(hits) - 1):
-            if hits[i][0] == hits[i + 1][0]:
-                wa = diagram.walls[hits[i][1]]
-                wb = diagram.walls[hits[i + 1][1]]
-                if wedge(wa.dirvec, wb.dirvec) != 0:
-                    raise GenericityError("non-transverse path: through a "
-                                          "singular point")
-        crossings.extend((widx, n0) for _, widx, n0 in hits)
+            crossings.append((widx, n0))
     return crossings
 
 
@@ -469,27 +505,11 @@ def build_diagram(fan, config):
 
 def loop_automorphism(diagram, X):
     """Automorphism of a small counterclockwise loop around X, composed
-    exactly from the wall germs at X in angular order."""
-    X = as_hpoint(X)
-    germs = []
-    for widx, w in enumerate(diagram.walls):
-        v = hdiff(w.base, X)
-        if wedge(w.dirvec, v) != 0:
-            continue
-        along = dot(w.dirvec, v)
-        d = w.dirvec
-        if along > 0:
-            germs.append((d, widx))
-            germs.append(((-d[0], -d[1]), widx))
-        elif along == 0:
-            germs.append((d, widx))
-    germs.sort(key=lambda g: (angle_key(g[0]), g[1]))
-    crossings = []
-    for g, widx in germs:
-        n0 = rot90(g)
-        n0 = (-n0[0], -n0[1])       # against the ccw travel direction
-        crossings.append((diagram.walls[widx], n0))
-    return _fold(diagram.fan, crossings)
+    exactly from the wall germs at X in angular order; the identity when
+    X is not a singular point."""
+    return _fold(diagram.fan, [
+        (diagram.walls[widx], (g[1], -g[0]))    # n0 against the ccw travel
+        for g, widx in diagram.germs().get(as_hpoint(X), ())])
 
 
 class ConsistencyReport:

@@ -128,11 +128,10 @@ def _render_diagram(doc, extra=None):
     for w in doc["walls"]:
         base = (parse_q(w["base"][0]), parse_q(w["base"][1]))
         end = board.clip_ray(base, w["dir"])
-        label = " + ".join(
+        title = " + ".join(
             t["coeff"] + "".join("*u%d" % i for i in t["u"]) +
-            "*z^%s" % (t["z"],) for t in w["function"]["terms"]) or "1"
-        board.line(base, end, _wall_color(w), 1.2, title="1 + " + label
-                   if w["function"]["terms"] else "1")
+            "*z^%s" % (t["z"],) for t in w["function"]["terms"])
+        board.line(base, end, _wall_color(w), 1.2, title=title)
     rays = doc.get("rays", [])
     for line in lines:
         segs = line["segments"]

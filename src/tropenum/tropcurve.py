@@ -184,7 +184,7 @@ def maslov_index(c, fan):
     return 2 * (degree_total(degree(c, fan)) - len(c.marks))
 
 
-def validate_curve(c, fan, points=None, genus0=True, simple=True):
+def validate_curve(c, fan, points=None):
     """Structural and genericity validation of a marked curve or disk.
 
     Construction bugs raise InvariantError; generic-position failures
@@ -238,17 +238,15 @@ def validate_curve(c, fan, points=None, genus0=True, simple=True):
                 raise InvariantError("unmarked vertex valence %d" % val)
             if val == 1:
                 raise InvariantError("univalent unmarked vertex %d" % v)
-    if genus0:
-        if genus(c) != 0:
-            raise InvariantError("curve has positive genus")
+    if genus(c) != 0:
+        raise InvariantError("curve has positive genus")
     degree(c, fan)  # every counted unbounded edge must follow a fan ray
     for idx, (v, dirn, w) in enumerate(c.uedges):
         if idx != c.out_edge and w != 1:
             raise GenericityError("unbounded edge of weight %d" % w)
-    if simple:
-        if len(set(c.vertices)) != n:
-            raise GenericityError("two vertices at the same point")
-        _check_no_overlaps(c)
+    if len(set(c.vertices)) != n:
+        raise GenericityError("two vertices at the same point")
+    _check_no_overlaps(c)
     return True
 
 

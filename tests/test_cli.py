@@ -175,6 +175,20 @@ def test_render_rejects_garbage(tmp_path):
     assert missing.returncode == 1
 
 
+def test_render_rejects_malformed_document(tmp_path):
+    bad = tmp_path / "bad.json"
+    for text, why in (("{\"schema\": \"tropenum/potential/1\"}",
+                       "tropenum/potential/1"),
+                      ("{\"schema\": []}", "missing schema id")):
+        bad.write_text(text)
+        p = run_cli("render", str(bad), str(tmp_path / "bad.svg"))
+        err = p.stderr.decode()
+        assert p.returncode == 1
+        assert "cannot render" in err and why in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "bad.svg").exists()
+
+
 def test_potential_without_marks():
     p = run_cli("potential", "--k", "0", "--seed", "1", "--q", "10,7")
     assert p.returncode == 0

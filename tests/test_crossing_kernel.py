@@ -9,6 +9,9 @@ RingAutomorphism.compose.  The library applies each crossing term by term
 to the current images in closed form, f^e = 1 + e*c*u_I*z^{m0}.  On the
 same diagrams both must give equal automorphisms at every singular point
 and along every path, and broken.transport must agree with the reference.
+The library reads the loop germs from the diagram's incidence table while
+the reference scans every wall, so loops are also compared at points that
+are not singular and at wall bases inside collinear walls.
 """
 
 from fractions import Fraction
@@ -18,11 +21,12 @@ import pytest
 from tropenum.broken import potential, sample_endpoint, transport
 from tropenum.enumeration import sample_generic_points
 from tropenum.fan import builtin_fan
-from tropenum.lattice import angle_key, as_hpoint, dot, hdiff, rot90, wedge
-from tropenum.scattering import (RingAutomorphism, build_diagram,
-                                 identity_automorphism, loop_automorphism,
-                                 path_automorphism, path_crossings,
-                                 ray_generator)
+from tropenum.lattice import (angle_key, as_hpoint, dot, hdiff, hshift, rot90,
+                              wedge)
+from tropenum.scattering import (RingAutomorphism, ScatteringDiagram, Wall,
+                                 build_diagram, identity_automorphism,
+                                 loop_automorphism, path_automorphism,
+                                 path_crossings, ray_generator)
 from tropenum.tropcurve import GenericityError
 
 P2 = builtin_fan("p2")
@@ -108,18 +112,55 @@ def sample_paths(seed):
     return [cyc[i:i + 2 + i % 2] for i in range(len(pts))]
 
 
+def inner_point(d, sing):
+    """A point inside the first wall that is not a singular point."""
+    w = d.walls[0]
+    for q in range(7, 100):
+        P = hshift(w.base, 1, q, w.dirvec)
+        if P not in sing:
+            return P
+    raise AssertionError("no free point on the first wall")
+
+
+def collinear_diagram():
+    """Wall bases inside collinear walls with no transversal wall there:
+    the table leaves the collinear walls out, the reference crosses them
+    both ways."""
+    walls = [Wall(P2, (0, 0), (1, 0, 0), 1, (0,)),      # along -x
+             Wall(P2, (-2, 0), (2, 0, 0), 3, (1,)),     # along -x, inside
+             Wall(P2, (-3, 0), (0, 1, 1), -2, (2,))]    # along +x, overlaps
+    return ScatteringDiagram(P2, walls, [(0, 0), (-2, 0), (-3, 0)])
+
+
 def test_loops_match_reference(diagrams):
-    points = nontrivial = 0
-    for _, _, d in diagrams:
-        for X in d.sing_points():
+    points = nontrivial = plain = 0
+    for _, seed, d in diagrams:
+        sing = d.sing_points()
+        for X in sing:
             got = loop_automorphism(d, X)
             assert got == ref_loop_automorphism(d, X), X
             points += 1
             nontrivial += not got.is_identity()
+        # points that are not singular: inside a wall, and endpoints
+        others = [inner_point(d, set(sing))]
+        others += [sample_endpoint(3000 + 10 * seed + i) for i in range(2)]
+        for X in others:
+            got = loop_automorphism(d, X)
+            assert got == ref_loop_automorphism(d, X), X
+            assert got.is_identity()
+            plain += as_hpoint(X) not in sing
     assert len(diagrams) >= 50
     assert points >= 1000
+    assert plain == 3 * len(diagrams)
     # the marked points: loops that do not close up are compared too
     assert nontrivial >= 100
+    d = collinear_diagram()
+    assert d.sing_points() == [(-3, 0, 1), (-2, 0, 1), (0, 0, 1)]
+    for x in (-5, -3, -2, -1, 0, 1):
+        X = (Fraction(x), Fraction(0))
+        got = loop_automorphism(d, X)
+        assert got == ref_loop_automorphism(d, X), X
+        assert got.is_identity() == (x in (-5, -1, 1)), X
 
 
 def test_paths_and_transport_match_reference(diagrams):

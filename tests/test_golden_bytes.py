@@ -9,11 +9,14 @@ the forest front end was reduced to one resample loop and one derived
 disk-degree rule.  The potentials at k = 5 and on P1xP1 and dP6, and the
 SVG bytes of `render` on a diagram and a potential document, were
 recorded before every wall became a single-term ray crossed in closed
-form.  A change to the point, ring or forest arithmetic that alters any
-canonical document (docs/schemas.md) or its picture fails here.
+form; the SVG digests were re-recorded once since, when each wall's
+tooltip became its function f itself (it read "1 + f").  A change to the
+point, ring or forest arithmetic that alters any canonical document
+(docs/schemas.md) or its picture fails here.
 """
 
 import hashlib
+import re
 
 import pytest
 
@@ -72,9 +75,9 @@ GOLDEN = {
 # sha256 of the SVG that `render` draws from the document of each command
 SVG_GOLDEN = {
     "scatter --k 3 --seed 1":
-        "03305a2d62d20e3243099b49f3bea4f479b87ff46332df858578daf98e2f41dd",
+        "d7406ec65346a0b7ca1b0d476c1d9c31523883bdba486bbf77d8263861b13b73",
     "potential --k 3 --seed 1":
-        "6a1327f2bf6d2d01bfedde22fa1dd036e38ec0d73e9f36264d3d5964204276b6",
+        "f297c31d964a8ca84df0fe0bb89555e4b82ff31ee9d0369d7a6b93b1deee94f4",
 }
 
 
@@ -85,11 +88,25 @@ def test_document_bytes(argv, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
 
 
-@pytest.mark.parametrize("argv", sorted(SVG_GOLDEN))
-def test_render_bytes(argv, capsys, tmp_path):
+def render(argv, capsys, tmp_path):
+    """The SVG bytes `render` draws from the document of a command."""
     assert cli.main(argv.split()) == cli.EXIT_OK
     doc = tmp_path / "doc.json"
     doc.write_text(capsys.readouterr().out)
     svg = tmp_path / "doc.svg"
     assert cli.main(["render", str(doc), str(svg)]) == cli.EXIT_OK
-    assert hashlib.sha256(svg.read_bytes()).hexdigest() == SVG_GOLDEN[argv]
+    return svg.read_bytes()
+
+
+@pytest.mark.parametrize("argv", sorted(SVG_GOLDEN))
+def test_render_bytes(argv, capsys, tmp_path):
+    svg = render(argv, capsys, tmp_path)
+    assert hashlib.sha256(svg).hexdigest() == SVG_GOLDEN[argv]
+
+
+def test_wall_tooltip_is_the_wall_function(capsys, tmp_path):
+    svg = render("scatter --k 1 --seed 1", capsys, tmp_path).decode()
+    # f = 1 + u1*z^{e_i}, one wall per ray of P2, then the marked point
+    assert re.findall(r"<title>([^<]*)</title>", svg) == [
+        "1*z^[0, 0, 0] + 1*u1*z^[%s]" % e
+        for e in ("1, 0, 0", "0, 1, 0", "0, 0, 1")] + ["P1"]

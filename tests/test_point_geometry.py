@@ -4,9 +4,10 @@ Fraction-pair geometry they replaced.
 ref_sing_points, ref_path_crossings and ref_leg are the earlier
 implementations, kept here as the reference: every point is a pair of
 Fractions and every crossing parameter a Fraction quotient.  The library
-works on homogeneous integer triples with lattice.ray_params.  On the same
-diagrams and endpoints both must give the same singular points (as values),
-the same hits in the same order, and the same GenericityError message.
+works on homogeneous integer triples, and path segments and broken-line
+legs share one scan, ScatteringDiagram.crossings.  On the same diagrams and
+endpoints both must give the same singular points (as values), the same
+hits in the same order, and the same GenericityError message.
 """
 
 import itertools
@@ -16,10 +17,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tropenum.broken import _Tracer, sample_endpoint
+from tropenum.broken import _LEG_FAULTS, sample_endpoint
 from tropenum.enumeration import sample_generic_points
 from tropenum.fan import builtin_fan, r_vector
-from tropenum.lattice import as_hpoint, dot, hfrac, hpoint, rot90, wedge
+from tropenum.lattice import (as_hpoint, dot, hfrac, hpoint, hshift, rot90,
+                              wedge)
 from tropenum.scattering import build_diagram, path_crossings
 from tropenum.tropcurve import GenericityError
 
@@ -197,10 +199,13 @@ def exponents(fan, k):
             yield m
 
 
-def leg_outcome(tracer, X, m):
-    got = outcome(tracer._leg, X, m)
+def leg_outcome(d, X, m):
+    r = r_vector(d.fan, m)
+    got = outcome(d.crossings, X, r, _LEG_FAULTS)
     if got[0] == "ok":
-        got = ("ok", [(s, widx, e, hfrac(V)) for s, widx, e, V in got[1]])
+        got = ("ok", [(s, widx, abs(wedge(d.walls[widx].dirvec, r)),
+                       hfrac(hshift(X, s_num, den, r)))
+                      for s, s_num, den, widx in got[1]])
     return got
 
 
@@ -216,7 +221,6 @@ def test_legs_match_reference(diagrams):
     faults = set()
     legs = 0
     for fan, seed, d, _, pts in diagrams:
-        tracer = _Tracer(d, sample_endpoint(seed + 1))
         # a third of the exponents per seed, shared out over the endpoints
         # so that each endpoint takes at least one
         ms = list(exponents(fan, d.k()))[seed % 3::3]
@@ -224,7 +228,7 @@ def test_legs_match_reference(diagrams):
         for j in range(max(len(ms), len(pts))):
             X, m = pts[j % len(pts)], ms[j % len(ms)]
             want = outcome(ref_leg, d, X, m)
-            assert leg_outcome(tracer, hpoint(*X), m) == want, (X, m)
+            assert leg_outcome(d, hpoint(*X), m) == want, (X, m)
             legs += 1
             if want[0] == "generic":
                 faults.add(want[1])
@@ -234,7 +238,7 @@ def test_legs_match_reference(diagrams):
         for j, V in enumerate(bends[:2]):
             for m in ms[j::3]:
                 want = outcome(ref_leg, d, V, m)
-                assert leg_outcome(tracer, hpoint(*V), m) == want
+                assert leg_outcome(d, hpoint(*V), m) == want
                 legs += 1
     assert legs > 1000
     # the comparison reached every fault rule, not only clean legs
