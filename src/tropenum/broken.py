@@ -24,12 +24,10 @@ Degenerate pictures (a segment along a wall, through a wall base or a
 wall crossing) raise GenericityError asking for a fresh endpoint.
 """
 
-import itertools
-
 from fractions import Fraction
 
-from .enumeration import (enumerate_maslov2_disks, mask_labels,
-                          sample_generic_points)
+from .enumeration import (_boxed_exponents, enumerate_maslov2_disks,
+                          mask_labels, sample_generic_points)
 from .fan import r_vector
 from .lattice import as_hpoint, hfrac, hshift, wedge
 from .scattering import (RingElement, _cross, build_diagram, path_crossings,
@@ -137,7 +135,7 @@ class _Tracer:
     def run(self):
         n = self.fan.nrays()
         cap = self.d.k() + 1
-        for m in itertools.product(range(cap + 1), repeat=n):
+        for m in _boxed_exponents((cap,) * n):
             if not 1 <= sum(m) <= cap:
                 continue
             if r_vector(self.fan, m) == (0, 0):

@@ -8,15 +8,20 @@ whose dual graph is a tree.  This module enumerates every lattice
 triangulation of the polygon, places the marks on dual edges in all ways, and
 solves each marked type exactly against the point configuration, which is a
 completely different route to the count than the backward stem recursion in
-enumeration.py.  Everything is exponential in the polygon, so this is a
-small-degree cross-check, not a production counter.
+enumeration.py.  Each marked type is eliminated once (`lattice.eliminate`);
+every assignment of the points to its marks is then one product of the
+elimination's transform with a right-hand side.  Everything is exponential
+in the polygon, so this is a small-degree cross-check, not a production
+counter.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import lcm
+from operator import mul
 
 from .fan import make_degree, newton_polygon
-from .lattice import dot, hfrac, hpoint, primitive, rot90, solve_affine, wedge
+from .lattice import dot, eliminate, hfrac, hpoint, primitive, rot90, wedge
 from .tropcurve import (GenericityError, InvariantError, ParamTropCurve,
                         canonical_type, geometric_signature,
                         mikhalkin_multiplicity, validate_curve,
@@ -201,6 +206,8 @@ def bruteforce_rational_curves(fan, deg, config):
         raise ValueError("degree has a degenerate Newton polygon")
     precheck_config(fan, deg, config)
     pts = [hfrac(p) for p in config.points]
+    # right-hand sides are integers over the common denominator den_b
+    den_b = lcm(*(W for _, _, W in config.points))
     curves = []
     for cells in triangulations(poly):
         t = len(cells)
@@ -209,9 +216,11 @@ def bruteforce_rational_curves(fan, deg, config):
             continue        # dual graph has a cycle: positive genus
         slots = ([("i", i) for i in range(len(internal))]
                  + [("r", i) for i in range(len(rays))])
-        if k > len(slots):
-            continue
         nun = 2 * t
+        off = len(internal)
+        nrows = off + k
+        if k > len(slots) or nrows < nun:
+            continue        # too few slots, or no isolated solutions
         base_rows = []
         for a, b, d, w in internal:
             row = [0] * nun
@@ -220,9 +229,7 @@ def bruteforce_rational_curves(fan, deg, config):
             row[2 * a] -= d[1]
             row[2 * a + 1] += d[0]
             base_rows.append(row)
-        off = len(base_rows)
         slot_rows = []
-        slot_cd = []
         slot_rhs = []
         for kind, idx in slots:
             c, d = ((internal[idx][0], internal[idx][2]) if kind == "i"
@@ -231,58 +238,34 @@ def bruteforce_rational_curves(fan, deg, config):
             row[2 * c] += d[1]
             row[2 * c + 1] -= d[0]
             slot_rows.append(row)
-            slot_cd.append((c, d))
-            slot_rhs.append([px * d[1] - py * d[0] for px, py in pts])
+            slot_rhs.append([(X * d[1] - Y * d[0]) * (den_b // W)
+                             for X, Y, W in config.points])
         for subset in combinations(range(len(slots)), k):
-            nrows = off + k
-            if nrows < nun:
-                continue        # underdetermined: no isolated solutions
             marked = {slots[i] for i in subset}
             if nrows == nun and not _isolates_every_end(t, internal, rays,
                                                         marked):
                 continue
-            head = _invert(base_rows + [slot_rows[i]
-                                        for i in subset[:nun - off]])
-            if head is None:
-                if nrows == nun:
-                    raise InvariantError("rigid marked type is singular")
-                for perm in permutations(range(k)):
-                    rows = base_rows + [slot_rows[i] for i in subset]
-                    rhs = ([0] * off
-                           + [slot_rhs[si][mi]
-                              for mi, si in zip(perm, subset)])
-                    sol = solve_affine(rows, rhs)
-                    if sol[0] == "none":
-                        continue
-                    if sol[0] == "family":
-                        raise InvariantError("marked type solved to a "
-                                             "family")
-                    pos = [(sol[1][2 * c], sol[1][2 * c + 1])
-                           for c in range(t)]
-                    curve = _realize(fan, internal, rays, slots, subset,
-                                     perm, pos, pts, config)
-                    if curve is not None:
-                        curves.append(curve)
-                continue
-            nhead = nun - off
+            pivots, _, T = eliminate(base_rows
+                                     + [slot_rows[i] for i in subset])
+            rank = len(pivots)
+            if rank < nun and nrows == nun:
+                raise InvariantError("rigid marked type is singular")
+            # the right-hand side vanishes on the base rows, so only the
+            # slot columns of T act on it; each is cleared to integers
+            cols = []
+            for row in T:
+                den = lcm(*(e.denominator for e in row[off:]))
+                cols.append(([int(e * den) for e in row[off:]], den * den_b))
             for perm in permutations(range(k)):
-                pos = []
-                for c in range(t):
-                    vx = vy = 0
-                    for j in range(nhead):
-                        b = slot_rhs[subset[j]][perm[j]]
-                        vx += head[2 * c][off + j] * b
-                        vy += head[2 * c + 1][off + j] * b
-                    pos.append((vx, vy))
-                consistent = True
-                for j in range(nhead, k):
-                    c, d = slot_cd[subset[j]]
-                    lhs = pos[c][0] * d[1] - pos[c][1] * d[0]
-                    if lhs != slot_rhs[subset[j]][perm[j]]:
-                        consistent = False
-                        break
-                if not consistent:
+                rhs = [slot_rhs[si][mi] for mi, si in zip(perm, subset)]
+                if any(sum(map(mul, row, rhs)) for row, _ in cols[rank:]):
                     continue
+                if rank < nun:
+                    raise InvariantError("marked type solved to a family")
+                # full column rank: pivots are 0..nun-1, so T*b is x
+                x = [Fraction(sum(map(mul, row, rhs)), den)
+                     for row, den in cols[:nun]]
+                pos = [(x[2 * c], x[2 * c + 1]) for c in range(t)]
                 curve = _realize(fan, internal, rays, slots, subset, perm,
                                  pos, pts, config)
                 if curve is not None:
@@ -298,31 +281,6 @@ def bruteforce_rational_curves(fan, deg, config):
     mults = [mikhalkin_multiplicity(c) for c in curves]
     wmults = [welschinger_multiplicity(c) for c in curves]
     return CountReport(fan, deg, config, curves, mults, wmults)
-
-
-def _invert(rows):
-    """Inverse of a square rational matrix by Gauss-Jordan; None if
-    singular."""
-    n = len(rows)
-    M = [[Fraction(e) for e in r]
-         + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, r in enumerate(rows)]
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if M[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            return None
-        M[c], M[pr] = M[pr], M[c]
-        pv = M[c][c]
-        M[c] = [e / pv for e in M[c]]
-        for i in range(n):
-            if i != c and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [e - f * g for e, g in zip(M[i], M[c])]
-    return [r[n:] for r in M]
 
 
 def _realize(fan, internal, rays, slots, subset, perm, pos, pts, config):

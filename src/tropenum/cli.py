@@ -185,12 +185,17 @@ def cmd_render(args):
             doc = jsonio.load_any(fh.read())
         svg = svgout.render_doc(doc)
     except (OSError, ValueError, InvariantError) as e:
-        print("cannot render %s: %s" % (args.input, e), file=sys.stderr)
-        return EXIT_USAGE
-    with open(args.output, "w") as fh:
-        fh.write(svg)
-    print("wrote %s" % args.output, file=sys.stderr)
-    return EXIT_OK
+        why = str(e)
+    except (KeyError, IndexError, TypeError) as e:
+        # a field the renderer reads is missing or malformed
+        why = "malformed document: %s %s" % (type(e).__name__, e)
+    else:
+        with open(args.output, "w") as fh:
+            fh.write(svg)
+        print("wrote %s" % args.output, file=sys.stderr)
+        return EXIT_OK
+    print("cannot render %s: %s" % (args.input, why), file=sys.stderr)
+    return EXIT_USAGE
 
 
 def build_parser():

@@ -304,8 +304,6 @@ class Forest:
         if self.cap is not None and any(d > c for d, c in zip(deg, self.cap)):
             return None
         r = self._rvec(deg)
-        if r == (0, 0):
-            return None
         out, w = primitive((-r[0], -r[1]))
         ka, kb = sorted((ta.key, tb.key))
         mult = ta.mult * tb.mult * ta.w * tb.w * abs(cross)
@@ -593,9 +591,6 @@ def enumerate_rational_curves(fan, deg, config):
     pivot_point = config.points[pivot]
     forest = Forest(fan, config, allowed_mask=others, degree_cap=deg)
     forest.build(max(1, k - 1))
-    for t in forest.trees:
-        if on_ray(pivot_point, t.base, t.out):
-            raise GenericityError("tree wall passes through the pivot point")
     pivot_disks = forest.disks(pivot_point, others)
     pivot_disks.sort(key=lambda d: d.key)
     groups = {}

@@ -3,9 +3,9 @@
 All rationals are "p" or "p/q" strings, never floats.  Dumps are
 byte-stable: sorted keys, fixed separators, one trailing newline.  Each
 document carries a versioned schema id "tropenum/<kind>/1"; loaders
-validate the id and the field shapes and hand back plain dicts with the
-rationals parsed.  u-indices appear 1-based in documents, matching the
-u1, u2, ... display names.
+validate the id and the field shapes and hand back the document as read,
+rationals still "p" or "p/q" strings.  u-indices appear 1-based in
+documents, matching the u1, u2, ... display names.
 """
 
 import json

@@ -3,13 +3,14 @@
 Everything downstream (fans, curves, arrangements, wall crossing) reduces to
 arithmetic in M = Z^2 and its rational span.  This module owns that arithmetic:
 primitive vectors, the wedge form identifying M ^ M with Z, Smith normal form
-and cokernel orders of integer matrices, exact affine solving over Q, and the
-one point type of the package: a rational plane point is an int triple
-(X, Y, W), W > 0, gcd 1, standing for (X/W, Y/W).  `as_hpoint` turns what
-callers pass (a triple or a pair of rationals) into one, and `ray_params` is
-the crossing kernel of the Maslov-0 stem tracer and of
-`ScatteringDiagram.crossings`, the one wall scan of scattering paths and
-broken lines.
+and cokernel orders of integer matrices, the one exact elimination over Q
+(`eliminate`, which `solve_affine` reads and the brute-force counter runs
+once per marked type), and the one point type of the package: a rational
+plane point is an int triple (X, Y, W), W > 0, gcd 1, standing for
+(X/W, Y/W).  `as_hpoint` turns what callers pass (a triple or a pair of
+rationals) into one, and `ray_params` is the crossing kernel of the
+Maslov-0 stem tracer and of `ScatteringDiagram.crossings`, the one wall
+scan of scattering paths and broken lines.
 
 Floating point is forbidden here and in every caller.
 """
@@ -195,28 +196,26 @@ def cokernel_order(rows):
 
 
 # ---------------------------------------------------------------------------
-# exact affine solving
+# exact elimination
 
-def solve_affine(A, b):
-    """Solve A x = b exactly over the rationals.
+def eliminate(A):
+    """Gauss-Jordan elimination of [A | I] over the rationals.
 
-    Returns one of
-        ("unique", x)
-        ("none",)
-        ("family", particular, kernel_basis)
-    with all entries Fractions.  A is a list of rows; b a list.
+    Returns (pivots, R, T) with T invertible, T*A == R and R in reduced
+    row echelon form, row i leading at column pivots[i].  The rows of T
+    past len(pivots) span the left kernel of A: A x = b is solvable
+    exactly when they annihilate b.
     """
     m = len(A)
     n = len(A[0]) if m else 0
-    M = [[Fraction(e) for e in row] + [Fraction(v)] for row, v in zip(A, b)]
+    M = [[Fraction(e) for e in row] + [Fraction(int(i == j)) for j in range(m)]
+         for i, row in enumerate(A)]
     pivots = []
-    r = 0
     for c in range(n):
-        pr = None
-        for i in range(r, m):
-            if M[i][c] != 0:
-                pr = i
-                break
+        r = len(pivots)
+        if r == m:
+            break
+        pr = next((i for i in range(r, m) if M[i][c] != 0), None)
         if pr is None:
             continue
         M[r], M[pr] = M[pr], M[r]
@@ -227,15 +226,26 @@ def solve_affine(A, b):
                 f = M[i][c]
                 M[i] = [e - f * g for e, g in zip(M[i], M[r])]
         pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if M[i][n] != 0:
-            return ("none",)
+    return pivots, [row[:n] for row in M], [row[n:] for row in M]
+
+
+def solve_affine(A, b):
+    """Solve A x = b exactly over the rationals.
+
+    Returns one of
+        ("unique", x)
+        ("none",)
+        ("family", particular, kernel_basis)
+    with all entries Fractions.  A is a list of rows; b a list.
+    """
+    pivots, R, T = eliminate(A)
+    n = len(A[0]) if A else 0
+    tb = [sum(e * Fraction(v) for e, v in zip(row, b)) for row in T]
+    if any(tb[len(pivots):]):
+        return ("none",)
     particular = [Fraction(0)] * n
     for i, c in enumerate(pivots):
-        particular[c] = M[i][n]
+        particular[c] = tb[i]
     free = [c for c in range(n) if c not in pivots]
     if not free:
         return ("unique", particular)
@@ -244,7 +254,7 @@ def solve_affine(A, b):
         vec = [Fraction(0)] * n
         vec[fc] = Fraction(1)
         for i, c in enumerate(pivots):
-            vec[c] = -M[i][fc]
+            vec[c] = -R[i][fc]
         basis.append(vec)
     return ("family", particular, basis)
 

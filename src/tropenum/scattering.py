@@ -37,7 +37,7 @@ from itertools import combinations
 from .enumeration import build_forest, mask_labels
 from .fan import r_vector
 from .lattice import (angle_key, as_hpoint, dot, hdiff, hfrac, hshift,
-                      primitive, ray_params, rot90, wedge)
+                      on_ray, primitive, ray_params, rot90, wedge)
 from .tropcurve import GenericityError, InvariantError
 
 
@@ -309,8 +309,7 @@ class Wall:
 
     def support_contains(self, X):
         """Is X (a homogeneous triple or a rational pair) on the ray?"""
-        v = hdiff(self.base, as_hpoint(X))
-        return wedge(self.dirvec, v) == 0 and dot(self.dirvec, v) >= 0
+        return on_ray(as_hpoint(X), self.base, self.dirvec)
 
     def __repr__(self):
         return ("Wall(ray at %s, dir %s, f=%s)"

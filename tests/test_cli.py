@@ -189,6 +189,20 @@ def test_render_rejects_malformed_document(tmp_path):
         assert not (tmp_path / "bad.svg").exists()
 
 
+def test_render_rejects_document_missing_a_rendered_field(tmp_path):
+    # the diagram loader accepts this wall, but the renderer reads its "dir"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "schema": "tropenum/diagram/1",
+        "walls": [{"base": ["0", "0"], "function": {"terms": []}}]}))
+    p = run_cli("render", str(bad), str(tmp_path / "bad.svg"))
+    err = p.stderr.decode()
+    assert p.returncode == 1
+    assert "cannot render" in err and "dir" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "bad.svg").exists()
+
+
 def test_potential_without_marks():
     p = run_cli("potential", "--k", "0", "--seed", "1", "--q", "10,7")
     assert p.returncode == 0

@@ -1,6 +1,8 @@
 """Property tests of the homogeneous-point kernels against plain Fraction
 arithmetic written here, sharing no code with tropenum.lattice beyond
-hpoint, which turns a Fraction pair into the triple the kernels take."""
+hpoint, which turns a Fraction pair into the triple the kernels take; and
+of the exact elimination and the affine solver that reads it, checked by
+matrix products on small integer matrices."""
 
 from fractions import Fraction
 from math import gcd
@@ -8,8 +10,9 @@ from math import gcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropenum.lattice import (hfrac, hpoint, line_param, on_ray, on_segment,
-                              ray_intersect, ray_params)
+from tropenum.lattice import (det, eliminate, hfrac, hpoint, line_param,
+                              on_ray, on_segment, ray_intersect, ray_params,
+                              solve_affine)
 
 coord = st.fractions(min_value=-20, max_value=20, max_denominator=60)
 pair = st.tuples(coord, coord)
@@ -142,3 +145,85 @@ def test_on_segment_matches_fraction_reference(data, a, b):
     assert on_segment(P, A, B) == (lam is not None and 0 <= lam <= 1)
     assert on_segment(P, A, B, strict=True) == (lam is not None
                                                 and 0 < lam < 1)
+
+
+def matmul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)]
+            for row in A]
+
+
+def apply(A, x):
+    return [sum(a * v for a, v in zip(row, x)) for row in A]
+
+
+entry = st.integers(min_value=-3, max_value=3)
+
+
+@st.composite
+def matrices(draw):
+    """A small integer matrix, often of low rank: about half are a product
+    of an m x r and an r x n factor with r below both sizes."""
+    m = draw(st.integers(min_value=1, max_value=5))
+    n = draw(st.integers(min_value=1, max_value=5))
+
+    def block(rows, cols):
+        return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+
+    r = draw(st.integers(min_value=0, max_value=min(m, n)))
+    if r == min(m, n):
+        return block(m, n)
+    if r == 0:
+        return [[0] * n for _ in range(m)]
+    return matmul(block(m, r), block(r, n))
+
+
+@SETTINGS
+@given(matrices())
+def test_eliminate_gives_rref_and_left_kernel(A):
+    m, n = len(A), len(A[0])
+    pivots, R, T = eliminate(A)
+    rank = len(pivots)
+    assert matmul(T, A) == R
+    assert pivots == sorted(set(pivots)) and all(0 <= c < n for c in pivots)
+    for i, row in enumerate(R):
+        if i >= rank:
+            assert not any(row)
+            continue
+        assert not any(row[:pivots[i]]) and row[pivots[i]] == 1
+        assert all(R[j][pivots[i]] == 0 for j in range(m) if j != i)
+    for y in T[rank:]:
+        assert not any(apply(list(zip(*A)), y))
+    # T is invertible, so its rows past the rank span the left kernel
+    scale = 1
+    for row in T:
+        for e in row:
+            scale = scale * e.denominator // gcd(scale, e.denominator)
+    assert det([[e * scale for e in row] for row in T]) != 0
+
+
+@SETTINGS
+@given(st.data(), matrices())
+def test_solve_affine_solves_consistent_systems(data, A):
+    n = len(A[0])
+    x0 = data.draw(st.lists(entry, min_size=n, max_size=n))
+    b = apply(A, x0)
+    if data.draw(st.booleans()):
+        b[data.draw(st.integers(0, len(b) - 1))] += 1
+    res = solve_affine(A, b)
+    pivots, _, T = eliminate(A)
+    rank = len(pivots)
+    if res[0] == "none":
+        # never for A*x0; otherwise certified by a left-kernel vector y of A
+        # (checked by the previous property) with y.b != 0
+        assert b != apply(A, x0)
+        assert any(sum(t * v for t, v in zip(y, b)) for y in T[rank:])
+        return
+    assert apply(A, res[1]) == b
+    if res[0] == "unique":
+        assert rank == n
+        return
+    basis = res[2]
+    assert len(basis) == n - rank
+    for v in basis:
+        assert not any(apply(A, v))
