@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .fan import degree_total, make_degree, r_vector
 from .lattice import (as_hpoint, hdiff, hpoint, hshift, on_ray, on_segment,
-                      primitive, ray_intersect, ray_params, wedge)
+                      primitive, ray_params, wedge)
 from .tropcurve import (GenericityError, InvariantError, ParamTropCurve,
                         TropicalDisk, TropicalTree, canonical_type,
                         geometric_signature, mikhalkin_multiplicity,
@@ -143,13 +143,18 @@ def _boxed_exponents(cap):
 class Tree:
     """Maslov-0 tree record: mark set, degree, wall (root + out direction),
     out-edge weight, multiplicity, how it was built, and its serial number
-    (position in Forest.trees, set when the forest files it)."""
+    (position in Forest.trees, set when the forest files it).
+
+    kn = wedge(base, out) on the homogeneous root: W times the wedge of the
+    root with the out direction, the integer the side tests compare with.
+    """
 
     def __init__(self, marks, deg, base, out, w, mult, kind, parts, key):
         self.marks = marks
         self.deg = deg
         self.base = base
         self.out = out
+        self.kn = wedge(base, out)
         self.w = w
         self.mult = mult
         self.kind = kind
@@ -205,10 +210,22 @@ class Forest:
     (left, bucket) with bucket the live list of trees of degree deg <= m,
     left = m - deg nonzero and r(left) != 0: exactly the trees a linear
     scan of `trees` would test.  A tree of a known degree joins its bucket
-    and so every cached list at once; a tree of a new degree drops the
-    whole cache.  Hits, and the first faulty wall of a stem step, are taken
-    in serial order, so every disk, tree and document comes out in the
-    order and with the bytes of the linear scan.
+    and so every cached list at once; a tree of a new degree appends its
+    (left, bucket) to every cached list it qualifies for, which leaves each
+    list as a rebuild in `_by_deg` order would make it.  Hits, and the
+    first faulty wall of a stem step, are taken in serial order, so every
+    disk, tree and document comes out in the order and with the bytes of
+    the linear scan.
+
+    All trees of one degree share one out direction, primitive(-r(deg)),
+    so a bucket visit computes c = wedge(r, out) for the stem direction r
+    and xn = wedge(X, out) for the stem point X once.  With the stored
+    Tree.kn, d = kn * X.w - xn * base.w is the raw s_num of `ray_params`:
+    a wall with d * c < 0 lies behind the stem, and a wall parallel to it
+    (c == 0) can only fault when d == 0.  `ray_params` runs on the rest.
+    Gluing builds the crossing point only for a tree it returns, and the
+    wall check against the marked points calls `on_ray` only for points
+    on a tree's line by the same integer test.
     """
 
     def __init__(self, fan, config, allowed_mask=None, degree_cap=None):
@@ -278,7 +295,12 @@ class Forest:
         bucket = self._by_deg.get(t.deg)
         if bucket is None:
             bucket = self._by_deg[t.deg] = []
-            self._cands.clear()
+            for m, cands in self._cands.items():
+                left = self._left(m, t.deg)
+                if left is not None:
+                    cands.append((left, bucket))
+        elif bucket[0].out != t.out:
+            raise InvariantError("two out directions in one degree")
         bucket.append(t)
         self.levels[level].append(t)
         self.trees.append(t)
@@ -293,7 +315,7 @@ class Forest:
                         or on_ray(ta.base, tb.base, tb.out)):
                     raise GenericityError("collinear overlapping tree rays")
             return None
-        s, t, den, point = ray_intersect(ta.base, ta.out, tb.base, tb.out)
+        s, t, den = ray_params(ta.base, ta.out, tb.base, tb.out)
         if s < 0 or t < 0:
             return None
         if s == 0 and t == 0:
@@ -307,13 +329,18 @@ class Forest:
         out, w = primitive((-r[0], -r[1]))
         ka, kb = sorted((ta.key, tb.key))
         mult = ta.mult * tb.mult * ta.w * tb.w * abs(cross)
-        return Tree(ta.marks | tb.marks, deg, point, out, w, mult, "glue",
+        return Tree(ta.marks | tb.marks, deg,
+                    hshift(ta.base, s, den, ta.out), out, w, mult, "glue",
                     (ta, tb), ("g", ka, kb))
 
     def _check_walls_off_points(self):
         for t in self.trees:
+            (ox, oy), bw, kn = t.out, t.base[2], t.kn
             for j, p in enumerate(self.config.points):
-                if on_ray(p, t.base, t.out, strict=True):
+                # p is on the line of the wall iff wedge(p, out) / p.w
+                # equals wedge(base, out) / base.w
+                if ((p[0] * oy - p[1] * ox) * bw == kn * p[2]
+                        and on_ray(p, t.base, t.out, strict=True)):
                     raise GenericityError(
                         "tree wall passes through point %d" % j)
 
@@ -341,18 +368,23 @@ class Forest:
             self._trace(boundary, boundary, m, allowed_mask, [], out)
         return out
 
+    def _left(self, m, deg):
+        """m - deg when a tree of degree deg can deflect a stem carrying m:
+        nonnegative, nonzero and with r(m - deg) != 0.  Otherwise None."""
+        left = tuple(a - b for a, b in zip(m, deg))
+        if (any(x < 0 for x in left) or not sum(left)
+                or self._rvec(left) == (0, 0)):
+            return None
+        return left
+
     def _candidates(self, m):
         cands = self._cands.get(m)
         if cands is None:
-            cands = []
+            cands = self._cands[m] = []
             for deg, bucket in self._by_deg.items():
-                left = tuple(a - b for a, b in zip(m, deg))
-                if any(x < 0 for x in left) or not sum(left):
-                    continue
-                if self._rvec(left) == (0, 0):
-                    continue
-                cands.append((left, bucket))
-            self._cands[m] = cands
+                left = self._left(m, deg)
+                if left is not None:
+                    cands.append((left, bucket))
         return cands
 
     def _trace(self, X0, X, m, rmask, steps, out):
@@ -360,11 +392,20 @@ class Forest:
             self._emit(X0, m, steps, out)
             return
         r = self._rvec(m)
+        aw = X[2]
         hits = []
         fault = None        # (serial, reason) of the first faulty wall
         for left, bucket in self._candidates(m):
+            o = bucket[0].out       # shared by every tree of the degree
+            c = wedge(r, o)
+            xn = wedge(X, o)
             for t in bucket:
                 if t.marks & ~rmask:
+                    continue
+                # ray_params' raw s_num: s < 0 iff d * c < 0; a parallel
+                # wall (c == 0) is on the stem's line iff d == 0
+                d = t.kn * aw - xn * t.base[2]
+                if d * c < 0 or (d and not c):
                     continue
                 p = ray_params(X, r, t.base, t.out)
                 if p is None:

@@ -4,13 +4,19 @@ Everything downstream (fans, curves, arrangements, wall crossing) reduces to
 arithmetic in M = Z^2 and its rational span.  This module owns that arithmetic:
 primitive vectors, the wedge form identifying M ^ M with Z, Smith normal form
 and cokernel orders of integer matrices, the one exact elimination over Q
-(`eliminate`, which `solve_affine` reads and the brute-force counter runs
-once per marked type), and the one point type of the package: a rational
-plane point is an int triple (X, Y, W), W > 0, gcd 1, standing for
-(X/W, Y/W).  `as_hpoint` turns what callers pass (a triple or a pair of
-rationals) into one, and `ray_params` is the crossing kernel of the
-Maslov-0 stem tracer and of `ScatteringDiagram.crossings`, the one wall
-scan of scattering paths and broken lines.
+(`eliminate`, which the brute-force counter runs once per marked type), and
+the one point type of the package: a rational plane point is an int triple
+(X, Y, W), W > 0, gcd 1, standing for (X/W, Y/W).  `as_hpoint` turns what
+callers pass (a triple or a pair of rationals) into one.
+
+`ray_params` is the crossing kernel of the Maslov-0 forest (its stem
+tracer and its gluing) and of `ScatteringDiagram.crossings`, the one wall
+scan of scattering paths and broken lines.  The forest calls it only on
+walls that an integer side test (see `enumeration.Forest`) has not already
+put behind the stem, and builds a point with `hshift` only for a hit.
+`ray_intersect`, the kernel plus its point, has no caller in the package;
+it stays for the tests and for the benchmark's tracer, which wraps it by
+name.
 
 Floating point is forbidden here and in every caller.
 """
@@ -227,36 +233,6 @@ def eliminate(A):
                 M[i] = [e - f * g for e, g in zip(M[i], M[r])]
         pivots.append(c)
     return pivots, [row[:n] for row in M], [row[n:] for row in M]
-
-
-def solve_affine(A, b):
-    """Solve A x = b exactly over the rationals.
-
-    Returns one of
-        ("unique", x)
-        ("none",)
-        ("family", particular, kernel_basis)
-    with all entries Fractions.  A is a list of rows; b a list.
-    """
-    pivots, R, T = eliminate(A)
-    n = len(A[0]) if A else 0
-    tb = [sum(e * Fraction(v) for e, v in zip(row, b)) for row in T]
-    if any(tb[len(pivots):]):
-        return ("none",)
-    particular = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        particular[c] = tb[i]
-    free = [c for c in range(n) if c not in pivots]
-    if not free:
-        return ("unique", particular)
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for i, c in enumerate(pivots):
-            vec[c] = -R[i][fc]
-        basis.append(vec)
-    return ("family", particular, basis)
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,19 @@
+import collections
 import json
 from fractions import Fraction
 
 import pytest
 
-from tropenum import cli
+from tropenum import cli, enumeration, lattice
 from tropenum.bruteforce import bruteforce_rational_curves
-from tropenum.enumeration import (Forest, PointConfig, disk_to_curve,
-                                  enumerate_maslov0_trees,
+from tropenum.enumeration import (Forest, PointConfig, build_forest,
+                                  disk_to_curve, enumerate_maslov0_trees,
                                   enumerate_maslov2_disks,
                                   enumerate_rational_curves, precheck_config,
                                   run_count, sample_generic_points)
-from tropenum.fan import builtin_fan
+from tropenum.fan import builtin_fan, r_vector
 from tropenum.gw import kontsevich_number
-from tropenum.lattice import hfrac, hpoint, hshift
+from tropenum.lattice import hfrac, hpoint, hshift, wedge
 from tropenum.tropcurve import (GenericityError, canonical_type,
                                 check_balancing, degree, geometric_signature,
                                 maslov_index, validate_curve)
@@ -96,6 +97,28 @@ def test_disk_base_on_wall_is_flagged():
         enumerate_maslov2_disks(P2, cfg, q)
 
 
+def test_stem_on_a_wall_is_a_fault_of_the_tracer():
+    # Trace from Q = root + out, a point on a tree's wall, a monomial
+    # m = deg + e_i the tree can deflect: a crossing stem starts on the
+    # wall (s == 0) and a parallel one runs along it.  Both are faults, so
+    # the tracer's side test must keep the wall rather than skip it.
+    forest = build_forest(P2, sample_generic_points(3, seed=1))
+    seen = collections.Counter()
+    for t in forest.trees:
+        Q = hshift(t.base, 1, 1, t.out)
+        for i in range(3):
+            m = tuple(d + (j == i) for j, d in enumerate(t.deg))
+            r = r_vector(P2, m)
+            if r == (0, 0):
+                continue
+            want = ("stem runs along a tree wall" if wedge(r, t.out) == 0
+                    else "stem vertex lies on a tree wall")
+            with pytest.raises(GenericityError, match=want):
+                forest._trace(Q, Q, m, forest.allowed, [], [])
+            seen[want] += 1
+    assert len(seen) == 2
+
+
 def test_line_and_conic_counts():
     for deg, expect in (((1, 1, 1), kontsevich_number(1)),
                         ((2, 2, 2), kontsevich_number(2))):
@@ -149,6 +172,38 @@ def test_p1xp1_counts():
 def test_cubic_count_single_seed():
     rep = run_count(P2, (3, 3, 3), seed=11)
     assert rep.n_trop == 12
+
+
+def test_cubic_count_work_stays_pruned(monkeypatch):
+    """Crossing-kernel calls and point builds of one P2 cubic count.
+
+    The forest runs ray_params only on the walls its integer side test
+    keeps, builds a point with hshift only for a hit, and tries on_ray
+    only on points on a wall's line.  On seed 1 that is 94,324 ray_params
+    calls, 11,702 hshift calls and 6,738 on_ray calls.  Without the
+    integer tests the same count made 245,864 ray_params calls (220,866
+    in the stem tracer, 24,998 through ray_intersect in gluing), 35,417
+    hshift calls (one per gluing attempt that crossed) and 21,048 on_ray
+    calls.  The lattice bindings are counted too, so a return to
+    ray_intersect shows here.
+    """
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("ray_params", "hshift", "on_ray"):
+        fn = getattr(lattice, name)
+        for mod in (enumeration, lattice):
+            monkeypatch.setattr(mod, name, counted(name, fn))
+    rep = run_count(P2, (3, 3, 3), seed=1)
+    assert (rep.n_trop, rep.w_trop) == (12, 8)
+    assert calls["ray_params"] <= 94324
+    assert calls["hshift"] <= 11702
+    assert calls["on_ray"] <= 6738
 
 
 @pytest.mark.slow

@@ -2,7 +2,10 @@
 
 ScanForest is the reference: it files trees in one list, recomputes
 r_vector every time, and at each stem step scans every tree in order,
-exactly as the tracer did before the degree index.  It also keeps the
+exactly as the tracer did before the degree index.  Its gluing and its
+wall check against the marked points are the plain versions: the crossing
+point built by ray_intersect before the sign, root and cap tests, and
+on_ray tried on every point, with no integer side test in front.  It also keeps the
 candidate degree rule Forest.disks had before its bound was derived: the
 box capped at min(top, 9) when the forest is uncapped, and the explicit
 pivot degree list of enumerate_rational_curves.  Both forests run on the
@@ -16,10 +19,11 @@ from fractions import Fraction
 import pytest
 
 from tropenum.broken import sample_endpoint
-from tropenum.enumeration import (Forest, PointConfig, _boxed_exponents,
-                                  sample_generic_points)
+from tropenum.enumeration import (Forest, PointConfig, Tree,
+                                  _boxed_exponents, sample_generic_points)
 from tropenum.fan import builtin_fan, make_degree, r_vector
-from tropenum.lattice import hdiff, hpoint, on_ray, ray_intersect, wedge
+from tropenum.lattice import (hdiff, hpoint, on_ray, primitive, ray_intersect,
+                              wedge)
 from tropenum.tropcurve import GenericityError
 
 P2 = builtin_fan("p2")
@@ -36,6 +40,40 @@ class ScanForest(Forest):
 
     def _rvec(self, m):
         return r_vector(self.fan, m)
+
+    def _glue(self, ta, tb):
+        cross = wedge(ta.out, tb.out)
+        if cross == 0:
+            if wedge(ta.out, hdiff(ta.base, tb.base)) == 0:
+                if ta.base == tb.base:
+                    return None
+                if (on_ray(tb.base, ta.base, ta.out)
+                        or on_ray(ta.base, tb.base, tb.out)):
+                    raise GenericityError("collinear overlapping tree rays")
+            return None
+        s, t, den, point = ray_intersect(ta.base, ta.out, tb.base, tb.out)
+        if s < 0 or t < 0:
+            return None
+        if s == 0 and t == 0:
+            return None
+        if s == 0 or t == 0:
+            raise GenericityError("tree ray through another tree's root")
+        deg = tuple(a + b for a, b in zip(ta.deg, tb.deg))
+        if self.cap is not None and any(d > c for d, c in zip(deg, self.cap)):
+            return None
+        r = r_vector(self.fan, deg)
+        out, w = primitive((-r[0], -r[1]))
+        ka, kb = sorted((ta.key, tb.key))
+        mult = ta.mult * tb.mult * ta.w * tb.w * abs(cross)
+        return Tree(ta.marks | tb.marks, deg, point, out, w, mult, "glue",
+                    (ta, tb), ("g", ka, kb))
+
+    def _check_walls_off_points(self):
+        for t in self.trees:
+            for j, p in enumerate(self.config.points):
+                if on_ray(p, t.base, t.out, strict=True):
+                    raise GenericityError(
+                        "tree wall passes through point %d" % j)
 
     def disks(self, boundary, allowed_mask, total=None):
         if self.cap is None:
@@ -194,8 +232,8 @@ def test_cases_cover_both_outcomes():
 def test_new_degree_drops_cached_candidates():
     # Forest.build never adds a tree whose degree could deflect a stem
     # already traced, so drive the forest by hand: trace the degree-3
-    # disks over the leaves alone, add the level-2 trees (new degrees),
-    # then trace again.
+    # disks over the leaves alone, add the level-2 trees (new degrees,
+    # which extend the cached candidate lists in place), then trace again.
     cfg = sample_generic_points(3, 3)
     Q = sample_endpoint(11)
     runs = []

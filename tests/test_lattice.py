@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from tropenum.lattice import (angle_key, cokernel_order, dot, hdiff, hfrac,
-                              hnorm, hpoint, hshift, lattice_length,
-                              line_param, on_ray, on_segment, primitive,
-                              ray_intersect, rot90, smith_normal_form,
-                              solve_affine, wedge)
+from tropenum.lattice import (angle_key, cokernel_order, dot, eliminate,
+                              hdiff, hfrac, hnorm, hpoint, hshift,
+                              lattice_length, line_param, on_ray, on_segment,
+                              primitive, ray_intersect, rot90,
+                              smith_normal_form, wedge)
 
 
 def det2(m):
@@ -99,15 +99,22 @@ def test_cokernel_order():
     assert cokernel_order([[1, 2], [2, 4]]) == "infinite"
 
 
-def test_solve_affine_unique_and_none():
-    kind, x = solve_affine([[2, 0], [0, 3]], [4, 9])
-    assert kind == "unique"
-    assert x == [Fraction(2), Fraction(3)]
-    res = solve_affine([[1, 1], [1, 1]], [0, 1])
-    assert res[0] == "none"
+def apply(A, x):
+    return [sum(a * v for a, v in zip(row, x)) for row in A]
 
 
-def test_solve_affine_family_substitutes():
+def test_eliminate_unique_and_none():
+    pivots, R, T = eliminate([[2, 0], [0, 3]])
+    assert pivots == [0, 1] and R == [[1, 0], [0, 1]]
+    assert apply(T, [4, 9]) == [Fraction(2), Fraction(3)]
+    # x + y = 0 and x + y = 1: the left-kernel row of T rejects b
+    pivots, R, T = eliminate([[1, 1], [1, 1]])
+    assert pivots == [0] and R == [[1, 1], [0, 0]]
+    assert apply(T[1:], [0, 1]) != [0]
+    assert apply(T[1:], [1, 1]) == [0]
+
+
+def test_eliminate_family_substitutes():
     rng = random.Random(7)
     for _ in range(100):
         rows = rng.randint(1, 4)
@@ -115,16 +122,23 @@ def test_solve_affine_family_substitutes():
         a = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
         xs = [Fraction(rng.randint(-5, 5), rng.randint(1, 5))
               for _ in range(cols)]
-        b = [sum(a[i][j] * xs[j] for j in range(cols)) for i in range(rows)]
-        res = solve_affine(a, b)
-        assert res[0] in ("unique", "family")
-        part = res[1]
-        for i in range(rows):
-            assert sum(a[i][j] * part[j] for j in range(cols)) == b[i]
-        if res[0] == "family":
-            for vec in res[2]:
-                for i in range(rows):
-                    assert sum(a[i][j] * vec[j] for j in range(cols)) == 0
+        b = apply(a, xs)
+        pivots, R, T = eliminate(a)
+        tb = apply(T, b)
+        assert not any(tb[len(pivots):])
+        # the solution with every free coordinate 0
+        part = [Fraction(0)] * cols
+        for i, c in enumerate(pivots):
+            part[c] = tb[i]
+        assert apply(a, part) == b
+        # one kernel vector per free column
+        for fc in range(cols):
+            if fc in pivots:
+                continue
+            vec = [Fraction(int(c == fc)) for c in range(cols)]
+            for i, c in enumerate(pivots):
+                vec[c] = -R[i][fc]
+            assert not any(apply(a, vec))
 
 
 def test_homogeneous_helpers():

@@ -1,8 +1,9 @@
 """Property tests of the homogeneous-point kernels against plain Fraction
 arithmetic written here, sharing no code with tropenum.lattice beyond
-hpoint, which turns a Fraction pair into the triple the kernels take; and
-of the exact elimination and the affine solver that reads it, checked by
-matrix products on small integer matrices."""
+hpoint, which turns a Fraction pair into the triple the kernels take; of
+the integer side and line tests the Maslov-0 forest puts in front of them;
+and of the exact elimination, checked by matrix products on small integer
+matrices."""
 
 from fractions import Fraction
 from math import gcd
@@ -10,9 +11,9 @@ from math import gcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropenum.lattice import (det, eliminate, hfrac, hpoint, line_param,
-                              on_ray, on_segment, ray_intersect, ray_params,
-                              solve_affine)
+from tropenum.lattice import (det, eliminate, hdiff, hfrac, hpoint,
+                              line_param, on_ray, on_segment, ray_intersect,
+                              ray_params, wedge)
 
 coord = st.fractions(min_value=-20, max_value=20, max_denominator=60)
 pair = st.tuples(coord, coord)
@@ -112,6 +113,47 @@ def test_ray_intersect_matches_fraction_reference(lines):
     assert hfrac(P) == along(a, s, da) == along(b, t, db)
 
 
+def side_num(X, d, B, db):
+    """d = kn * X.w - xn * B.w with kn = wedge(B, db) and xn = wedge(X, db),
+    as Forest._trace computes it for a stem point X and a wall (B, db)."""
+    return wedge(B, db) * X[2] - wedge(X, db) * B[2]
+
+
+@SETTINGS
+@given(ray_pairs())
+def test_side_test_is_raw_s_num_of_ray_params(lines):
+    a, r, b, out = lines
+    X, B = hpoint(*a), hpoint(*b)
+    assert normalized(X) and normalized(B)
+    d = side_num(X, r, B, out)
+    c = wedge(r, out)
+    got = ray_params(X, r, B, out)
+    if c == 0:
+        assert got is None
+        # the stem's line is the wall's exactly when d == 0
+        assert (d == 0) == (wedge(r, hdiff(X, B)) == 0)
+        assert (d == 0) == (ref_param(a, b, out) is not None)
+        return
+    s_num, _, den = got
+    # ray_params flips the raw signs when its raw den = X.w * B.w * c < 0
+    assert s_num == (d if c > 0 else -d)
+    s = ref_crossing(a, r, b, out)[0]
+    assert (d * c < 0) == (Fraction(s_num, den) < 0) == (s < 0)
+
+
+@SETTINGS
+@given(st.data(), pair)
+def test_line_test_matches_line_param(data, b):
+    # the test of Forest._check_walls_off_points in front of on_ray
+    p, d = data.draw(point_on_or_off(b))
+    P, B = hpoint(*p), hpoint(*b)
+    on_line = wedge(P, d) * B[2] == wedge(B, d) * P[2]
+    assert on_line == (line_param(P, B, d) is not None)
+    assert on_line == (ref_param(p, b, d) is not None)
+    if not on_line:
+        assert not on_ray(P, B, d, strict=True)
+
+
 @SETTINGS
 @given(st.data(), pair)
 def test_line_param_and_on_ray_match_fraction_reference(data, b):
@@ -204,26 +246,30 @@ def test_eliminate_gives_rref_and_left_kernel(A):
 
 @SETTINGS
 @given(st.data(), matrices())
-def test_solve_affine_solves_consistent_systems(data, A):
+def test_eliminate_solves_consistent_systems(data, A):
     n = len(A[0])
     x0 = data.draw(st.lists(entry, min_size=n, max_size=n))
     b = apply(A, x0)
     if data.draw(st.booleans()):
         b[data.draw(st.integers(0, len(b) - 1))] += 1
-    res = solve_affine(A, b)
-    pivots, _, T = eliminate(A)
+    pivots, R, T = eliminate(A)
     rank = len(pivots)
-    if res[0] == "none":
-        # never for A*x0; otherwise certified by a left-kernel vector y of A
-        # (checked by the previous property) with y.b != 0
+    tb = apply(T, b)
+    if any(tb[rank:]):
+        # never for A*x0; the left-kernel rows of T (checked by the
+        # previous property) certify that A x = b has no solution
         assert b != apply(A, x0)
-        assert any(sum(t * v for t, v in zip(y, b)) for y in T[rank:])
         return
-    assert apply(A, res[1]) == b
-    if res[0] == "unique":
-        assert rank == n
-        return
-    basis = res[2]
-    assert len(basis) == n - rank
-    for v in basis:
+    # the solution with every free coordinate 0, then a kernel basis with
+    # one vector per free column
+    x = [Fraction(0)] * n
+    for i, c in enumerate(pivots):
+        x[c] = tb[i]
+    assert apply(A, x) == b
+    free = [c for c in range(n) if c not in pivots]
+    assert len(free) == n - rank
+    for fc in free:
+        v = [Fraction(int(c == fc)) for c in range(n)]
+        for i, c in enumerate(pivots):
+            v[c] = -R[i][fc]
         assert not any(apply(A, v))
