@@ -23,11 +23,12 @@ set of configurations raises GenericityError and the caller resamples.
 """
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 from .fan import degree_total, make_degree, r_vector
-from .lattice import (as_hpoint, hdiff, hpoint, hshift, on_ray, on_segment,
-                      primitive, ray_params, wedge)
+from .lattice import (as_hpoint, hdiff, hpoint, hshift, offset_key, on_line,
+                      on_ray, on_segment, primitive, ray_hits, wedge)
 from .tropcurve import (GenericityError, InvariantError, ParamTropCurve,
                         TropicalDisk, TropicalTree, canonical_type,
                         geometric_signature, mikhalkin_multiplicity,
@@ -145,9 +146,13 @@ class Tree:
     out-edge weight, multiplicity, how it was built, and its serial number
     (position in Forest.trees, set when the forest files it).
 
-    kn = wedge(base, out) on the homogeneous root: W times the wedge of the
-    root with the out direction, the integer the side tests compare with.
+    kn = wedge(base, out) on the homogeneous root, the numerator of the
+    wall's offset kn / base.w (see lattice.ray_hits).
     """
+
+    # a forest holds thousands of trees: no per-instance dict
+    __slots__ = ("marks", "deg", "base", "out", "kn", "w", "mult", "kind",
+                 "parts", "key", "serial")
 
     def __init__(self, marks, deg, base, out, w, mult, kind, parts, key):
         self.marks = marks
@@ -204,28 +209,20 @@ class Forest:
     organized by level (number of marks used), plus the backward disk tracer
     that consumes them.
 
-    The tracer finds the walls a stem can hit through an index by degree.
     Each tree gets a serial number, its position in `trees`, and is filed
-    under its degree.  For a stem monomial m, `_cands[m]` lists the pairs
-    (left, bucket) with bucket the live list of trees of degree deg <= m,
-    left = m - deg nonzero and r(left) != 0: exactly the trees a linear
-    scan of `trees` would test.  A tree of a known degree joins its bucket
-    and so every cached list at once; a tree of a new degree appends its
-    (left, bucket) to every cached list it qualifies for, which leaves each
-    list as a rebuild in `_by_deg` order would make it.  Hits, and the
-    first faulty wall of a stem step, are taken in serial order, so every
-    disk, tree and document comes out in the order and with the bytes of
-    the linear scan.
-
-    All trees of one degree share one out direction, primitive(-r(deg)),
-    so a bucket visit computes c = wedge(r, out) for the stem direction r
-    and xn = wedge(X, out) for the stem point X once.  With the stored
-    Tree.kn, d = kn * X.w - xn * base.w is the raw s_num of `ray_params`:
-    a wall with d * c < 0 lies behind the stem, and a wall parallel to it
-    (c == 0) can only fault when d == 0.  `ray_params` runs on the rest.
-    Gluing builds the crossing point only for a tree it returns, and the
-    wall check against the marked points calls `on_ray` only for points
-    on a tree's line by the same integer test.
+    in the bucket of its degree (of level |deg|), sorted by the offset key
+    of its wall; `ray_hits` asks a bucket which walls a ray meets.  The stem
+    tracer asks the buckets `_cands[m]` lists for a stem monomial m: the
+    entries (left, bucket, c) with deg <= m, left = m - deg nonzero,
+    r(left) != 0 and c = wedge(r(m), out), which a new degree extends in
+    place.  Gluing is a join: each ta asks the level-n2 buckets, for trees
+    with marks disjoint from its own and, when n1 == n2, a larger key.
+    Hits and faults go by serial: the tracer raises the fault of lowest
+    serial; gluing adds ta's trees in tb serial order up to the lowest
+    faulty tb, then raises its fault.  The sign, root and cap tests keep
+    their order, so an over-cap pair still raises "tree ray through another
+    tree's root".  Trees, disks and documents come out in the order and
+    with the bytes of a linear scan.
     """
 
     def __init__(self, fan, config, allowed_mask=None, degree_cap=None):
@@ -237,8 +234,9 @@ class Forest:
         self.cap = tuple(degree_cap) if degree_cap is not None else None
         self.trees = []
         self.levels = {}
-        self._by_deg = {}       # degree -> trees of that degree, by serial
-        self._cands = {}        # stem monomial -> [(left, bucket)]
+        self._by_deg = {}       # degree -> (keys, trees, out), by offset key
+        self._at_level = {}     # level -> [(degree, bucket)]
+        self._cands = {}        # stem monomial -> [(left, bucket, c)]
         self._r = {}            # exponent vector -> r_vector
 
     def _rvec(self, m):
@@ -268,16 +266,8 @@ class Forest:
         for n in range(2, max_level + 1):
             self.levels[n] = []
             for n1 in range(1, n // 2 + 1):
-                n2 = n - n1
                 for ta in self.levels[n1]:
-                    for tb in self.levels[n2]:
-                        if n1 == n2 and ta.key >= tb.key:
-                            continue
-                        if ta.marks & tb.marks:
-                            continue
-                        t = self._glue(ta, tb)
-                        if t is not None:
-                            self._add(t, n)
+                    self._join(ta, n - n1, n)
             for i in range(len(self.config)):
                 if not (self.allowed >> i) & 1:
                     continue
@@ -294,52 +284,65 @@ class Forest:
         t.serial = len(self.trees)
         bucket = self._by_deg.get(t.deg)
         if bucket is None:
-            bucket = self._by_deg[t.deg] = []
+            bucket = self._by_deg[t.deg] = ([], [], t.out)
+            self._at_level.setdefault(level, []).append((t.deg, bucket))
             for m, cands in self._cands.items():
-                left = self._left(m, t.deg)
-                if left is not None:
-                    cands.append((left, bucket))
-        elif bucket[0].out != t.out:
+                self._add_cand(cands, m, t.deg, bucket)
+        elif bucket[2] != t.out:
             raise InvariantError("two out directions in one degree")
-        bucket.append(t)
+        keys, ts, _ = bucket
+        key = offset_key(t.kn, t.base[2])
+        i = bisect_right(keys, key)
+        keys.insert(i, key)
+        ts.insert(i, t)
         self.levels[level].append(t)
         self.trees.append(t)
 
-    def _glue(self, ta, tb):
-        cross = wedge(ta.out, tb.out)
-        if cross == 0:
-            if wedge(ta.out, hdiff(ta.base, tb.base)) == 0:
-                if ta.base == tb.base:
-                    return None     # co-based parallel rays; no crossing
-                if (on_ray(tb.base, ta.base, ta.out)
-                        or on_ray(ta.base, tb.base, tb.out)):
-                    raise GenericityError("collinear overlapping tree rays")
-            return None
-        s, t, den = ray_params(ta.base, ta.out, tb.base, tb.out)
-        if s < 0 or t < 0:
-            return None
-        if s == 0 and t == 0:
-            return None             # shared root, contracted gluing
-        if s == 0 or t == 0:
-            raise GenericityError("tree ray through another tree's root")
-        deg = tuple(a + b for a, b in zip(ta.deg, tb.deg))
-        if self.cap is not None and any(d > c for d, c in zip(deg, self.cap)):
-            return None
-        r = self._rvec(deg)
-        out, w = primitive((-r[0], -r[1]))
-        ka, kb = sorted((ta.key, tb.key))
-        mult = ta.mult * tb.mult * ta.w * tb.w * abs(cross)
-        return Tree(ta.marks | tb.marks, deg,
-                    hshift(ta.base, s, den, ta.out), out, w, mult, "glue",
-                    (ta, tb), ("g", ka, kb))
+    def _join(self, ta, n2, level):
+        """Glue ta to the level-n2 trees its out-ray crosses."""
+        X, r = ta.base, ta.out
+        xr, same = wedge(X, r), 2 * n2 == level
+        found = []          # (tb serial, fault reason or (tb, deg, d, c))
+        for deg_b, bucket in self._at_level.get(n2, ()):
+            c = wedge(r, bucket[2])
+            walls = ray_hits(bucket, X, r, c, xr, ta.marks)
+            if not walls:
+                continue
+            deg = tuple(a + b for a, b in zip(ta.deg, deg_b))
+            over = self.cap and any(x > y for x, y in zip(deg, self.cap))
+            for tb, d, e in walls:
+                if same and ta.key >= tb.key:
+                    continue
+                if not c:
+                    if X != tb.base and (on_ray(tb.base, X, r)
+                                         or on_ray(X, tb.base, tb.out)):
+                        found.append((tb.serial,
+                                      "collinear overlapping tree rays"))
+                elif not (d or e):
+                    continue        # shared root, contracted gluing
+                elif d and e:
+                    if not over:
+                        found.append((tb.serial, (tb, deg, d, c)))
+                else:
+                    found.append((tb.serial,
+                                  "tree ray through another tree's root"))
+        found.sort()        # by tb serial, which is unique
+        for _, hit in found:
+            if isinstance(hit, str):
+                raise GenericityError(hit)
+            tb, deg, d, c = hit
+            rv = self._rvec(deg)
+            out, w = primitive((-rv[0], -rv[1]))
+            ka, kb = sorted((ta.key, tb.key))
+            mult = ta.mult * tb.mult * ta.w * tb.w * abs(c)
+            self._add(Tree(ta.marks | tb.marks, deg,
+                           hshift(X, d, X[2] * tb.base[2] * c, r), out, w,
+                           mult, "glue", (ta, tb), ("g", ka, kb)), level)
 
     def _check_walls_off_points(self):
         for t in self.trees:
-            (ox, oy), bw, kn = t.out, t.base[2], t.kn
             for j, p in enumerate(self.config.points):
-                # p is on the line of the wall iff wedge(p, out) / p.w
-                # equals wedge(base, out) / base.w
-                if ((p[0] * oy - p[1] * ox) * bw == kn * p[2]
+                if (on_line(p, t.base, t.out)
                         and on_ray(p, t.base, t.out, strict=True)):
                     raise GenericityError(
                         "tree wall passes through point %d" % j)
@@ -368,23 +371,21 @@ class Forest:
             self._trace(boundary, boundary, m, allowed_mask, [], out)
         return out
 
-    def _left(self, m, deg):
-        """m - deg when a tree of degree deg can deflect a stem carrying m:
-        nonnegative, nonzero and with r(m - deg) != 0.  Otherwise None."""
+    def _add_cand(self, cands, m, deg, bucket):
+        """Append (left, bucket, wedge(r(m), out)) to cands when a tree of
+        degree deg can deflect a stem carrying m: left = m - deg is
+        nonnegative, nonzero and with r(left) != 0."""
         left = tuple(a - b for a, b in zip(m, deg))
-        if (any(x < 0 for x in left) or not sum(left)
-                or self._rvec(left) == (0, 0)):
-            return None
-        return left
+        if (all(x >= 0 for x in left) and sum(left)
+                and self._rvec(left) != (0, 0)):
+            cands.append((left, bucket, wedge(self._rvec(m), bucket[2])))
 
     def _candidates(self, m):
         cands = self._cands.get(m)
         if cands is None:
             cands = self._cands[m] = []
             for deg, bucket in self._by_deg.items():
-                left = self._left(m, deg)
-                if left is not None:
-                    cands.append((left, bucket))
+                self._add_cand(cands, m, deg, bucket)
         return cands
 
     def _trace(self, X0, X, m, rmask, steps, out):
@@ -392,48 +393,32 @@ class Forest:
             self._emit(X0, m, steps, out)
             return
         r = self._rvec(m)
-        aw = X[2]
+        xr, skip = wedge(X, r), ~rmask
         hits = []
         fault = None        # (serial, reason) of the first faulty wall
-        for left, bucket in self._candidates(m):
-            o = bucket[0].out       # shared by every tree of the degree
-            c = wedge(r, o)
-            xn = wedge(X, o)
-            for t in bucket:
-                if t.marks & ~rmask:
-                    continue
-                # ray_params' raw s_num: s < 0 iff d * c < 0; a parallel
-                # wall (c == 0) is on the stem's line iff d == 0
-                d = t.kn * aw - xn * t.base[2]
-                if d * c < 0 or (d and not c):
-                    continue
-                p = ray_params(X, r, t.base, t.out)
-                if p is None:
-                    if (wedge(r, hdiff(X, t.base)) == 0
-                            and (on_ray(t.base, X, r)
-                                 or on_ray(X, t.base, t.out))):
-                        reason = "stem runs along a tree wall"
-                    else:
+        for left, bucket, c in self._candidates(m):
+            walls = ray_hits(bucket, X, r, c, xr, skip)
+            for t, d, e in walls:
+                if not c:
+                    if not (on_ray(t.base, X, r) or on_ray(X, t.base, t.out)):
                         continue
+                    reason = "stem runs along a tree wall"
+                elif not d:
+                    prev = steps[-1][1] if steps else None
+                    if prev is not None and wedge(prev.out, t.out) == 0:
+                        continue    # co-supported with the wall just used
+                    reason = "stem vertex lies on a tree wall"
+                elif not e:
+                    reason = "stem hits a tree wall at its root"
                 else:
-                    s, tt, den = p
-                    if s < 0 or tt < 0:
-                        continue
-                    if s == 0:
-                        prev = steps[-1][1] if steps else None
-                        if prev is not None and wedge(prev.out, t.out) == 0:
-                            continue    # co-supported with the wall just used
-                        reason = "stem vertex lies on a tree wall"
-                    elif tt == 0:
-                        reason = "stem hits a tree wall at its root"
-                    else:
-                        hits.append((t.serial, hshift(X, s, den, r), t, left))
-                        continue
+                    V = hshift(X, d, X[2] * t.base[2] * c, r)
+                    hits.append((t.serial, V, t, left))
+                    continue
                 if fault is None or t.serial < fault[0]:
                     fault = (t.serial, reason)
         if fault is not None:
             raise GenericityError(fault[1])
-        hits.sort(key=lambda h: h[0])
+        hits.sort()         # by serial, which is unique
         by_point = {}
         for _, V, t, _ in hits:
             by_point.setdefault(V, []).append(t)
@@ -463,14 +448,16 @@ class Forest:
         verts = [X0] + [V for V, _, _ in steps]
         if len(set(verts)) != len(verts):
             raise GenericityError("disk stem revisits a vertex")
+        A, ray = verts[-1], self.rays[ridx]
         for p in self.config.points:
             if p in verts[1:]:
                 raise GenericityError("disk bends exactly at a marked point")
-            for a in range(len(verts) - 1):
-                if on_segment(p, verts[a], verts[a + 1], strict=True):
+            for a, (V, _, mm) in enumerate(steps):
+                if (on_line(p, V, self._rvec(mm))
+                        and on_segment(p, verts[a], V, strict=True)):
                     raise GenericityError("marked point inside a stem "
                                           "segment")
-            if on_ray(p, verts[-1], self.rays[ridx], strict=True):
+            if on_line(p, A, ray) and on_ray(p, A, ray, strict=True):
                 raise GenericityError("marked point on the initial stem ray")
         bends = tuple(reversed(steps))
         key = ("d", m_fin, ridx, tuple(t.key for _, t, _ in steps))

@@ -9,18 +9,20 @@ the one point type of the package: a rational plane point is an int triple
 (X, Y, W), W > 0, gcd 1, standing for (X/W, Y/W).  `as_hpoint` turns what
 callers pass (a triple or a pair of rationals) into one.
 
-`ray_params` is the crossing kernel of the Maslov-0 forest (its stem
-tracer and its gluing) and of `ScatteringDiagram.crossings`, the one wall
-scan of scattering paths and broken lines.  The forest calls it only on
-walls that an integer side test (see `enumeration.Forest`) has not already
-put behind the stem, and builds a point with `hshift` only for a hit.
-`ray_intersect`, the kernel plus its point, has no caller in the package;
-it stays for the tests and for the benchmark's tracer, which wraps it by
-name.
+`ray_hits` is the crossing kernel of the Maslov-0 forest, its stem tracer
+and its gluing: it answers "which walls of one direction does this ray
+hit" on an index sorted by `offset_key`, settling the signs of both
+crossing parameters in integers, and the forest builds a point with
+`hshift` only for a hit.  `ray_params` now serves only the scattering
+diagram: `ScatteringDiagram.crossings`, the one wall scan of scattering
+paths and broken lines, and `ScatteringDiagram.germs`.  `ray_intersect`,
+that kernel plus its point, has no caller in the package; it stays for
+the tests and for the benchmark's tracer, which wraps it by name.
 
 Floating point is forbidden here and in every caller.
 """
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import gcd
 
@@ -324,6 +326,59 @@ def ray_intersect(A, da, B, db):
         return None
     s_num, t_num, den = p
     return s_num, t_num, den, hshift(A, s_num, den, da)
+
+
+OFFSET_BITS = 32
+
+
+def offset_key(num, w):
+    """floor(num / w * 2**OFFSET_BITS): an exact integer key, monotone in
+    num / w.  For a line of direction o, num / w = wedge(P, o) / P.w is the
+    same for every point P on it: the line's offset."""
+    return (num << OFFSET_BITS) // w
+
+
+def ray_hits(index, X, r, c, xr, skip):
+    """The walls of one offset index that the ray X + s*r (s >= 0) meets at
+    or beyond their roots, or runs along (c == 0); walls with a mark in the
+    bit mask `skip` are left out.
+
+    An index (keys, walls, o) holds walls of one direction o, each with a
+    root `base`, kn = wedge(base, o) and a mark mask `marks`, sorted by
+    keys[i] = offset_key(kn, base.w).  With c = wedge(r, o), the ray reaches
+    a wall's line iff the line's offset lies on the side c points to, so
+    with q = offset_key(wedge(X, o), X.w) the keys >= q (c > 0), <= q
+    (c < 0) or == q (c == 0) bound a superset slice, floor being monotone.
+    A wall comes as (wall, d, e), the raw s and t numerators of the
+    crossing over X.w * base.w * c: d = kn * X.w - wedge(X, o) * base.w
+    and, with xr = wedge(X, r), e = wedge(base, r) * X.w - xr * base.w.
+    """
+    keys, walls, (ox, oy) = index
+    rx, ry = r
+    xw = X[2]
+    xn = X[0] * oy - X[1] * ox
+    q = (xn << OFFSET_BITS) // xw     # offset_key(xn, xw)
+    lo = 0 if c < 0 else bisect_left(keys, q)
+    hi = len(walls) if c > 0 else bisect_right(keys, q)
+    out = []
+    for t in walls[lo:hi]:
+        if t.marks & skip:
+            continue
+        bx, by, bw = t.base
+        d = t.kn * xw - xn * bw
+        if d * c < 0 or (d and not c):
+            continue
+        e = (bx * ry - by * rx) * xw - xr * bw
+        if e * c >= 0:
+            out.append((t, d, e))
+    return out
+
+
+def on_line(P, A, d):
+    """Is P on the line A + s*d: wedge(P, d) / P.w == wedge(A, d) / A.w?
+    Written out, as the forest runs it for every point and wall."""
+    dx, dy = d
+    return (P[0] * dy - P[1] * dx) * A[2] == (A[0] * dy - A[1] * dx) * P[2]
 
 
 def line_param(P, B, d):

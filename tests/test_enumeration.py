@@ -177,15 +177,16 @@ def test_cubic_count_single_seed():
 def test_cubic_count_work_stays_pruned(monkeypatch):
     """Crossing-kernel calls and point builds of one P2 cubic count.
 
-    The forest runs ray_params only on the walls its integer side test
-    keeps, builds a point with hshift only for a hit, and tries on_ray
-    only on points on a wall's line.  On seed 1 that is 94,324 ray_params
-    calls, 11,702 hshift calls and 6,738 on_ray calls.  Without the
-    integer tests the same count made 245,864 ray_params calls (220,866
-    in the stem tracer, 24,998 through ray_intersect in gluing), 35,417
-    hshift calls (one per gluing attempt that crossed) and 21,048 on_ray
-    calls.  The lattice bindings are counted too, so a return to
-    ray_intersect shows here.
+    The forest settles the signs of every crossing in integers on the
+    offset-sorted slice of a bucket, so it never calls ray_params; it
+    builds a point with hshift only for a hit, and tries on_segment and
+    on_ray only on points on a stem's or a wall's line.  On seed 1 that
+    is 0 ray_params calls, 11,702 hshift calls, 767 on_segment calls and
+    581 on_ray calls.  With ray_params behind an integer side test the
+    same count made 94,324 ray_params calls, 13,552 on_segment calls and
+    6,738 on_ray calls; with no side test, 245,864 ray_params calls and
+    35,417 hshift calls.  The lattice bindings are counted too, so a
+    return to ray_params or ray_intersect shows here.
     """
     calls = collections.Counter()
 
@@ -195,15 +196,17 @@ def test_cubic_count_work_stays_pruned(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("ray_params", "hshift", "on_ray"):
+    for name in ("ray_params", "hshift", "on_segment", "on_ray"):
         fn = getattr(lattice, name)
         for mod in (enumeration, lattice):
-            monkeypatch.setattr(mod, name, counted(name, fn))
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted(name, fn))
     rep = run_count(P2, (3, 3, 3), seed=1)
     assert (rep.n_trop, rep.w_trop) == (12, 8)
-    assert calls["ray_params"] <= 94324
+    assert calls["ray_params"] == 0
     assert calls["hshift"] <= 11702
-    assert calls["on_ray"] <= 6738
+    assert calls["on_segment"] <= 767
+    assert calls["on_ray"] <= 581
 
 
 @pytest.mark.slow

@@ -1,16 +1,18 @@
-"""The degree-indexed stem tracer of Forest against a linear scan.
+"""The offset-sorted wall index of Forest against a linear scan.
 
 ScanForest is the reference: it files trees in one list, recomputes
-r_vector every time, and at each stem step scans every tree in order,
-exactly as the tracer did before the degree index.  Its gluing and its
+r_vector every time, glues every (ta, tb) pair of levels in a plain double
+loop, and at each stem step scans every tree in order, exactly as the
+forest did before the degree index.  Its gluing, its disk check and its
 wall check against the marked points are the plain versions: the crossing
 point built by ray_intersect before the sign, root and cap tests, and
-on_ray tried on every point, with no integer side test in front.  It also keeps the
-candidate degree rule Forest.disks had before its bound was derived: the
-box capped at min(top, 9) when the forest is uncapped, and the explicit
-pivot degree list of enumerate_rational_curves.  Both forests run on the
-same configurations; per attempt they must build the same trees, trace the
-same disks, and raise the same GenericityError at the same place.
+on_segment and on_ray tried on every point, with no integer test in front.
+Its candidate degrees are written out apart from Forest.disks: uncapped,
+lo <= |m| <= top in the box (top,) * nrays, since a disk has |deg| equal
+to its marks plus one; capped, the explicit pivot degree list of
+enumerate_rational_curves.  Both forests run on the same configurations;
+per attempt they must build the same trees, trace the same disks, and
+raise the same GenericityError at the same place.
 """
 
 import random
@@ -19,11 +21,11 @@ from fractions import Fraction
 import pytest
 
 from tropenum.broken import sample_endpoint
-from tropenum.enumeration import (Forest, PointConfig, Tree,
+from tropenum.enumeration import (Disk, Forest, PointConfig, Tree,
                                   _boxed_exponents, sample_generic_points)
 from tropenum.fan import builtin_fan, make_degree, r_vector
-from tropenum.lattice import (hdiff, hpoint, on_ray, primitive, ray_intersect,
-                              wedge)
+from tropenum.lattice import (hdiff, hpoint, on_ray, on_segment, primitive,
+                              ray_intersect, wedge)
 from tropenum.tropcurve import GenericityError
 
 P2 = builtin_fan("p2")
@@ -32,7 +34,47 @@ DP6 = builtin_fan("dp6")
 
 
 class ScanForest(Forest):
-    """Forest with the linear-scan tracer and no index or caches."""
+    """Forest with plain gluing, the linear-scan tracer and no index or
+    caches."""
+
+    def build(self, max_level):
+        self.levels[1] = []
+        for i in range(len(self.config)):
+            if not (self.allowed >> i) & 1:
+                continue
+            for ridx, ray in enumerate(self.rays):
+                if self.cap is not None and self.cap[ridx] < 1:
+                    continue
+                deg = tuple(1 if j == ridx else 0
+                            for j in range(len(self.rays)))
+                t = Tree(1 << i, deg, self.config.points[i],
+                         (-ray[0], -ray[1]), 1, 1, "leaf", (i, ridx),
+                         ("l", i, ridx))
+                self._add(t, 1)
+        for n in range(2, max_level + 1):
+            self.levels[n] = []
+            for n1 in range(1, n // 2 + 1):
+                n2 = n - n1
+                for ta in self.levels[n1]:
+                    for tb in self.levels[n2]:
+                        if n1 == n2 and ta.key >= tb.key:
+                            continue
+                        if ta.marks & tb.marks:
+                            continue
+                        t = self._glue(ta, tb)
+                        if t is not None:
+                            self._add(t, n)
+            for i in range(len(self.config)):
+                if not (self.allowed >> i) & 1:
+                    continue
+                sub = self.allowed & ~(1 << i)
+                for disk in self.disks(self.config.points[i], sub, total=n):
+                    t = Tree(disk.marks | (1 << i), disk.deg,
+                             self.config.points[i], disk.u, disk.w, disk.mult,
+                             "pass", (i, disk), ("p", i, disk.key))
+                    self._add(t, n)
+        self._check_walls_off_points()
+        return self.trees
 
     def _add(self, t, level):
         self.levels[level].append(t)
@@ -77,11 +119,13 @@ class ScanForest(Forest):
 
     def disks(self, boundary, allowed_mask, total=None):
         if self.cap is None:
+            # a disk has |deg| == marks + 1, with its marks drawn from
+            # allowed_mask: 1 <= |m| <= popcount + 1, or |m| == total
             top = (total if total is not None
                    else bin(allowed_mask).count("1") + 1)
-            box = (min(top, 9),) * len(self.rays)
-            mfins = [m for m in _boxed_exponents(box)
-                     if sum(m) and (total is None or sum(m) == total)]
+            lo = 1 if total is None else total
+            mfins = [m for m in _boxed_exponents((top,) * len(self.rays))
+                     if lo <= sum(m) <= top]
         elif total is not None:
             mfins = [m for m in _boxed_exponents(self.cap) if sum(m) == total]
         else:
@@ -140,6 +184,34 @@ class ScanForest(Forest):
             self._trace(X0, V, left, rmask & ~t.marks, steps, out)
             steps.pop()
 
+    def _emit(self, X0, m, steps, out):
+        ridx = m.index(1)
+        m_fin = steps[0][2] if steps else m
+        marks = 0
+        mult = 1
+        for V, t, mm in steps:
+            marks |= t.marks
+            r_dn = r_vector(self.fan, mm)
+            dn, w_dn = primitive((-r_dn[0], -r_dn[1]))
+            mult *= t.mult * t.w * w_dn * abs(wedge(t.out, dn))
+        r_fin = r_vector(self.fan, m_fin)
+        u, w = primitive((-r_fin[0], -r_fin[1]))
+        verts = [X0] + [V for V, _, _ in steps]
+        if len(set(verts)) != len(verts):
+            raise GenericityError("disk stem revisits a vertex")
+        for p in self.config.points:
+            if p in verts[1:]:
+                raise GenericityError("disk bends exactly at a marked point")
+            for a in range(len(verts) - 1):
+                if on_segment(p, verts[a], verts[a + 1], strict=True):
+                    raise GenericityError("marked point inside a stem "
+                                          "segment")
+            if on_ray(p, verts[-1], self.rays[ridx], strict=True):
+                raise GenericityError("marked point on the initial stem ray")
+        bends = tuple(reversed(steps))
+        key = ("d", m_fin, ridx, tuple(t.key for _, t, _ in steps))
+        out.append(Disk(marks, m_fin, X0, ridx, bends, w, u, mult, key))
+
 
 def _run(cls, fan, config, allowed, cap, level, boundary, mask):
     """Build the forest, then trace the disks at `boundary`.  Returns the
@@ -184,6 +256,9 @@ def _grid_config(k, seed):
     return PointConfig(pts, seed, 0, {})
 
 
+GRID_Q = hpoint(Fraction(1, 2), Fraction(1, 3))
+
+
 def _cases():
     for seed in (1, 2):
         deg = make_degree(P2, (3, 3, 3))
@@ -201,10 +276,15 @@ def _cases():
         cfg = sample_generic_points(3, seed)
         yield "maslov2-disks", _free_case(P2, cfg, Q)
     for seed in range(9):
-        yield "grid-k4", _free_case(P2, _grid_config(4, seed),
-                                    hpoint(Fraction(1, 2), Fraction(1, 3)))
+        yield "grid-k4", _free_case(P2, _grid_config(4, seed), GRID_Q)
         deg = make_degree(P2, (2, 2, 2))
         yield "grid-conic", _pivot_case(P2, deg, _grid_config(5, 100 + seed))
+    # grid seeds that reach the rarer faults of the tracer and of _emit
+    for k, seed in ((4, 32), (3, 43), (4, 155), (3, 40)):
+        yield "grid-k%d" % k, _free_case(P2, _grid_config(k, seed), GRID_Q)
+    for seed in (116, 193, 125):
+        deg = make_degree(P2, (2, 2, 2))
+        yield "grid-conic", _pivot_case(P2, deg, _grid_config(5, seed))
 
 
 CASES = list(_cases())
@@ -225,8 +305,10 @@ def test_cases_cover_both_outcomes():
               if not name.startswith(("p2-cubic", "p1xp1"))}
     assert None in errors
     assert len(errors) >= 5
-    assert any(e.startswith(("stem", "two transversal"))
-               for e in errors if e is not None)
+    assert {"two transversal walls cross the stem at one point",
+            "stem runs along a tree wall",
+            "disk bends exactly at a marked point",
+            "marked point on the initial stem ray"} <= errors
 
 
 def test_new_degree_drops_cached_candidates():
@@ -234,6 +316,7 @@ def test_new_degree_drops_cached_candidates():
     # already traced, so drive the forest by hand: trace the degree-3
     # disks over the leaves alone, add the level-2 trees (new degrees,
     # which extend the cached candidate lists in place), then trace again.
+    # Both forests glue through the reference's plain _glue.
     cfg = sample_generic_points(3, 3)
     Q = sample_endpoint(11)
     runs = []
@@ -245,10 +328,32 @@ def test_new_degree_drops_cached_candidates():
         for ta in forest.levels[1]:
             for tb in forest.levels[1]:
                 if ta.key < tb.key and not ta.marks & tb.marks:
-                    t = forest._glue(ta, tb)
+                    t = ScanForest._glue(forest, ta, tb)
                     if t is not None:
                         forest._add(t, 2)
         after = forest.disks(Q, forest.allowed, total=3)
         runs.append(([d.key for d in before], [d.key for d in after]))
     assert runs[0] == runs[1]
     assert len(runs[0][1]) > len(runs[0][0])
+
+
+def test_over_cap_pair_still_faults_at_a_root():
+    # ta's out-ray runs through tb's root and their degrees sum past the
+    # cap: the root test comes before the cap test, so the pair is a fault
+    # in the join as in the reference's plain _glue, not a skipped pair.
+    cfg = PointConfig([hpoint(0, 0), hpoint(0, -1)], 0, 0, {})
+    for cls in (Forest, ScanForest):
+        forest = cls(P2, cfg, degree_cap=(0, 1, 1))
+        forest.levels = {1: [], 2: []}
+        ta = Tree(1, (0, 1, 0), cfg.points[0], (0, -1), 1, 1, "leaf",
+                  (0, 1), ("l", 0, 1))
+        tb = Tree(2, (1, 0, 0), cfg.points[1], (-1, 0), 1, 1, "leaf",
+                  (1, 0), ("l", 1, 0))
+        forest._add(ta, 1)
+        forest._add(tb, 1)
+        with pytest.raises(GenericityError,
+                           match="tree ray through another tree's root"):
+            if cls is Forest:
+                forest._join(ta, 1, 2)
+            else:
+                forest._glue(ta, tb)

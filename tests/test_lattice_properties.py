@@ -1,19 +1,21 @@
 """Property tests of the homogeneous-point kernels against plain Fraction
 arithmetic written here, sharing no code with tropenum.lattice beyond
 hpoint, which turns a Fraction pair into the triple the kernels take; of
-the integer side and line tests the Maslov-0 forest puts in front of them;
-and of the exact elimination, checked by matrix products on small integer
-matrices."""
+the integer side and line tests the Maslov-0 forest puts in front of them,
+and of its offset-sorted wall index; and of the exact elimination, checked
+by matrix products on small integer matrices."""
 
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd
+from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropenum.lattice import (det, eliminate, hdiff, hfrac, hpoint,
-                              line_param, on_ray, on_segment, ray_intersect,
-                              ray_params, wedge)
+from tropenum.lattice import (OFFSET_BITS, det, eliminate, hdiff, hfrac,
+                              hpoint, line_param, offset_key, on_line, on_ray,
+                              on_segment, ray_hits, ray_intersect, ray_params,
+                              wedge)
 
 coord = st.fractions(min_value=-20, max_value=20, max_denominator=60)
 pair = st.tuples(coord, coord)
@@ -144,14 +146,81 @@ def test_side_test_is_raw_s_num_of_ray_params(lines):
 @SETTINGS
 @given(st.data(), pair)
 def test_line_test_matches_line_param(data, b):
-    # the test of Forest._check_walls_off_points in front of on_ray
+    # the test the forest puts in front of on_segment and on_ray
     p, d = data.draw(point_on_or_off(b))
     P, B = hpoint(*p), hpoint(*b)
-    on_line = wedge(P, d) * B[2] == wedge(B, d) * P[2]
-    assert on_line == (line_param(P, B, d) is not None)
-    assert on_line == (ref_param(p, b, d) is not None)
-    if not on_line:
+    got = on_line(P, B, d)
+    assert got == (line_param(P, B, d) is not None)
+    assert got == (ref_param(p, b, d) is not None)
+    if not got:
         assert not on_ray(P, B, d, strict=True)
+
+
+@st.composite
+def offset_walls(draw):
+    """A ray x + s*r, a skip mask, and walls of one direction o with small
+    mark masks, rooted anywhere, on the line of x along o, within 2**-28
+    or less of that line, or on the ray."""
+    x, o = draw(pair), draw(vector)
+    if draw(st.booleans()):
+        r = draw(vector)
+    else:
+        r = (o[0] * draw(st.sampled_from((1, -1, 2))),
+             o[1] * draw(st.sampled_from((1, -1, -3))))
+        if cross(r, o) != 0:
+            r = o
+    marks = st.integers(min_value=0, max_value=3)
+    bases = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        kind = draw(st.sampled_from(("any", "line", "near", "ray")))
+        if kind == "any":
+            b = draw(pair)
+        elif kind == "ray":
+            b = along(x, abs(draw(scale)), r)
+        else:
+            b = along(x, draw(scale), o)
+            if kind == "near":
+                eps = Fraction(draw(st.sampled_from((1, -1))),
+                               2 ** draw(st.integers(28, 40)))
+                b = along(b, eps, (-o[1], o[0]))
+        bases.append((b, draw(marks)))
+    return x, r, o, bases, draw(marks)
+
+
+@SETTINGS
+@given(offset_walls())
+def test_offset_index_finds_every_wall_the_ray_reaches(case):
+    x, r, o, bases, skip = case
+    X = hpoint(*x)
+    walls = []
+    for b, m in bases:
+        B = hpoint(*b)
+        kn = cross(B, o)
+        # the key is the floor of the exact offset kn / B.w, scaled
+        assert offset_key(kn, B[2]) == floor(Fraction(kn, B[2])
+                                             * 2 ** OFFSET_BITS)
+        walls.append(SimpleNamespace(base=B, kn=kn, marks=m, b=b))
+    walls.sort(key=lambda w: offset_key(w.kn, w.base[2]))
+    index = ([offset_key(w.kn, w.base[2]) for w in walls], walls, o)
+    c = cross(r, o)
+    got = ray_hits(index, X, r, c, cross(X, r), skip)
+    want = []
+    for w in walls:
+        params = ref_crossing(x, r, w.b, o)
+        if w.marks & skip:
+            continue
+        if params is None:
+            if ref_param(w.b, x, r) is not None:
+                want.append(w)         # the wall's line is the ray's
+        elif params[0] >= 0 and params[1] >= 0:
+            want.append(w)
+    assert [w for w, _, _ in got] == want
+    for w, d, e in got:
+        assert d == side_num(X, r, w.base, o)
+        p = ray_params(X, r, w.base, o)
+        if p is not None:
+            # e is the raw t_num, signs flipped when X.w * base.w * c < 0
+            assert (p[0], p[1]) == ((d, e) if c > 0 else (-d, -e))
 
 
 @SETTINGS
