@@ -16,9 +16,8 @@ emit a cell that is not a polyhedron.
 
 from fractions import Fraction
 
-from .lattice import (angle_key, hdiff, hfrac, hnorm, hpoint, primitive,
-                      rot90, wedge)
-from .tropcurve import InvariantError
+from .lattice import (InvariantError, angle_key, hdiff, hfrac, hnorm, hpoint,
+                      primitive, rot90, wedge)
 
 
 class PlanarComplex:

@@ -29,10 +29,10 @@ from fractions import Fraction
 from .enumeration import (_boxed_exponents, enumerate_maslov2_disks,
                           mask_labels, sample_generic_points)
 from .fan import r_vector
-from .lattice import as_hpoint, hfrac, hshift, wedge
+from .lattice import (GenericityError, InvariantError, as_hpoint, hfrac,
+                      hshift, wedge)
 from .scattering import (RingElement, _cross, build_diagram, path_crossings,
                          ring_mono)
-from .tropcurve import GenericityError, InvariantError
 
 
 class BrokenLine:

@@ -13,18 +13,11 @@ import sys
 
 from fractions import Fraction
 
-from . import jsonio, svgout
-from .broken import potential as eval_potential
-from .broken import sample_endpoint
-from .correspondence import (build_decomposition, build_phi, fan_over,
-                             index_d, log_count_w, properties_report,
-                             rescale_lattice)
-from .enumeration import (build_forest, enumerate_maslov2_disks, resample,
-                          run_count)
-from .fan import builtin_fan, make_degree, make_fan
-from .lattice import as_hpoint
-from .scattering import build_diagram, check_consistency
-from .tropcurve import GenericityError, InvariantError
+# Start-up is a large share of a command's wall time, so each cmd_* imports
+# the modules it runs when it runs, and a process loads only the engine
+# modules of its own command.  The docstring above is the --help text.
+from . import jsonio
+from .lattice import GenericityError, InvariantError, as_hpoint
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -47,6 +40,7 @@ class SystemExit2(Exception):
 
 def load_fan(spec):
     """A builtin fan name, or a path to JSON {"name": ..., "rays": [[x,y]]}."""
+    from .fan import builtin_fan, make_fan
     if os.path.exists(spec) and spec not in ("p2", "p1xp1", "dp6"):
         with open(spec) as fh:
             doc = json.load(fh)
@@ -56,6 +50,7 @@ def load_fan(spec):
 
 
 def parse_degree(fan, text):
+    from .fan import make_degree
     if text == "anticanonical":
         return make_degree(fan, (1,) * fan.nrays())
     if "," in text:
@@ -87,6 +82,7 @@ def write_out(args, text):
 
 
 def cmd_count(args, report_key):
+    from .enumeration import run_count
     fan = load_fan(args.fan)
     deg = parse_degree(fan, args.degree)
     report = run_count(fan, deg, args.seed)
@@ -99,6 +95,7 @@ def cmd_count(args, report_key):
 
 
 def cmd_trees(args):
+    from .enumeration import build_forest, resample
     fan = load_fan(args.fan)
     config, forest = resample(args.k, args.seed,
                               lambda c: build_forest(fan, c))
@@ -107,6 +104,8 @@ def cmd_trees(args):
 
 
 def cmd_disks(args):
+    from .broken import sample_endpoint
+    from .enumeration import build_forest, enumerate_maslov2_disks, resample
     fan = load_fan(args.fan)
     config, forest = resample(args.k, args.seed,
                               lambda c: build_forest(fan, c))
@@ -117,6 +116,8 @@ def cmd_disks(args):
 
 
 def cmd_scatter(args):
+    from .enumeration import resample
+    from .scattering import build_diagram, check_consistency
     fan = load_fan(args.fan)
     config, diagram = resample(args.k, args.seed,
                                lambda c: build_diagram(fan, c))
@@ -132,6 +133,10 @@ def cmd_scatter(args):
 
 
 def cmd_potential(args):
+    from .broken import potential as eval_potential
+    from .broken import sample_endpoint
+    from .enumeration import resample
+    from .scattering import build_diagram, check_consistency
     fan = load_fan(args.fan)
     config, diagram = resample(args.k, args.seed,
                                lambda c: build_diagram(fan, c))
@@ -145,6 +150,8 @@ def cmd_potential(args):
 
 
 def cmd_phi_check(args):
+    from .correspondence import build_phi, index_d, log_count_w
+    from .enumeration import run_count
     fan = load_fan(args.fan)
     deg = parse_degree(fan, args.degree)
     report = run_count(fan, deg, args.seed)
@@ -163,6 +170,9 @@ def cmd_phi_check(args):
 
 
 def cmd_degenerate(args):
+    from .correspondence import (build_decomposition, fan_over,
+                                 properties_report, rescale_lattice)
+    from .enumeration import run_count
     fan = load_fan(args.fan)
     deg = parse_degree(fan, args.degree)
     report = run_count(fan, deg, args.seed)
@@ -180,6 +190,7 @@ def cmd_degenerate(args):
 
 
 def cmd_render(args):
+    from . import svgout
     try:
         with open(args.input) as fh:
             doc = jsonio.load_any(fh.read())

@@ -13,12 +13,12 @@ translate of the fan at every marked point, generates a polyhedral
 decomposition of the plane.  That decomposition can be rescaled to an
 integral one and coned off to a fan in one dimension higher whose
 height-1 slice returns the decomposition and whose height-0 subfan is
-the surface fan.
+the surface fan.  The global half imports `arrangement` where it uses it,
+so a process that only checks Phi does not load the overlay.
 """
 
 from math import gcd
 
-from .arrangement import Overlay, line_coord, line_dir, line_key
 from .lattice import (as_hpoint, cokernel_order, hdiff, hfrac, hnorm,
                       primitive, rot90, smith_normal_form)
 from .tropcurve import InvariantError, mikhalkin_multiplicity
@@ -258,6 +258,7 @@ def build_decomposition(curves, fan, points):
     sufficed.  Collinear overlaps merge, with source tags unioned; tags
     are "curve:<index>" and "fan:<point index>".
     """
+    from .arrangement import Overlay
     ov = Overlay()
     for ci, c in enumerate(curves):
         tag = "curve:%d" % ci
@@ -279,6 +280,7 @@ def _edges_by_line(pd):
     """line_key -> the decomposition edges on that line, each as
     (coordinate of its start, coordinate of its end or None for a ray,
     the ray direction or None for a segment)."""
+    from .arrangement import line_coord, line_key
     index = {}
     for e in pd.edges:
         va = pd.vertices[e[1]]
@@ -300,6 +302,7 @@ def _cover_query(index, A, B, d):
     Works in coordinates oriented along the query, so one upward sweep
     covers both cases; None stands for the infinite end.
     """
+    from .arrangement import line_coord, line_dir, line_key
     if d is None:
         dp, _ = primitive(hdiff(A, B))
     else:

@@ -23,7 +23,7 @@ set of configurations raises GenericityError and the caller resamples.
 """
 
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from .fan import degree_total, make_degree, r_vector
@@ -340,12 +340,22 @@ class Forest:
                            mult, "glue", (ta, tb), ("g", ka, kb)), level)
 
     def _check_walls_off_points(self):
-        for t in self.trees:
+        """Raise the fault of the lowest tree serial, then the lowest point
+        index, whose wall passes through a marked point.  A wall's line
+        holds p only if its offset key is p's, so each point bisects its
+        own key in each degree bucket and tests only those walls; a strict
+        test of the wall's own root is always False."""
+        faults = []         # (tree serial, point index)
+        for keys, ts, o in self._by_deg.values():
             for j, p in enumerate(self.config.points):
-                if (on_line(p, t.base, t.out)
-                        and on_ray(p, t.base, t.out, strict=True)):
-                    raise GenericityError(
-                        "tree wall passes through point %d" % j)
+                q = offset_key(wedge(p, o), p[2])
+                for t in ts[bisect_left(keys, q):bisect_right(keys, q)]:
+                    if (p != t.base and on_line(p, t.base, t.out)
+                            and on_ray(p, t.base, t.out, strict=True)):
+                        faults.append((t.serial, j))
+        if faults:
+            raise GenericityError(
+                "tree wall passes through point %d" % min(faults)[1])
 
     # -- Maslov-2 disks ----------------------------------------------------
 
@@ -452,12 +462,14 @@ class Forest:
         for p in self.config.points:
             if p in verts[1:]:
                 raise GenericityError("disk bends exactly at a marked point")
+            # a strict test of a segment's or ray's own start is False
             for a, (V, _, mm) in enumerate(steps):
-                if (on_line(p, V, self._rvec(mm))
+                if (p != verts[a] and on_line(p, V, self._rvec(mm))
                         and on_segment(p, verts[a], V, strict=True)):
                     raise GenericityError("marked point inside a stem "
                                           "segment")
-            if on_line(p, A, ray) and on_ray(p, A, ray, strict=True):
+            if (p != A and on_line(p, A, ray)
+                    and on_ray(p, A, ray, strict=True)):
                 raise GenericityError("marked point on the initial stem ray")
         bends = tuple(reversed(steps))
         key = ("d", m_fin, ridx, tuple(t.key for _, t, _ in steps))

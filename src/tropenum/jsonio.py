@@ -6,16 +6,18 @@ document carries a versioned schema id "tropenum/<kind>/1"; loaders
 validate the id and the field shapes and hand back the document as read,
 rationals still "p" or "p/q" strings.  u-indices appear 1-based in
 documents, matching the u1, u2, ... display names.
+
+At load time this module imports only `lattice`; the functions that need
+`enumeration`'s or `scattering`'s helpers import them when called, so
+reading or rendering a document loads no engine module, except for a
+potential document, whose value `load_potential` checks as a ring element.
 """
 
 import json
 
 from fractions import Fraction
 
-from .enumeration import mask_labels
-from .lattice import hfrac
-from .scattering import format_element
-from .tropcurve import InvariantError
+from .lattice import InvariantError, hfrac
 
 SCHEMAS = ("count", "trees", "disks", "diagram", "potential", "phicheck",
            "decomposition")
@@ -129,6 +131,7 @@ def load_count(doc):
 
 
 def trees_doc(fan, config, records):
+    from .enumeration import mask_labels
     return {
         **_header("trees", fan, config),
         "k": len(config.points),
@@ -154,6 +157,7 @@ def load_trees(doc):
 
 
 def disks_doc(fan, config, Q, records):
+    from .enumeration import mask_labels
     names = ["x%d" % i for i in range(fan.nrays())]
     out = []
     for d in records:
@@ -237,6 +241,7 @@ def load_diagram(doc):
 
 
 def potential_doc(fan, config, diagram, report, W):
+    from .scattering import format_element
     lines = []
     for bl in W.lines:
         segs = []

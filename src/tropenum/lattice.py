@@ -20,11 +20,23 @@ that kernel plus its point, has no caller in the package; it stays for
 the tests and for the benchmark's tracer, which wraps it by name.
 
 Floating point is forbidden here and in every caller.
+
+Every other module of the package imports this one, so the package's two
+error types live here too: `GenericityError` means "resample" and
+`InvariantError` means "bug".  `tropcurve` binds both names as well.
 """
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import gcd
+
+
+class InvariantError(Exception):
+    """An internal contract of the construction is violated."""
+
+
+class GenericityError(Exception):
+    """The sampled configuration hit a non-generic coincidence; resample."""
 
 
 # ---------------------------------------------------------------------------

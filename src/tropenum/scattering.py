@@ -36,9 +36,9 @@ from itertools import combinations
 
 from .enumeration import build_forest, mask_labels
 from .fan import r_vector
-from .lattice import (angle_key, as_hpoint, dot, hdiff, hfrac, hshift,
-                      on_ray, primitive, ray_params, rot90, wedge)
-from .tropcurve import GenericityError, InvariantError
+from .lattice import (GenericityError, InvariantError, angle_key, as_hpoint,
+                      dot, hdiff, hfrac, hshift, on_ray, primitive,
+                      ray_params, rot90, wedge)
 
 
 def _zerovec(nrays):

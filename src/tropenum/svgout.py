@@ -5,7 +5,7 @@ coordinate is printed with 6 fixed digits, so output is byte-stable.
 """
 
 from .jsonio import parse_q
-from .tropcurve import InvariantError
+from .lattice import InvariantError
 
 SIZE = 640.0
 MARGIN = 60.0

@@ -18,16 +18,8 @@ weight is 0 for even multiplicity m and (-1)^((m-1)/2) otherwise.
 from fractions import Fraction
 
 from .fan import degree_total
-from .lattice import (hdiff, hfrac, hnorm, hpoint, lattice_length,
-                      on_segment, primitive, wedge)
-
-
-class InvariantError(Exception):
-    """An internal contract of the construction is violated."""
-
-
-class GenericityError(Exception):
-    """The sampled configuration hit a non-generic coincidence; resample."""
+from .lattice import (GenericityError, InvariantError, hdiff, hfrac, hnorm,
+                      hpoint, lattice_length, on_segment, primitive, wedge)
 
 
 class ParamTropCurve:

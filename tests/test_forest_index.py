@@ -257,6 +257,15 @@ def _grid_config(k, seed):
 
 
 GRID_Q = hpoint(Fraction(1, 2), Fraction(1, 3))
+# leaf forests of three grid points whose walls pass through several of the
+# six points, in buckets whose order is not the order of the tree serials
+GRID_LEAF_SEEDS = (3, 12, 13, 34)
+
+
+def _leaves_case(config):
+    """The leaves of points 0-2 only, so that nothing glues and the wall
+    check against the marked points meets every leaf wall."""
+    return (P2, config, 0b111, None, 1, GRID_Q, 0b111)
 
 
 def _cases():
@@ -285,6 +294,8 @@ def _cases():
     for seed in (116, 193, 125):
         deg = make_degree(P2, (2, 2, 2))
         yield "grid-conic", _pivot_case(P2, deg, _grid_config(5, seed))
+    for seed in GRID_LEAF_SEEDS:
+        yield "grid-leaves", _leaves_case(_grid_config(6, seed))
 
 
 CASES = list(_cases())
@@ -309,6 +320,23 @@ def test_cases_cover_both_outcomes():
             "stem runs along a tree wall",
             "disk bends exactly at a marked point",
             "marked point on the initial stem ray"} <= errors
+
+
+def test_wall_check_cases_hold_several_faults():
+    # the wall check must raise the fault of the lowest tree serial, then
+    # the lowest point index; these cases hold several faults, some on one
+    # wall and some met in an earlier bucket than the fault that wins
+    for seed in GRID_LEAF_SEEDS:
+        config = _grid_config(6, seed)
+        forest = Forest(*_leaves_case(config)[:4])
+        with pytest.raises(GenericityError) as e:
+            forest.build(1)
+        faults = sorted((t.serial, j) for t in forest.trees
+                        for j, p in enumerate(config.points)
+                        if on_ray(p, t.base, t.out, strict=True))
+        assert len(faults) >= 2
+        assert str(e.value) == ("tree wall passes through point %d"
+                                % faults[0][1])
 
 
 def test_new_degree_drops_cached_candidates():
