@@ -11,8 +11,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "broken": ("BrokenLine", "Potential", "enumerate_broken_lines",
-               "potential", "sample_endpoint", "transport",
-               "verify_disk_correspondence"),
+               "potential", "transport", "verify_disk_correspondence"),
     "correspondence": ("Fan3D", "PhiSystem", "PolyDecomp",
                        "build_decomposition", "build_phi", "fan_over",
                        "index_d", "log_count_w", "properties_report",
@@ -21,7 +20,8 @@ _EXPORTS = {
     "enumeration": ("CountReport", "PointConfig", "disk_to_curve",
                     "enumerate_maslov0_trees", "enumerate_maslov2_disks",
                     "enumerate_rational_curves", "run_count",
-                    "sample_generic_points", "tree_to_curve"),
+                    "sample_endpoint", "sample_generic_points",
+                    "tree_to_curve"),
     "fan": ("Fan", "builtin_fan", "degree_total", "make_degree", "make_fan",
             "newton_polygon", "r_vector"),
     "gw": ("kontsevich_number",),

@@ -27,7 +27,10 @@ wall crossing) raise GenericityError asking for a fresh endpoint.
 from fractions import Fraction
 
 from .enumeration import (_boxed_exponents, enumerate_maslov2_disks,
-                          mask_labels, sample_generic_points)
+                          mask_labels)
+# the endpoint sampler lives next to sample_generic_points; this module
+# keeps its public name, the same function object
+from .enumeration import sample_endpoint  # noqa: F401
 from .fan import r_vector
 from .lattice import (GenericityError, InvariantError, as_hpoint, hfrac,
                       hshift, wedge)
@@ -106,13 +109,6 @@ class Potential:
     def __repr__(self):
         return "Potential(at=%s, %d lines)" % (
             list(hfrac(self.endpoint)), len(self.lines))
-
-
-def sample_endpoint(seed, attempt=0):
-    """A generic rational endpoint for broken line counts.  Use a seed
-    disjoint from the point configuration's, otherwise Q duplicates the
-    first marked point."""
-    return sample_generic_points(1, seed, attempt).points[0]
 
 
 _LEG_FAULTS = ("broken line segment through a wall base; resample the "

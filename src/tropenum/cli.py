@@ -44,8 +44,16 @@ def load_fan(spec):
     if os.path.exists(spec) and spec not in ("p2", "p1xp1", "dp6"):
         with open(spec) as fh:
             doc = json.load(fh)
-        rays = [tuple(r) for r in doc["rays"]]
-        return make_fan(rays, name=doc.get("name", "custom"))
+        if not isinstance(doc, dict) or not isinstance(doc.get("rays"), list):
+            raise ValueError("fan file %s: needs an object with a \"rays\" "
+                             "list" % spec)
+        for r in doc["rays"]:
+            if not (isinstance(r, list) and len(r) == 2
+                    and all(type(x) is int for x in r)):
+                raise ValueError("fan file %s: ray %s is not an integer pair"
+                                 % (spec, json.dumps(r)))
+        return make_fan([tuple(r) for r in doc["rays"]],
+                        name=doc.get("name", "custom"))
     return builtin_fan(spec)
 
 
@@ -104,8 +112,8 @@ def cmd_trees(args):
 
 
 def cmd_disks(args):
-    from .broken import sample_endpoint
-    from .enumeration import build_forest, enumerate_maslov2_disks, resample
+    from .enumeration import (build_forest, enumerate_maslov2_disks, resample,
+                              sample_endpoint)
     fan = load_fan(args.fan)
     config, forest = resample(args.k, args.seed,
                               lambda c: build_forest(fan, c))
@@ -134,8 +142,7 @@ def cmd_scatter(args):
 
 def cmd_potential(args):
     from .broken import potential as eval_potential
-    from .broken import sample_endpoint
-    from .enumeration import resample
+    from .enumeration import resample, sample_endpoint
     from .scattering import build_diagram, check_consistency
     fan = load_fan(args.fan)
     config, diagram = resample(args.k, args.seed,

@@ -98,6 +98,13 @@ def sample_generic_points(k, seed, attempt=0):
     return PointConfig(pts, seed, attempt, cert)
 
 
+def sample_endpoint(seed, attempt=0):
+    """A generic rational endpoint for broken line and disk counts.  Use a
+    seed disjoint from the point configuration's, otherwise Q duplicates
+    the first marked point."""
+    return sample_generic_points(1, seed, attempt).points[0]
+
+
 def direction_set(fan, deg):
     """Primitive directions of r(m) over all 0 < m <= Delta, closed under
     negation.  A generic configuration has no two points separated by one of

@@ -9,8 +9,7 @@ documents, matching the u1, u2, ... display names.
 
 At load time this module imports only `lattice`; the functions that need
 `enumeration`'s or `scattering`'s helpers import them when called, so
-reading or rendering a document loads no engine module, except for a
-potential document, whose value `load_potential` checks as a ring element.
+reading or rendering a document loads no engine module.
 """
 
 import json
@@ -204,15 +203,6 @@ def element_doc(elem):
     return {"y0": fmt_q(elem.y0), "terms": terms}
 
 
-def parse_element(doc, nrays):
-    from .scattering import RingElement
-    terms = {}
-    for t in doc["terms"]:
-        key = (tuple(t["z"]), frozenset(i - 1 for i in t["u"]))
-        terms[key] = parse_q(t["coeff"])
-    return RingElement(nrays, terms, y0=parse_q(doc["y0"]))
-
-
 def diagram_doc(fan, config, diagram, report):
     rows = [{"point": fmt_point(p), "marked": marked, "identity": ident}
             for p, marked, ident, _ in report.rows]
@@ -270,18 +260,19 @@ def load_potential(doc):
     parse_point(doc["endpoint"])
     if parse_q(doc["value"]["y0"]) != 1:
         raise InvariantError("potential must carry y0 with coefficient 1")
-    # the value must be y0 plus the sum of the line finals
-    nrays = len(doc["value"]["terms"][0]["z"])
+    # the value must be y0 plus the sum of the line finals, term by term
     acc = {}
     for line in doc["lines"]:
         if line["segments"][0]["start"] is not None:
             raise InvariantError("first broken line segment must be "
                                  "unbounded")
         last = line["segments"][-1]
-        key = (tuple(last["z"]), frozenset(i - 1 for i in last["u"]))
+        key = (tuple(last["z"]), frozenset(last["u"]))
         acc[key] = acc.get(key, 0) + parse_q(last["coeff"])
-    want = parse_element(doc["value"], nrays)
-    if {k: v for k, v in acc.items() if v} != want.terms:
+    want = {(tuple(t["z"]), frozenset(t["u"])): parse_q(t["coeff"])
+            for t in doc["value"]["terms"]}
+    if ({k: v for k, v in acc.items() if v}
+            != {k: v for k, v in want.items() if v}):
         raise InvariantError("potential value disagrees with its lines")
     return doc
 

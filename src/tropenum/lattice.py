@@ -9,15 +9,15 @@ the one point type of the package: a rational plane point is an int triple
 (X, Y, W), W > 0, gcd 1, standing for (X/W, Y/W).  `as_hpoint` turns what
 callers pass (a triple or a pair of rationals) into one.
 
-`ray_hits` is the crossing kernel of the Maslov-0 forest, its stem tracer
-and its gluing: it answers "which walls of one direction does this ray
-hit" on an index sorted by `offset_key`, settling the signs of both
-crossing parameters in integers, and the forest builds a point with
-`hshift` only for a hit.  `ray_params` now serves only the scattering
-diagram: `ScatteringDiagram.crossings`, the one wall scan of scattering
-paths and broken lines, and `ScatteringDiagram.germs`.  `ray_intersect`,
-that kernel plus its point, has no caller in the package; it stays for
-the tests and for the benchmark's tracer, which wraps it by name.
+`ray_hits` is the one crossing kernel: it answers "which walls of one
+direction does this ray hit" on an index sorted by `offset_key`, settling
+the signs of both crossing parameters in integers, for the Maslov-0
+forest (stem tracer, gluing) and the scattering diagram (`crossings`,
+`germs`), which build a point with `hshift` only for a hit.  `ray_params`
+(the parameters of one pair of lines) and `ray_intersect` (plus the
+point) have no caller in the engine; they stay as the tests' reference
+for `ray_hits`, and for the benchmark's tracer, which wraps
+`ray_intersect` by name.
 
 Floating point is forbidden here and in every caller.
 
@@ -312,8 +312,8 @@ def ray_params(A, da, B, db):
     Returns (s_num, t_num, den) with den > 0, s = s_num/den and
     t = t_num/den; None when the directions are parallel.  Callers impose
     their own sign conditions on s and t.  The arithmetic is written out
-    rather than built from wedge and hdiff because every tracer runs it
-    once per candidate wall.
+    rather than built from wedge and hdiff, as `ray_hits` writes out the
+    same numerators.
     """
     c = da[0] * db[1] - da[1] * db[0]
     if c == 0:

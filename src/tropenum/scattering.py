@@ -22,23 +22,22 @@ crossings through the current generator images.  Consistency at
 non-marked singular points is checked by composing an exact loop, never
 assumed.
 
-A diagram owns its incidences.  ScatteringDiagram.germs sweeps the wall
-pairs once and maps every singular point (a wall base or a transversal
-crossing) to its wall germs in angular order; sing_points and
-loop_automorphism read that table.  ScatteringDiagram.crossings is the
-one scan of the walls a ray or a segment crosses transversally, with the
-caller's GenericityError messages; path_crossings and the broken-line
-tracer both use it.
+A diagram owns its incidences.  It files its walls by direction in
+offset-sorted indexes and asks `lattice.ray_hits` which walls a ray
+meets.  ScatteringDiagram.germs maps every singular point (a wall base or
+a transversal crossing) to its wall germs in angular order; sing_points
+and loop_automorphism read that table.  ScatteringDiagram.crossings is
+the one scan of the walls a ray or a segment crosses transversally, with
+the caller's GenericityError messages, for paths and broken lines alike.
 """
 
 from fractions import Fraction
-from itertools import combinations
 
 from .enumeration import build_forest, mask_labels
 from .fan import r_vector
 from .lattice import (GenericityError, InvariantError, angle_key, as_hpoint,
-                      dot, hdiff, hfrac, hshift, on_ray, primitive,
-                      ray_params, rot90, wedge)
+                      dot, hdiff, hfrac, hshift, offset_key, on_ray,
+                      primitive, ray_hits, rot90, wedge)
 
 
 def _zerovec(nrays):
@@ -284,9 +283,11 @@ class Wall:
     c is a non-zero rational and I (uset) a non-empty set of point
     labels, so f - 1 is nilpotent and f^e = 1 + e*c*u_I*z^{m0}.  f is
     kept as a RingElement for the documents and the general ring code.
+    `ray_hits` reads kn = wedge(base, dirvec) and the mark mask of I.
     """
 
-    __slots__ = ("fan", "base", "m0", "c", "uset", "f", "dirvec")
+    __slots__ = ("fan", "base", "m0", "c", "uset", "f", "dirvec", "kn",
+                 "marks")
 
     def __init__(self, fan, base, m0, c, uset):
         self.fan = fan
@@ -296,8 +297,10 @@ class Wall:
         if r == (0, 0):
             raise InvariantError("wall exponent has no direction")
         self.dirvec = primitive((-r[0], -r[1]))[0]
+        self.kn = wedge(self.base, self.dirvec)
         self.c = Fraction(c)
         self.uset = frozenset(uset)
+        self.marks = sum(1 << i for i in self.uset)
         if not self.c:
             raise InvariantError("wall coefficient is zero")
         if not self.uset:
@@ -363,13 +366,27 @@ def wall_crossing(wall, crossing_sign):
 
 
 class ScatteringDiagram:
-    """Finite collection of walls plus the marked points they grew from."""
+    """Finite collection of walls plus the marked points they grew from.
+    Walls of one direction o form one `ray_hits` index (keys, walls, o).
+    A wall's indices are its positions in `walls`, found by identity: one
+    Wall may sit in several diagrams."""
 
     def __init__(self, fan, walls, marked_points):
         self.fan = fan
         self.walls = tuple(walls)
         self.marked = tuple(as_hpoint(p) for p in marked_points)
         self._germs = None
+        self._pos = {}          # id(wall) -> its positions in walls
+        by_dir = {}
+        for widx, w in enumerate(self.walls):
+            if id(w) not in self._pos:
+                by_dir.setdefault(w.dirvec, []).append(
+                    (offset_key(w.kn, w.base[2]), widx, w))
+            self._pos.setdefault(id(w), []).append(widx)
+        self._index = {}
+        for o, entries in by_dir.items():
+            keys, _, ws = zip(*sorted(entries))
+            self._index[o] = (keys, ws, o)
 
     def k(self):
         return len(self.marked)
@@ -379,9 +396,9 @@ class ScatteringDiagram:
 
     def germs(self):
         """Singular point (homogeneous triple) -> its wall germs
-        (direction, wall index) sorted by (angle_key, index), built in one
-        sweep over the wall pairs and cached.  A wall base gives its
-        outgoing germ; a wall crossed at parameter x gives its outgoing
+        (direction, wall index) sorted by (angle_key, index), cached.  A
+        wall base gives its outgoing germ; wall a meets each wall b > a its
+        ray hits, and a wall crossed at parameter x gives its outgoing
         germ, and the opposite one when x > 0.  A wall that meets a point
         only collinearly with the other walls there is left out: its two
         germs commute with every germ at the point and cancel."""
@@ -389,17 +406,22 @@ class ScatteringDiagram:
             table = {}
             for widx, w in enumerate(self.walls):
                 table.setdefault(w.base, set()).add((w.dirvec, widx))
-            for (a, wa), (b, wb) in combinations(enumerate(self.walls), 2):
-                p = ray_params(wa.base, wa.dirvec, wb.base, wb.dirvec)
-                if p is None or p[0] < 0 or p[1] < 0:
-                    continue
-                s, t, den = p
-                at = table.setdefault(hshift(wa.base, s, den, wa.dirvec),
-                                      set())
-                for x, widx, d in ((s, a, wa.dirvec), (t, b, wb.dirvec)):
-                    at.add((d, widx))
-                    if x > 0:
-                        at.add(((-d[0], -d[1]), widx))
+            for a, wa in enumerate(self.walls):
+                X, r = wa.base, wa.dirvec
+                for o, index in self._index.items():
+                    c = wedge(r, o)
+                    if not c:
+                        continue
+                    for wb, s, t in ray_hits(index, X, r, c, wa.kn, 0):
+                        for b in self._pos[id(wb)]:
+                            if b <= a:
+                                continue
+                            at = table.setdefault(
+                                hshift(X, s, X[2] * wb.base[2] * c, r), set())
+                            for x, widx, v in ((s, a, r), (t, b, o)):
+                                at.add((v, widx))
+                                if x:
+                                    at.add(((-v[0], -v[1]), widx))
             self._germs = {
                 X: tuple(sorted(gs, key=lambda g: (angle_key(g[0]), g[1])))
                 for X, gs in table.items()}
@@ -418,23 +440,31 @@ class ScatteringDiagram:
         at one s, and for a ray (end None) along a wall; the faulty wall
         of lowest index comes first, a coincident crossing last."""
         at_base, coincident, along = faults
-        hits = []
-        for widx, w in enumerate(self.walls):
-            p = ray_params(X, d, w.base, w.dirvec)
-            if p is None:
-                if end is None:
+        xr = wedge(X, d)
+        hits, bad = [], []
+        for o, index in self._index.items():
+            c = wedge(d, o)
+            if not c and end is not None:
+                continue    # a segment along a wall has a vertex on it
+            for w, s, t in ray_hits(index, X, d, c, xr, 0):
+                if not c:
+                    # on the ray's line: any support overlap at s > 0
                     D = hdiff(w.base, X)
-                    # collinear with the ray: any support overlap at s > 0
-                    if wedge(w.dirvec, D) == 0 and (dot(w.dirvec, D) >= 0
-                                                    or dot(w.dirvec, d) > 0):
-                        raise GenericityError(along)
-                continue
-            s, t, den = p
-            if s <= 0 or t < 0 or (end is not None and s * end >= den):
-                continue
-            if t == 0:
-                raise GenericityError(at_base)
-            hits.append((Fraction(s, den), s, den, widx))
+                    if dot(o, D) >= 0 or dot(o, d) > 0:
+                        bad.append((self._pos[id(w)][0], along))
+                    continue
+                den = X[2] * w.base[2] * c
+                if den < 0:
+                    s, t, den = -s, -t, -den
+                if not s or (end is not None and s * end >= den):
+                    continue
+                if not t:
+                    bad.append((self._pos[id(w)][0], at_base))
+                else:
+                    hits.extend((Fraction(s, den), s, den, widx)
+                                for widx in self._pos[id(w)])
+        if bad:
+            raise GenericityError(min(bad)[1])
         hits.sort(key=lambda h: (h[0], h[3]))
         for a, b in zip(hits, hits[1:]):
             if a[0] == b[0] and wedge(self.walls[a[3]].dirvec,

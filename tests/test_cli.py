@@ -189,6 +189,21 @@ def test_render_rejects_malformed_document(tmp_path):
         assert not (tmp_path / "bad.svg").exists()
 
 
+def test_render_checks_potential_value_against_its_lines(tmp_path):
+    doc = tmp_path / "pot.json"
+    assert run_cli("potential", "--k", "1", "--seed", "3",
+                   "--out", str(doc)).returncode == 0
+    pot = json.loads(doc.read_text())
+    pot["value"]["terms"] = []
+    doc.write_text(json.dumps(pot))
+    p = run_cli("render", str(doc), str(tmp_path / "pot.svg"))
+    err = p.stderr.decode()
+    assert p.returncode == 1
+    assert "potential value disagrees with its lines" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "pot.svg").exists()
+
+
 def test_render_rejects_document_missing_a_rendered_field(tmp_path):
     # the diagram loader accepts this wall, but the renderer reads its "dir"
     bad = tmp_path / "bad.json"
@@ -248,3 +263,17 @@ def test_custom_fan_file(tmp_path):
                          "--degree", "1", "--seed", "2"))
     assert doc["n_trop"] == 1
     assert doc["fan"] == "p2copy"
+
+
+def test_malformed_fan_file_exits_one(tmp_path):
+    fan = tmp_path / "fan.json"
+    for doc, why in (({"name": "x"}, "needs an object with a \"rays\" list"),
+                     ([1, 2], "needs an object with a \"rays\" list"),
+                     ({"rays": [[1, 0], "ab", [0, -1]]},
+                      "ray \"ab\" is not an integer pair")):
+        fan.write_text(json.dumps(doc))
+        p = run_cli("count", "--fan", str(fan), "--degree", "1")
+        err = p.stderr.decode()
+        assert p.returncode == 1, doc
+        assert "Traceback" not in err, doc
+        assert err == "error: fan file %s: %s\n" % (fan, why), doc

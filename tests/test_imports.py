@@ -58,6 +58,7 @@ def loaded(python_args):
 
 def test_each_command_loads_only_its_modules(tmp_path):
     doc, svg = str(tmp_path / "dec.json"), str(tmp_path / "dec.svg")
+    pot = str(tmp_path / "pot.json")
     out = ["--out", str(tmp_path / "out.json")]
     runs = [
         (["-c", "import tropenum"], set()),
@@ -66,15 +67,17 @@ def test_each_command_loads_only_its_modules(tmp_path):
         (["-m", "tropenum", "count", "--degree", "1"] + out, COUNT),
         (["-m", "tropenum", "welschinger", "--degree", "1"] + out, COUNT),
         (["-m", "tropenum", "trees", "--k", "2"] + out, COUNT),
-        (["-m", "tropenum", "disks", "--k", "2"] + out, POTENTIAL),
+        (["-m", "tropenum", "disks", "--k", "2"] + out, COUNT),
         (["-m", "tropenum", "scatter", "--k", "2"] + out,
          COUNT | {"scattering"}),
-        (["-m", "tropenum", "potential", "--k", "2"] + out, POTENTIAL),
+        (["-m", "tropenum", "potential", "--k", "2", "--out", pot],
+         POTENTIAL),
         (["-m", "tropenum", "phi-check", "--degree", "1"] + out,
          COUNT | {"correspondence"}),
         (["-m", "tropenum", "degenerate", "--degree", "1", "--out", doc],
          COUNT | {"correspondence", "arrangement"}),
         (["-m", "tropenum", "render", doc, svg], BASE | {"svgout"}),
+        (["-m", "tropenum", "render", pot, svg], BASE | {"svgout"}),
     ]
     for args, want in runs:
         assert loaded(args) == want, args

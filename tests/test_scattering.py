@@ -1,9 +1,12 @@
+import collections
+import json
 import random
 
 from fractions import Fraction
 
 import pytest
 
+from tropenum import cli, lattice, scattering
 from tropenum.enumeration import sample_generic_points
 from tropenum.fan import builtin_fan, make_degree
 from tropenum.lattice import hfrac, wedge
@@ -305,3 +308,40 @@ def test_consistency_report_shape():
     for point, marked, is_id, aut in rep.rows:
         assert isinstance(marked, bool)
         assert aut.is_identity() == is_id
+
+
+def test_potential_wall_scans_stay_on_the_kernel(monkeypatch, capsys):
+    """Crossing-kernel work of one `potential --k 4` on P2, seed 1.
+
+    The diagram files its walls by direction in offset-sorted indexes and
+    asks lattice.ray_hits which walls a broken-line leg, a path or a wall
+    meets, so neither `crossings` nor `germs` calls ray_params.  On seed 1
+    that is 4,122 ray_hits calls returning 1,594 walls; the scans of every
+    wall, and of every wall pair, that they replaced made 13,365 ray_params
+    calls.  Every lattice binding in scattering is counted, and
+    lattice.ray_params itself, so a return to ray_params or ray_intersect
+    shows here.
+    """
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            out = fn(*args)
+            calls[name] += 1
+            if name == "ray_hits":
+                calls["walls"] += len(out)
+            return out
+        return wrapper
+
+    for name, fn in vars(lattice).items():
+        if callable(fn) and not isinstance(fn, type):
+            if getattr(scattering, name, None) is fn:
+                monkeypatch.setattr(scattering, name, counted(name, fn))
+    monkeypatch.setattr(lattice, "ray_params",
+                        counted("ray_params", lattice.ray_params))
+    assert cli.main(["potential", "--k", "4", "--seed", "1"]) == cli.EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["walls"]) == 66
+    assert calls["ray_params"] == 0
+    assert calls["ray_hits"] == 4122
+    assert calls["walls"] == 1594
