@@ -217,9 +217,8 @@ def verify_disk_correspondence(fan, config, Q):
     got = sorted(bl.key() for bl in lines)
     want = []
     for rec in enumerate_maslov2_disks(fan, config, Q):
-        mult, marks, deg = rec.mono()
-        c = Fraction(mult)
-        want.append((deg, tuple(mask_labels(marks)),
+        c = Fraction(rec.mult)
+        want.append((rec.deg, tuple(mask_labels(rec.marks)),
                      (c.numerator, c.denominator)))
     want.sort()
     return got == want

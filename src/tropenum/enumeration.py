@@ -18,17 +18,21 @@ A rational curve through P_1..P_k is cut at the last point into two disks
 with complementary mark sets and complementary degrees; the two stems arrive
 at the pivot from opposite directions with equal weight automatically, so
 every valid pair assembles to a solution and the enumeration is a pairing of
-pivot disks.  Throughout, any coincidence that only happens on a measure-zero
-set of configurations raises GenericityError and the caller resamples.
+pivot disks.  Any coincidence that only happens on a measure-zero set of
+configurations raises GenericityError and the caller resamples.  A count
+traces only the trees and disks that can pair, so a fault in work it skips
+no longer rejects a configuration (see Forest).
 """
 
 import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import combinations, product
 
 from .fan import degree_total, make_degree, r_vector
 from .lattice import (as_hpoint, hdiff, hpoint, hshift, offset_key, on_line,
-                      on_ray, on_segment, primitive, ray_hits, wedge)
+                      on_ray, on_segment, primitive, ray_hits, ray_meets,
+                      wedge)
 from .tropcurve import (GenericityError, InvariantError, ParamTropCurve,
                         TropicalDisk, TropicalTree, canonical_type,
                         geometric_signature, mikhalkin_multiplicity,
@@ -76,18 +80,14 @@ def sample_generic_points(k, seed, attempt=0):
     rng = random.Random(seed * 0x9E3779B97F4A7C15 + attempt)
     lo, hi = BBOX
     denoms = rng.sample(_PRIMES, 2 * k) if k else []
-    pts = []
-    for i in range(k):
-        px, py = denoms[2 * i], denoms[2 * i + 1]
+
+    def coord(p):
         while True:
-            nx = rng.randint(lo * px + 1, hi * px - 1)
-            if nx % px:
-                break
-        while True:
-            ny = rng.randint(lo * py + 1, hi * py - 1)
-            if ny % py:
-                break
-        pts.append(hpoint(Fraction(nx, px), Fraction(ny, py)))
+            n = rng.randint(lo * p + 1, hi * p - 1)
+            if n % p:
+                return Fraction(n, p)
+    pts = [hpoint(coord(denoms[2 * i]), coord(denoms[2 * i + 1]))
+           for i in range(k)]
     cert = {
         "seed": seed,
         "attempt": attempt,
@@ -105,34 +105,20 @@ def sample_endpoint(seed, attempt=0):
     return sample_generic_points(1, seed, attempt).points[0]
 
 
-def direction_set(fan, deg):
-    """Primitive directions of r(m) over all 0 < m <= Delta, closed under
-    negation.  A generic configuration has no two points separated by one of
-    these directions."""
-    dirs = set()
-    for m in _boxed_exponents(deg):
-        if sum(m) == 0:
-            continue
-        r = r_vector(fan, m)
-        if r == (0, 0):
-            continue
-        p, _ = primitive(r)
-        dirs.add(p)
-        dirs.add((-p[0], -p[1]))
-    return dirs
-
-
 def precheck_config(fan, deg, config):
-    """Reject configurations whose pairwise directions could support a
-    non-generic incidence for degrees up to Delta."""
-    dirs = direction_set(fan, deg)
-    pts = config.points
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = hdiff(pts[i], pts[j])
-            if primitive(d)[0] in dirs:
-                raise GenericityError(
-                    "points %d, %d aligned with a curve direction" % (i, j))
+    """Reject configurations with two points separated by the primitive
+    direction of some r(m), 0 < m <= Delta, or its negative: such a pair
+    could support a non-generic incidence."""
+    dirs = set()
+    for m in _boxed_exponents(deg)[1:]:
+        r = r_vector(fan, m)
+        if r != (0, 0):
+            p = primitive(r)[0]
+            dirs |= {p, (-p[0], -p[1])}
+    for (i, a), (j, b) in combinations(enumerate(config.points), 2):
+        if primitive(hdiff(a, b))[0] in dirs:
+            raise GenericityError(
+                "points %d, %d aligned with a curve direction" % (i, j))
     return True
 
 
@@ -142,10 +128,8 @@ def mask_labels(mask):
 
 
 def _boxed_exponents(cap):
-    out = [()]
-    for c in cap:
-        out = [m + (x,) for m in out for x in range(c + 1)]
-    return out
+    """All m <= cap, in lexicographic order."""
+    return list(product(*(range(c + 1) for c in cap)))
 
 
 class Tree:
@@ -174,13 +158,6 @@ class Tree:
         self.key = key
         self.serial = None
 
-    def nmarks(self):
-        return bin(self.marks).count("1")
-
-    def __repr__(self):
-        return "Tree(%s, deg=%r, w=%d, mult=%d)" % (self.kind, self.deg,
-                                                    self.w, self.mult)
-
 
 class Disk:
     """Maslov-2 disk record.  bends runs from the initial ray toward the
@@ -198,17 +175,6 @@ class Disk:
         self.u = u
         self.mult = mult
         self.key = key
-
-    def nmarks(self):
-        return bin(self.marks).count("1")
-
-    def mono(self):
-        """(multiplicity, mark mask, degree): the disk's monomial datum."""
-        return (self.mult, self.marks, self.deg)
-
-    def __repr__(self):
-        return ("Disk(marks=%s, deg=%r, bends=%d, mult=%d)"
-                % (bin(self.marks), self.deg, len(self.bends), self.mult))
 
 
 class Forest:
@@ -230,14 +196,19 @@ class Forest:
     their order, so an over-cap pair still raises "tree ray through another
     tree's root".  Trees, disks and documents come out in the order and
     with the bytes of a linear scan.
+
+    Built with a pivot, the last level skips the pass disks whose trees no
+    pivot disk can meet (_feeds_pivot).  That work is a subset of the full
+    forest's, so a configuration faults only where the full forest does,
+    and may pass where the fault lay only in skipped work.
     """
 
     def __init__(self, fan, config, allowed_mask=None, degree_cap=None):
         self.fan = fan
         self.config = config
         self.rays = fan.rays
-        k = len(config)
-        self.allowed = ((1 << k) - 1) if allowed_mask is None else allowed_mask
+        self.allowed = ((1 << len(config)) - 1 if allowed_mask is None
+                        else allowed_mask)
         self.cap = tuple(degree_cap) if degree_cap is not None else None
         self.trees = []
         self.levels = {}
@@ -254,18 +225,18 @@ class Forest:
 
     # -- Maslov-0 trees ----------------------------------------------------
 
-    def build(self, max_level):
+    def build(self, max_level, pivot=None):
+        """Trees of levels 1..max_level.  With `pivot`, the point of the
+        pivot disks of enumerate_rational_curves, max_level is the number of
+        allowed marks and the cap is Delta."""
         if self.levels:
             raise InvariantError("forest already built")
         self.levels[1] = []
-        for i in range(len(self.config)):
-            if not (self.allowed >> i) & 1:
-                continue
+        for i in mask_labels(self.allowed):
             for ridx, ray in enumerate(self.rays):
                 if self.cap is not None and self.cap[ridx] < 1:
                     continue
-                deg = tuple(1 if j == ridx else 0
-                            for j in range(len(self.rays)))
+                deg = tuple(int(j == ridx) for j in range(len(self.rays)))
                 t = Tree(1 << i, deg, self.config.points[i],
                          (-ray[0], -ray[1]), 1, 1, "leaf", (i, ridx),
                          ("l", i, ridx))
@@ -275,14 +246,15 @@ class Forest:
             for n1 in range(1, n // 2 + 1):
                 for ta in self.levels[n1]:
                     self._join(ta, n - n1, n)
-            for i in range(len(self.config)):
-                if not (self.allowed >> i) & 1:
-                    continue
-                sub = self.allowed & ~(1 << i)
-                for disk in self.disks(self.config.points[i], sub, total=n):
-                    t = Tree(disk.marks | (1 << i), disk.deg,
-                             self.config.points[i], disk.u, disk.w, disk.mult,
-                             "pass", (i, disk), ("p", i, disk.key))
+            degs = self.degrees(n, n)
+            for i in mask_labels(self.allowed):
+                p, sub = self.config.points[i], self.allowed & ~(1 << i)
+                feeds = [m for m in degs if pivot is None or n < max_level
+                         or self._feeds_pivot(pivot, p, m)]
+                for disk in self.disks(p, sub, feeds):
+                    t = Tree(disk.marks | (1 << i), disk.deg, p, disk.u,
+                             disk.w, disk.mult, "pass", (i, disk),
+                             ("p", i, disk.key))
                     self._add(t, n)
         self._check_walls_off_points()
         return self.trees
@@ -366,25 +338,31 @@ class Forest:
 
     # -- Maslov-2 disks ----------------------------------------------------
 
-    def disks(self, boundary, allowed_mask, total=None):
-        """All disks with the given boundary; marks drawn from allowed_mask.
+    def _feeds_pivot(self, P, B, D):
+        """Can the tree of a last-level pass disk of degree D at B bend a
+        pivot disk at P?  It holds every allowed mark, so only as the single
+        bend of a disk of degree Delta - e_l, left with e_j, whose stem
+        P + s*r(Delta - e_l) = P - s*ray_l (r(Delta) = 0) meets the wall
+        B - t*r(D)."""
+        rx, ry = self._rvec(D)
+        return any(c > x and ray_meets(P, (-a, -b), B, (-rx, -ry))
+                   for c, x, (a, b) in zip(self.cap, D, self.rays))
 
-        `total` restricts to |deg| == total (hence exactly total - 1 marks).
-        Without it the bound is derived: each bend subtracts the degree of a
+    def degrees(self, lo, top):
+        """The monomials m <= cap (in the box of top when uncapped) with
+        lo <= |m| <= top and r(m) != 0, in lexicographic order."""
+        box = self.cap or (top,) * len(self.rays)
+        return [m for m in _boxed_exponents(box)
+                if lo <= sum(m) <= top and self._rvec(m) != (0, 0)]
+
+    def disks(self, boundary, allowed_mask, degrees):
+        """All disks with the given boundary, of the given degrees in turn;
+        marks drawn from allowed_mask.  Each bend subtracts the degree of a
         tree, whose |deg| is its number of marks, and the trees along one
-        stem have disjoint marks, so every disk has |deg| == marks + 1 <=
-        popcount(allowed_mask) + 1.  The candidates m <= cap (or the box of
-        that bound when uncapped) with |m| in range are traced in
-        lexicographic order.
+        stem have disjoint marks, so a disk of degree m has |m| - 1 marks.
         """
-        if total is None:
-            lo, top = 1, bin(allowed_mask).count("1") + 1
-        else:
-            lo = top = total
         out = []
-        for m in _boxed_exponents(self.cap or (top,) * len(self.rays)):
-            if not lo <= sum(m) <= top or self._rvec(m) == (0, 0):
-                continue
+        for m in degrees:
             self._trace(boundary, boundary, m, allowed_mask, [], out)
         return out
 
@@ -440,11 +418,9 @@ class Forest:
         for _, V, t, _ in hits:
             by_point.setdefault(V, []).append(t)
         for ts in by_point.values():
-            for a in range(len(ts)):
-                for b in range(a + 1, len(ts)):
-                    if wedge(ts[a].out, ts[b].out) != 0:
-                        raise GenericityError("two transversal walls cross "
-                                              "the stem at one point")
+            if any(wedge(a.out, b.out) for a, b in combinations(ts, 2)):
+                raise GenericityError("two transversal walls cross the stem "
+                                      "at one point")
         for _, V, t, left in hits:
             steps.append((V, t, m))
             self._trace(X0, V, left, rmask & ~t.marks, steps, out)
@@ -597,7 +573,8 @@ def enumerate_maslov2_disks(fan, config, Q, forest=None):
     for p in config.points:
         if p == qpt:
             raise GenericityError("base point coincides with a marked point")
-    return forest.disks(qpt, forest.allowed)
+    return forest.disks(qpt, forest.allowed, forest.degrees(
+        1, bin(forest.allowed).count("1") + 1))
 
 
 class CountReport:
@@ -623,8 +600,8 @@ class CountReport:
 
 def enumerate_rational_curves(fan, deg, config):
     """CountReport for rational curves of degree `deg` through the |Delta|-1
-    points of `config`.  Raises GenericityError when the configuration hits a
-    coincidence; the counting wrappers resample on that."""
+    points of `config`.  Raises GenericityError when the trees and disks
+    that can pair hit a coincidence; the counting wrappers resample."""
     deg = make_degree(fan, deg)
     k = len(config)
     if k != degree_total(deg) - 1:
@@ -637,13 +614,24 @@ def enumerate_rational_curves(fan, deg, config):
     others = (1 << pivot) - 1
     pivot_point = config.points[pivot]
     forest = Forest(fan, config, allowed_mask=others, degree_cap=deg)
-    forest.build(max(1, k - 1))
-    pivot_disks = forest.disks(pivot_point, others)
+    forest.build(max(1, k - 1), pivot=pivot_point)
+    # a pivot pair splits the k - 1 other marks, and a disk of degree m has
+    # |m| - 1 marks: trace the disks with at most half of them, then for
+    # each group (mask1, m1) whose complement has more, the complement
+    # degree over the complement marks, so that each of its disks pairs
+    half = (k - 1) // 2
+    pivot_disks = forest.disks(pivot_point, others,
+                               forest.degrees(1, half + 1))
+    for mask1, m1 in sorted({(d.marks, d.deg) for d in pivot_disks}):
+        if k - sum(m1) > half:
+            pivot_disks += forest.disks(pivot_point, others & ~mask1, [
+                tuple(a - b for a, b in zip(deg, m1))])
     pivot_disks.sort(key=lambda d: d.key)
     groups = {}
     for d in pivot_disks:
         groups.setdefault((d.marks, d.deg), []).append(d)
     curves = []
+    points = dict(enumerate(config.points))
     for (mask1, m1), bunch in sorted(groups.items()):
         mask2 = others & ~mask1
         m2 = tuple(a - b for a, b in zip(deg, m1))
@@ -655,7 +643,6 @@ def enumerate_rational_curves(fan, deg, config):
         for d1 in bunch:
             for d2 in groups.get(key2, ()):
                 curve = _assemble_pair(d1, d2, pivot, pivot_point, fan)
-                points = {i: p for i, p in enumerate(config.points)}
                 validate_curve(curve, fan, points=points)
                 curves.append(curve)
     sigs = [geometric_signature(c) for c in curves]

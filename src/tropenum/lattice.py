@@ -13,7 +13,8 @@ callers pass (a triple or a pair of rationals) into one.
 direction does this ray hit" on an index sorted by `offset_key`, settling
 the signs of both crossing parameters in integers, for the Maslov-0
 forest (stem tracer, gluing) and the scattering diagram (`crossings`,
-`germs`), which build a point with `hshift` only for a hit.  `ray_params`
+`germs`), which build a point with `hshift` only for a hit; `ray_meets`
+settles the same signs for one wall.  `ray_params`
 (the parameters of one pair of lines) and `ray_intersect` (plus the
 point) have no caller in the engine; they stay as the tests' reference
 for `ray_hits`, and for the benchmark's tracer, which wraps
@@ -384,6 +385,15 @@ def ray_hits(index, X, r, c, xr, skip):
         if e * c >= 0:
             out.append((t, d, e))
     return out
+
+
+def ray_meets(X, r, B, o):
+    """Would ray_hits return the wall B + t*o (t >= 0) for the ray X + s*r:
+    does the ray meet it at or beyond its root, or run along its line?"""
+    c = wedge(r, o)
+    d = wedge(B, o) * X[2] - wedge(X, o) * B[2]
+    e = wedge(B, r) * X[2] - wedge(X, r) * B[2]
+    return d * c >= 0 and (c or not d) and e * c >= 0
 
 
 def on_line(P, A, d):

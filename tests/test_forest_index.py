@@ -7,12 +7,16 @@ forest did before the degree index.  Its gluing, its disk check and its
 wall check against the marked points are the plain versions: the crossing
 point built by ray_intersect before the sign, root and cap tests, and
 on_segment and on_ray tried on every point, with no integer test in front.
-Its candidate degrees are written out apart from Forest.disks: uncapped,
-lo <= |m| <= top in the box (top,) * nrays, since a disk has |deg| equal
-to its marks plus one; capped, the explicit pivot degree list of
-enumerate_rational_curves.  Both forests run on the same configurations;
-per attempt they must build the same trees, trace the same disks, and
-raise the same GenericityError at the same place.
+Its candidate degrees are written out apart from Forest.degrees: every m
+in the box (top,) * nrays, or in the cap's box, with lo <= |m| <= top and
+r(m) != 0.  Its filter of the last pivot level is the plain version too:
+the crossing of a pivot ray with a wall by ray_intersect, not the integer
+signs of ray_meets.  Pivot cases trace the pivot disks as
+enumerate_rational_curves does: the disks with at most half of the other
+marks, then for each group found its complement degree over the
+complement marks.  Both forests run on the same configurations; per
+attempt they must build the same trees, trace the same disks, and raise
+the same GenericityError at the same place.
 """
 
 import random
@@ -37,7 +41,7 @@ class ScanForest(Forest):
     """Forest with plain gluing, the linear-scan tracer and no index or
     caches."""
 
-    def build(self, max_level):
+    def build(self, max_level, pivot=None):
         self.levels[1] = []
         for i in range(len(self.config)):
             if not (self.allowed >> i) & 1:
@@ -68,7 +72,10 @@ class ScanForest(Forest):
                 if not (self.allowed >> i) & 1:
                     continue
                 sub = self.allowed & ~(1 << i)
-                for disk in self.disks(self.config.points[i], sub, total=n):
+                degs = [m for m in self.degrees(n, n)
+                        if pivot is None or n < max_level
+                        or self._meets_pivot_ray(pivot, i, m)]
+                for disk in self.disks(self.config.points[i], sub, degs):
                     t = Tree(disk.marks | (1 << i), disk.deg,
                              self.config.points[i], disk.u, disk.w, disk.mult,
                              "pass", (i, disk), ("p", i, disk.key))
@@ -117,27 +124,31 @@ class ScanForest(Forest):
                     raise GenericityError(
                         "tree wall passes through point %d" % j)
 
-    def disks(self, boundary, allowed_mask, total=None):
-        if self.cap is None:
-            # a disk has |deg| == marks + 1, with its marks drawn from
-            # allowed_mask: 1 <= |m| <= popcount + 1, or |m| == total
-            top = (total if total is not None
-                   else bin(allowed_mask).count("1") + 1)
-            lo = 1 if total is None else total
-            mfins = [m for m in _boxed_exponents((top,) * len(self.rays))
-                     if lo <= sum(m) <= top]
-        elif total is not None:
-            mfins = [m for m in _boxed_exponents(self.cap) if sum(m) == total]
-        else:
-            # only the pivot disks of a capped forest come without a total:
-            # 0 < |m| < |Delta|, the cap being Delta
-            mfins = [m for m in _boxed_exponents(self.cap)
-                     if 0 < sum(m) < sum(self.cap)]
-        out = []
-        for m in sorted(mfins):
-            if r_vector(self.fan, m) != (0, 0):
-                self._trace(boundary, boundary, m, allowed_mask, [], out)
-        return out
+    def degrees(self, lo, top):
+        box = self.cap if self.cap is not None else (top,) * len(self.rays)
+        return sorted(m for m in _boxed_exponents(box)
+                      if lo <= sum(m) <= top
+                      and r_vector(self.fan, m) != (0, 0))
+
+    def _meets_pivot_ray(self, P, i, D):
+        """Does the stem of some pivot disk of degree cap - e_l, l with
+        D_l < cap_l, meet or run along the wall of point i's pass disks of
+        degree D, the ray p_i + t * -r(D)?"""
+        B = self.config.points[i]
+        rd = r_vector(self.fan, D)
+        wall = (-rd[0], -rd[1])
+        for l in range(len(self.rays)):
+            if D[l] >= self.cap[l]:
+                continue
+            m = tuple(c - (j == l) for j, c in enumerate(self.cap))
+            r = r_vector(self.fan, m)
+            hit = ray_intersect(P, r, B, wall)
+            if hit is None:
+                if wedge(r, hdiff(P, B)) == 0:
+                    return True
+            elif hit[0] >= 0 and hit[1] >= 0:
+                return True
+        return False
 
     def _trace(self, X0, X, m, rmask, steps, out):
         if sum(m) == 1:
@@ -213,15 +224,33 @@ class ScanForest(Forest):
         out.append(Disk(marks, m_fin, X0, ridx, bends, w, u, mult, key))
 
 
+def _pivot_disks(forest, P, others):
+    """The pivot disks of enumerate_rational_curves, in tracing order."""
+    k = sum(forest.cap) - 1
+    half = (k - 1) // 2
+    disks = forest.disks(P, others, forest.degrees(1, half + 1))
+    for mask1, m1 in sorted({(d.marks, d.deg) for d in disks}):
+        if k - sum(m1) > half:
+            m2 = tuple(a - b for a, b in zip(forest.cap, m1))
+            disks += forest.disks(P, others & ~mask1, [m2])
+    return disks
+
+
 def _run(cls, fan, config, allowed, cap, level, boundary, mask):
-    """Build the forest, then trace the disks at `boundary`.  Returns the
-    tree keys, the disk keys and the GenericityError raised, if any."""
+    """Build the forest, then trace the disks at `boundary`: the pivot
+    disks when capped, else every degree.  Returns the tree keys, the disk
+    keys and the GenericityError raised, if any."""
     forest = cls(fan, config, allowed_mask=allowed, degree_cap=cap)
     disks = []
     error = None
     try:
-        forest.build(level)
-        disks = forest.disks(boundary, mask)
+        if cap is None:
+            forest.build(level)
+            top = bin(mask).count("1") + 1
+            disks = forest.disks(boundary, mask, forest.degrees(1, top))
+        else:
+            forest.build(level, pivot=boundary)
+            disks = _pivot_disks(forest, boundary, mask)
     except GenericityError as e:
         error = str(e)
     return [t.key for t in forest.trees], [d.key for d in disks], error
@@ -351,7 +380,7 @@ def test_new_degree_drops_cached_candidates():
     for cls in (Forest, ScanForest):
         forest = cls(P2, cfg)
         forest.build(1)
-        before = forest.disks(Q, forest.allowed, total=3)
+        before = forest.disks(Q, forest.allowed, forest.degrees(3, 3))
         forest.levels[2] = []
         for ta in forest.levels[1]:
             for tb in forest.levels[1]:
@@ -359,7 +388,7 @@ def test_new_degree_drops_cached_candidates():
                     t = ScanForest._glue(forest, ta, tb)
                     if t is not None:
                         forest._add(t, 2)
-        after = forest.disks(Q, forest.allowed, total=3)
+        after = forest.disks(Q, forest.allowed, forest.degrees(3, 3))
         runs.append(([d.key for d in before], [d.key for d in after]))
     assert runs[0] == runs[1]
     assert len(runs[0][1]) > len(runs[0][0])
