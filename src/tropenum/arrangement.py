@@ -7,6 +7,17 @@ atomic edges between consecutive vertices, and the 2-cells are traced
 from the cyclic germ structure.  All coordinates stay exact; no epsilon
 appears anywhere, so the complex is reproducible bit for bit.
 
+Everything is computed in integers.  A line is keyed (a, b, C, W): (a, b)
+is its primitive normal made lexicographically positive, and
+a*x + b*y = C/W on it, with W > 0 and gcd(C, W) = 1.  A position along a
+line is the value of the functional (b, -a), kept as an integer pair
+(num, den) with den > 0.  Two positions compare by cross-multiplication,
+and a list of them sorts on the exact integer keys of
+`lattice.exact_shift`.  Piece ends, crossings and required points are
+normalized homogeneous triples, and each crossing of two lines is solved
+once, so a vertex is found by its triple.  Lines come in the order of
+(a, b, C/W), and the vertices of a line in the order of their positions.
+
 The tracer insists on convex cells.  Inputs whose piece endpoints all
 carry positively spanning germ sets (balanced tropical vertices, bases
 of complete fan translates) satisfy this automatically; anything else,
@@ -14,10 +25,10 @@ a dangling edge or a T-junction say, raises InvariantError rather than
 emit a cell that is not a polyhedron.
 """
 
-from fractions import Fraction
+from math import gcd, lcm
 
-from .lattice import (InvariantError, angle_key, hdiff, hfrac, hnorm, hpoint,
-                      primitive, rot90, wedge)
+from .lattice import (InvariantError, angle_key, dot, exact_shift, hdiff,
+                      hnorm, primitive, rot90, wedge)
 
 
 class PlanarComplex:
@@ -45,16 +56,16 @@ class PlanarComplex:
 
 
 def line_key(P, d):
-    """Canonical key (a, b, c) of the line through P with direction d.
-
-    (a, b) is the primitive normal made lexicographically positive and
-    c = a*x + b*y (a Fraction) for any point (x, y) of the line.
-    """
+    """Canonical key (a, b, C, W) of the line through the normalized
+    triple P with direction d: (a, b) the primitive normal made
+    lexicographically positive, a*x + b*y = C/W on the line, W > 0 and
+    gcd(C, W) = 1."""
     n, _ = primitive(rot90(d))
     if n[0] < 0 or (n[0] == 0 and n[1] < 0):
         n = (-n[0], -n[1])
-    x, y = hfrac(P)
-    return (n[0], n[1], n[0] * x + n[1] * y)
+    C = n[0] * P[0] + n[1] * P[1]
+    g = gcd(C, P[2])
+    return (n[0], n[1], C // g, P[2] // g)
 
 
 def line_dir(key):
@@ -63,43 +74,26 @@ def line_dir(key):
 
 
 def line_coord(key, P):
-    """Coordinate of P along the line, the value of the functional
-    (b, -a); monotone in the canonical direction but not unit speed."""
-    x, y = hfrac(P)
-    return key[1] * x - key[0] * y
+    """Position of the normalized triple P along the line: the value
+    (num, den) of the functional (b, -a), den > 0; monotone in the
+    canonical direction but not unit speed."""
+    return (key[1] * P[0] - key[0] * P[1], P[2])
 
 
 def on_line(key, P):
     """Does the homogeneous point P lie on the line with this key?"""
-    a, b, c = key
-    return a * P[0] + b * P[1] == c * P[2]
+    a, b, C, W = key
+    return (a * P[0] + b * P[1]) * W == C * P[2]
 
 
-def point_at(key, t):
-    """The point of the line at parameter t, as a homogeneous triple."""
-    a, b, c = key
-    s = a * a + b * b
-    return hpoint((a * c + t * b) / s, (b * c - t * a) / s)
-
-
-def _covered(intervals, t):
-    for lo, hi, _ in intervals:
-        if (lo is None or lo <= t) and (hi is None or t <= hi):
+def _covered(spans, num, den):
+    """Does one of the position spans (lo, hi), None for an infinite end,
+    contain the position num/den (den > 0)?"""
+    for lo, hi in spans:
+        if ((lo is None or lo[0] * den <= num * lo[1])
+                and (hi is None or num * hi[1] <= hi[0] * den)):
             return True
     return False
-
-
-def _span_tags(intervals, lo_q, hi_q):
-    """Union of tags of intervals containing [lo_q, hi_q]; None endpoints
-    of the query stand for minus/plus infinity."""
-    tags = set()
-    for lo, hi, tag in intervals:
-        if lo is not None and (lo_q is None or lo > lo_q):
-            continue
-        if hi is not None and (hi_q is None or hi < hi_q):
-            continue
-        tags.update(tag)
-    return tags
 
 
 class Overlay:
@@ -108,11 +102,13 @@ class Overlay:
     atomic edge (unioned where sources overlap)."""
 
     def __init__(self):
+        # line key -> pieces (lo, hi, tags), ends as triples ordered along
+        # the canonical direction, None for an infinite end
         self._lines = {}
         self._points = []
 
-    def _intervals(self, key):
-        return self._lines.setdefault(key, [])
+    def _add(self, key, lo, hi, tag):
+        self._lines.setdefault(key, []).append((lo, hi, frozenset([tag])))
 
     def add_segment(self, A, B, tag):
         A = hnorm(*A)
@@ -120,92 +116,97 @@ class Overlay:
         d = hdiff(A, B)
         if d == (0, 0):
             raise ValueError("zero-length segment")
-        dp, _ = primitive(d)
-        key = line_key(A, dp)
-        ta = line_coord(key, A)
-        tb = line_coord(key, B)
-        if ta > tb:
-            ta, tb = tb, ta
-        self._intervals(key).append((ta, tb, frozenset([tag])))
+        key = line_key(A, d)
+        if dot(d, line_dir(key)) < 0:
+            A, B = B, A
+        self._add(key, A, B, tag)
 
     def add_ray(self, A, d, tag):
         A = hnorm(*A)
         dp, _ = primitive(d)
         key = line_key(A, dp)
-        t = line_coord(key, A)
         if dp == line_dir(key):
-            self._intervals(key).append((t, None, frozenset([tag])))
+            self._add(key, A, None, tag)
         else:
-            self._intervals(key).append((None, t, frozenset([tag])))
+            self._add(key, None, A, tag)
 
     def add_point(self, P):
         self._points.append(hnorm(*P))
 
     def build(self):
-        keys = sorted(self._lines.keys())
-        events = {k: set() for k in keys}
+        K = exact_shift(k[3] for k in self._lines)
+        keys = sorted(self._lines,
+                      key=lambda k: (k[0], k[1], (k[2] << K) // k[3]))
+        events = {}
+        spans = {}
         for k in keys:
-            for lo, hi, _ in self._lines[k]:
-                if lo is not None:
-                    events[k].add(lo)
-                if hi is not None:
-                    events[k].add(hi)
-        # crossings between material of distinct lines
-        for i in range(len(keys)):
-            a1, b1, c1 = keys[i]
-            iv1 = self._lines[keys[i]]
-            for j in range(i + 1, len(keys)):
-                a2, b2, c2 = keys[j]
+            pieces = self._lines[k]
+            events[k] = {P for lo, hi, _ in pieces for P in (lo, hi)
+                         if P is not None}
+            spans[k] = [tuple(None if P is None else line_coord(k, P)
+                              for P in (lo, hi)) for lo, hi, _ in pieces]
+        # crossings between material of distinct lines: the point
+        # (X/D, Y/D) solves a1*x + b1*y = c1/w1 and a2*x + b2*y = c2/w2
+        for i, k1 in enumerate(keys):
+            a1, b1, c1, w1 = k1
+            s1 = spans[k1]
+            for k2 in keys[i + 1:]:
+                a2, b2, c2, w2 = k2
                 den = a1 * b2 - a2 * b1
                 if den == 0:
                     continue
-                x = (c1 * b2 - c2 * b1) / den
-                y = (a1 * c2 - a2 * c1) / den
-                t1 = b1 * x - a1 * y
-                t2 = b2 * x - a2 * y
-                if _covered(iv1, t1) and _covered(self._lines[keys[j]], t2):
-                    events[keys[i]].add(t1)
-                    events[keys[j]].add(t2)
+                X = c1 * w2 * b2 - c2 * w1 * b1
+                Y = a1 * c2 * w1 - a2 * c1 * w2
+                D = w1 * w2 * den
+                if D < 0:
+                    X, Y, D = -X, -Y, -D
+                if (_covered(s1, b1 * X - a1 * Y, D)
+                        and _covered(spans[k2], b2 * X - a2 * Y, D)):
+                    P = hnorm(X, Y, D)
+                    events[k1].add(P)
+                    events[k2].add(P)
         for P in self._points:
             hit = False
             for k in keys:
-                if on_line(k, P):
-                    t = line_coord(k, P)
-                    if _covered(self._lines[k], t):
-                        events[k].add(t)
-                        hit = True
+                if on_line(k, P) and _covered(spans[k], *line_coord(k, P)):
+                    events[k].add(P)
+                    hit = True
             if not hit:
                 raise InvariantError("required vertex misses the skeleton")
 
         vid = {}
         verts = []
-
-        def vertex(P):
-            if P not in vid:
-                vid[P] = len(verts)
-                verts.append(P)
-            return vid[P]
-
         edges = []
         for k in keys:
-            iv = self._lines[k]
-            evs = sorted(events[k])
-            if not evs:
+            if not events[k]:
                 raise InvariantError("a line carries material but no vertex")
+            K = exact_shift(P[2] for P in events[k])
+            evs = sorted(events[k], key=lambda P: (
+                (k[1] * P[0] - k[0] * P[1]) << K) // P[2])
+            rank = {P: n for n, P in enumerate(evs)}
+            for P in evs:
+                if P not in vid:
+                    vid[P] = len(verts)
+                    verts.append(P)
+            vids = [vid[P] for P in evs]
+            # slot 0 is the ray before evs[0], slot n + 1 the segment from
+            # evs[n] to evs[n + 1] and slot len(evs) the ray after evs[-1]
+            slots = [set() for _ in range(len(evs) + 1)]
+            for lo, hi, tags in self._lines[k]:
+                first = 0 if lo is None else rank[lo] + 1
+                last = len(evs) if hi is None else rank[hi]
+                for s in range(first, last + 1):
+                    slots[s] |= tags
             d = line_dir(k)
-            nd = (-d[0], -d[1])
-            vids = [vertex(point_at(k, t)) for t in evs]
-            tags = _span_tags(iv, None, evs[0])
-            if tags:
-                edges.append(("ray", vids[0], nd, frozenset(tags)))
+            if slots[0]:
+                edges.append(("ray", vids[0], (-d[0], -d[1]),
+                              frozenset(slots[0])))
             for n in range(len(evs) - 1):
-                tags = _span_tags(iv, evs[n], evs[n + 1])
-                if tags:
+                if slots[n + 1]:
                     edges.append(("seg", vids[n], vids[n + 1], d,
-                                  frozenset(tags)))
-            tags = _span_tags(iv, evs[-1], None)
-            if tags:
-                edges.append(("ray", vids[-1], d, frozenset(tags)))
+                                  frozenset(slots[n + 1])))
+            if slots[-1]:
+                edges.append(("ray", vids[-1], d, frozenset(slots[-1])))
 
         faces = _trace_faces(verts, edges)
         return PlanarComplex(verts, edges, faces)
@@ -288,12 +289,12 @@ def _trace_faces(verts, edges):
                 v, g = w, ng
                 if (v, g) == (v0, g0):
                     break
-            area2 = Fraction(0)
-            pts = [hfrac(verts[i]) for i in chain]
-            for n in range(len(pts)):
-                x1, y1 = pts[n]
-                x2, y2 = pts[(n + 1) % len(pts)]
-                area2 += x1 * y2 - x2 * y1
+            # twice the area, times L*L: the vertices scaled by L = lcm of
+            # their W are integer points
+            L = lcm(*(verts[i][2] for i in chain))
+            pts = [(verts[i][0] * (L // verts[i][2]),
+                    verts[i][1] * (L // verts[i][2])) for i in chain]
+            area2 = sum(wedge(p, q) for p, q in zip(pts, pts[1:] + pts[:1]))
             if area2 <= 0:
                 raise InvariantError("clockwise cell: no unbounded anchor")
             faces.append(("bounded", tuple(chain)))

@@ -103,7 +103,7 @@ class Potential:
         n = self.fan.nrays()
         terms = {}
         for i in range(self.k):
-            terms[((0,) * n, frozenset([i]))] = Fraction(1)
+            terms[((0,) * n, frozenset([i]))] = 1
         return RingElement(n, terms)
 
     def __repr__(self):
@@ -146,7 +146,7 @@ class _Tracer:
         if sum(m) == 1:
             self._emit(m.index(1), bends_rev)
             return
-        for _, s, den, widx in hits:
+        for s, den, widx in hits:
             # the one bend at this wall takes the term e*c*u_I*z^{m0} of f^e
             w = self.d.walls[widx]
             if w.uset & taken:
@@ -165,7 +165,7 @@ class _Tracer:
     def _emit(self, rho, bends_rev):
         n = self.fan.nrays()
         m = tuple(1 if i == rho else 0 for i in range(n))
-        c = Fraction(1)
+        c = 1
         iset = frozenset()
         segs = []
         prev = None
@@ -191,7 +191,7 @@ def potential(d, fan, Q):
     """The superpotential at Q: y0 + sum of broken line finals."""
     lines = enumerate_broken_lines(d, fan, Q)
     n = fan.nrays()
-    val = RingElement(n, {}, y0=Fraction(1))
+    val = RingElement(n, {}, y0=1)
     for bl in lines:
         val = val.add(bl.final_element())
     return Potential(fan, d.k(), as_hpoint(Q), val, lines)

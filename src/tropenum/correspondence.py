@@ -17,10 +17,10 @@ the surface fan.  The global half imports `arrangement` where it uses it,
 so a process that only checks Phi does not load the overlay.
 """
 
-from math import gcd
+from math import lcm
 
-from .lattice import (as_hpoint, cokernel_order, hdiff, hfrac, hnorm,
-                      primitive, rot90, smith_normal_form)
+from .lattice import (as_hpoint, cokernel_order, exact_shift, hdiff, hfrac,
+                      hnorm, primitive, rot90, smith_normal_form)
 from .tropcurve import InvariantError, mikhalkin_multiplicity
 
 
@@ -278,8 +278,9 @@ def build_decomposition(curves, fan, points):
 
 def _edges_by_line(pd):
     """line_key -> the decomposition edges on that line, each as
-    (coordinate of its start, coordinate of its end or None for a ray,
-    the ray direction or None for a segment)."""
+    (position of its start, position of its end or None for a ray, the
+    ray direction or None for a segment), positions as arrangement's
+    (num, den) pairs."""
     from .arrangement import line_coord, line_key
     index = {}
     for e in pd.edges:
@@ -299,8 +300,9 @@ def _cover_query(index, A, B, d):
     """Do the decomposition edges (index: _edges_by_line) tile the segment
     A-B (d None) or the ray from A in direction d (B None)?
 
-    Works in coordinates oriented along the query, so one upward sweep
-    covers both cases; None stands for the infinite end.
+    Works on exact integer keys of the positions, oriented along the
+    query, so one upward sweep covers both cases; None stands for the
+    infinite end.
     """
     from .arrangement import line_coord, line_dir, line_key
     if d is None:
@@ -309,15 +311,22 @@ def _cover_query(index, A, B, d):
         dp, _ = primitive(d)
     key = line_key(A, dp)
     sign = 1 if dp == line_dir(key) else -1
-    sa = sign * line_coord(key, A)
-    sb = sign * line_coord(key, B) if B is not None else None
+    edges = index.get(key, ())
+    K = exact_shift([P[2] for P in (A, B) if P is not None]
+                    + [t[1] for e in edges for t in e[:2] if t is not None])
+
+    def at(pos):
+        return (sign * pos[0] << K) // pos[1]
+
+    sa = at(line_coord(key, A))
+    sb = at(line_coord(key, B)) if B is not None else None
     if sb is not None and sb < sa:
         sa, sb = sb, sa
     spans = []
-    for t1, t2, rdir in index.get(key, ()):
-        t1 = sign * t1
+    for t1, t2, rdir in edges:
+        t1 = at(t1)
         if rdir is None:
-            t2 = sign * t2
+            t2 = at(t2)
             spans.append((min(t1, t2), max(t1, t2)))
         elif rdir == dp:
             spans.append((t1, None))
@@ -382,12 +391,11 @@ def rescale_lattice(pd):
 
     Returns (scaled decomposition, a) where a is the least common
     multiple of the coordinate denominators, so the scaled vertices are
-    lattice points and the cell structure is untouched.
+    lattice points and the cell structure is untouched.  A normalized
+    triple has gcd(X, Y, W) = 1, so the denominators of X/W and Y/W have
+    the lcm W, and a is the lcm of the W's.
     """
-    a = 1
-    for v in pd.vertices:
-        for q in hfrac(v):
-            a = a * q.denominator // gcd(a, q.denominator)
+    a = lcm(*(v[2] for v in pd.vertices))
     verts = [hnorm(a * v[0], a * v[1], v[2]) for v in pd.vertices]
     pts = [hnorm(a * p[0], a * p[1], p[2]) for p in pd.points]
     for v in verts:

@@ -15,8 +15,9 @@ reading or rendering a document loads no engine module.
 import json
 
 from fractions import Fraction
+from math import gcd
 
-from .lattice import InvariantError, hfrac
+from .lattice import InvariantError
 
 SCHEMAS = ("count", "trees", "disks", "diagram", "potential", "phicheck",
            "decomposition")
@@ -42,10 +43,18 @@ def parse_q(s):
     return Fraction(int(num), int(den) if den else 1)
 
 
+def _fmt_ratio(num, den):
+    """fmt_q of num/den, den > 0."""
+    g = gcd(num, den)
+    if g == den:
+        return "%d" % (num // g)
+    return "%d/%d" % (num // g, den // g)
+
+
 def fmt_point(p):
-    """["x", "y"] for a homogeneous triple."""
-    x, y = hfrac(p)
-    return [fmt_q(x), fmt_q(y)]
+    """["x", "y"] for a normalized homogeneous triple."""
+    X, Y, W = p
+    return [_fmt_ratio(X, W), _fmt_ratio(Y, W)]
 
 
 def parse_point(doc):

@@ -341,6 +341,14 @@ def ray_intersect(A, da, B, db):
     return s_num, t_num, den, hshift(A, s_num, den, da)
 
 
+def exact_shift(dens):
+    """A shift K with which the integers (num << K) // den order the ratios
+    num / den, den among the given positive denominators, exactly: equal
+    ratios get equal keys and distinct ones distinct keys in their order,
+    because two distinct ratios differ by at least 1 / (d1 * d2) > 2**-K."""
+    return 2 * max(dens, default=1).bit_length()
+
+
 OFFSET_BITS = 32
 
 

@@ -36,16 +36,27 @@ from fractions import Fraction
 from .enumeration import build_forest, mask_labels
 from .fan import r_vector
 from .lattice import (GenericityError, InvariantError, angle_key, as_hpoint,
-                      dot, hdiff, hfrac, hshift, offset_key, on_ray,
-                      primitive, ray_hits, rot90, wedge)
+                      dot, exact_shift, hdiff, hfrac, hshift, offset_key,
+                      on_ray, primitive, ray_hits, rot90, wedge)
 
 
 def _zerovec(nrays):
     return (0,) * nrays
 
 
+def _coef(c):
+    """A coefficient as the ring keeps it: an int when it is an integer,
+    else an exact Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class RingElement:
-    """terms maps (exponent tuple, frozenset of u labels) to a rational.
+    """terms maps (exponent tuple, frozenset of u labels) to a rational,
+    an int when it is an integer (every diagram built from trees has
+    integer coefficients only) and a Fraction otherwise.
 
     y0 is an additive formal constant: it survives addition and
     automorphism application but refuses multiplication.  u labels are
@@ -56,11 +67,11 @@ class RingElement:
 
     def __init__(self, nrays, terms=None, y0=0):
         self.nrays = nrays
-        self.y0 = Fraction(y0)
+        self.y0 = _coef(y0)
         self.terms = {}
         if terms:
             for (m, uset), c in terms.items():
-                c = Fraction(c)
+                c = _coef(c)
                 if not c:
                     continue
                 key = (tuple(m), frozenset(uset))
@@ -85,7 +96,7 @@ class RingElement:
         return e
 
     def scale(self, c):
-        c = Fraction(c)
+        c = _coef(c)
         e = RingElement(self.nrays, y0=self.y0 * c)
         if c:
             e.terms = {key: v * c for key, v in self.terms.items()}
@@ -139,7 +150,7 @@ class RingElement:
                                  "non-unipotent element")
         mstar, cstar = star
         neg = tuple(-x for x in mstar)
-        g = ring_mono(self.nrays, 1 / cstar, (), neg).mul(self)
+        g = ring_mono(self.nrays, Fraction(1) / cstar, (), neg).mul(self)
         n = g.sub(ring_one(self.nrays))
         out = ring_one(self.nrays)
         p = ring_one(self.nrays)
@@ -148,7 +159,7 @@ class RingElement:
             if not p.terms:
                 break
             out = out.add(p)
-        return out.mul(ring_mono(self.nrays, 1 / cstar, (), neg))
+        return out.mul(ring_mono(self.nrays, Fraction(1) / cstar, (), neg))
 
     def mod_u(self):
         """Image with every u_i set to 0."""
@@ -271,7 +282,7 @@ def apply_generator(fan, c, uset, m, n):
     images = []
     for ridx, v in enumerate(fan.rays):
         g = ray_generator(nrays, ridx)
-        coef = Fraction(c) * dot(n, v)
+        coef = _coef(c) * dot(n, v)
         images.append(g.mul(ring_one(nrays).add(ring_mono(nrays, coef,
                                                           uset, m))))
     return RingAutomorphism(nrays, images)
@@ -298,7 +309,7 @@ class Wall:
             raise InvariantError("wall exponent has no direction")
         self.dirvec = primitive((-r[0], -r[1]))[0]
         self.kn = wedge(self.base, self.dirvec)
-        self.c = Fraction(c)
+        self.c = _coef(c)
         self.uset = frozenset(uset)
         self.marks = sum(1 << i for i in self.uset)
         if not self.c:
@@ -433,7 +444,8 @@ class ScatteringDiagram:
 
     def crossings(self, X, d, faults, end=None):
         """Transversal wall crossings of X + s*d, s > 0 (and s < 1/end for
-        a segment): (s, s_num, den, wall index) sorted by (s, index).
+        a segment): (s_num, den, wall index) with s = s_num/den, den > 0,
+        sorted by (s, index) on the exact integer keys of `exact_shift`.
 
         faults = (at_base, coincident, along) are the GenericityError
         messages for a hit at a wall base, for two transversal walls hit
@@ -461,14 +473,14 @@ class ScatteringDiagram:
                 if not t:
                     bad.append((self._pos[id(w)][0], at_base))
                 else:
-                    hits.extend((Fraction(s, den), s, den, widx)
-                                for widx in self._pos[id(w)])
+                    hits.extend((s, den, widx) for widx in self._pos[id(w)])
         if bad:
             raise GenericityError(min(bad)[1])
-        hits.sort(key=lambda h: (h[0], h[3]))
+        K = exact_shift(h[1] for h in hits)
+        hits.sort(key=lambda h: ((h[0] << K) // h[1], h[2]))
         for a, b in zip(hits, hits[1:]):
-            if a[0] == b[0] and wedge(self.walls[a[3]].dirvec,
-                                      self.walls[b[3]].dirvec) != 0:
+            if a[0] * b[1] == b[0] * a[1] and wedge(
+                    self.walls[a[2]].dirvec, self.walls[b[2]].dirvec) != 0:
                 raise GenericityError(coincident)
         return hits
 
@@ -504,8 +516,8 @@ def path_crossings(diagram, path):
             continue
         # B = A + seg / end; a hit at a segment end, or a segment along a
         # wall, puts a vertex on the support, which the check above rejected
-        for _, _, _, widx in diagram.crossings(A, seg, _PATH_FAULTS,
-                                               end=A[2] * B[2]):
+        for _, _, widx in diagram.crossings(A, seg, _PATH_FAULTS,
+                                            end=A[2] * B[2]):
             nraw = rot90(diagram.walls[widx].dirvec)
             n0 = nraw if dot(nraw, seg) < 0 else (-nraw[0], -nraw[1])
             crossings.append((widx, n0))

@@ -2,8 +2,9 @@
 arithmetic written here, sharing no code with tropenum.lattice beyond
 hpoint, which turns a Fraction pair into the triple the kernels take; of
 the integer side and line tests the Maslov-0 forest puts in front of them,
-and of its offset-sorted wall index; and of the exact elimination, checked
-by matrix products on small integer matrices."""
+and of its offset-sorted wall index; of the exact sort keys of ratios; and
+of the exact elimination, checked by matrix products on small integer
+matrices."""
 
 from fractions import Fraction
 from math import floor, gcd
@@ -12,10 +13,10 @@ from types import SimpleNamespace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropenum.lattice import (OFFSET_BITS, det, eliminate, hdiff, hfrac,
-                              hpoint, line_param, offset_key, on_line, on_ray,
-                              on_segment, ray_hits, ray_intersect, ray_params,
-                              wedge)
+from tropenum.lattice import (OFFSET_BITS, det, eliminate, exact_shift,
+                              hdiff, hfrac, hpoint, line_param, offset_key,
+                              on_line, on_ray, on_segment, ray_hits,
+                              ray_intersect, ray_params, wedge)
 
 coord = st.fractions(min_value=-20, max_value=20, max_denominator=60)
 pair = st.tuples(coord, coord)
@@ -342,3 +343,20 @@ def test_eliminate_solves_consistent_systems(data, A):
         for i, c in enumerate(pivots):
             v[c] = -R[i][fc]
         assert not any(apply(A, v))
+
+
+ratio = st.tuples(st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6))
+
+
+@SETTINGS
+@given(st.lists(ratio, min_size=1, max_size=12))
+def test_exact_shift_keys_order_ratios_exactly(ratios):
+    # neighbours (d-1)/d < d/(d+1), 1/(d*(d+1)) apart: only a shift of
+    # about twice the denominators' bits keeps them apart
+    ratios += [r for _, d in ratios for r in ((d - 1, d), (d, d + 1))]
+    K = exact_shift(d for _, d in ratios)
+    for n1, d1 in ratios:
+        for n2, d2 in ratios:
+            k1, k2 = (n1 << K) // d1, (n2 << K) // d2
+            q1, q2 = Fraction(n1, d1), Fraction(n2, d2)
+            assert (k1 < k2) == (q1 < q2) and (k1 == k2) == (q1 == q2)

@@ -203,9 +203,10 @@ def leg_outcome(d, X, m):
     r = r_vector(d.fan, m)
     got = outcome(d.crossings, X, r, _LEG_FAULTS)
     if got[0] == "ok":
-        got = ("ok", [(s, widx, abs(wedge(d.walls[widx].dirvec, r)),
+        got = ("ok", [(Fraction(s_num, den), widx,
+                       abs(wedge(d.walls[widx].dirvec, r)),
                        hfrac(hshift(X, s_num, den, r)))
-                      for s, s_num, den, widx in got[1]])
+                      for s_num, den, widx in got[1]])
     return got
 
 
