@@ -220,7 +220,9 @@ def build_parser():
     top = _Parser(prog="tropenum", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, q=False, degree=False, k=False):
+    def command(name, run, summary, q=False, degree=False, k=False):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
         p.add_argument("--fan", default="p2",
                        help="builtin fan name (p2, p1xp1, dp6) or JSON path")
         p.add_argument("--seed", type=int, default=default_seed())
@@ -237,27 +239,26 @@ def build_parser():
             p.add_argument("--q", default=None,
                            help="endpoint as x,y rationals "
                                 "(default: sampled from seed+1)")
+        return p
 
-    common(sub.add_parser("count", help="count rational curves"),
-           degree=True)
-    common(sub.add_parser("welschinger",
-                          help="count with Welschinger signs"), degree=True)
-    common(sub.add_parser("trees", help="Maslov index 0 trees"), k=True)
-    common(sub.add_parser("disks", help="Maslov index 2 disks"),
-           q=True, k=True)
-    common(sub.add_parser("scatter",
-                          help="scattering diagram + consistency"), k=True)
-    common(sub.add_parser("potential", help="superpotential at Q"),
-           q=True, k=True)
-    common(sub.add_parser("phi-check",
-                          help="lattice index times log count vs "
-                               "multiplicity"), degree=True)
-    deg = sub.add_parser("degenerate",
-                         help="polyhedral decomposition and its cone")
-    common(deg, degree=True)
+    command("count", lambda a: cmd_count(a, "n_trop"),
+            "count rational curves", degree=True)
+    command("welschinger", lambda a: cmd_count(a, "w_trop"),
+            "count with Welschinger signs", degree=True)
+    command("trees", cmd_trees, "Maslov index 0 trees", k=True)
+    command("disks", cmd_disks, "Maslov index 2 disks", q=True, k=True)
+    command("scatter", cmd_scatter, "scattering diagram + consistency",
+            k=True)
+    command("potential", cmd_potential, "superpotential at Q", q=True,
+            k=True)
+    command("phi-check", cmd_phi_check,
+            "lattice index times log count vs multiplicity", degree=True)
+    deg = command("degenerate", cmd_degenerate,
+                  "polyhedral decomposition and its cone", degree=True)
     deg.add_argument("--rescale", action="store_true",
                      help="clear denominators before building the cone")
     ren = sub.add_parser("render", help="JSON document to SVG")
+    ren.set_defaults(run=cmd_render)
     ren.add_argument("input")
     ren.add_argument("output")
     return top
@@ -270,25 +271,7 @@ def main(argv=None):
         print("error: %s" % e.message, file=sys.stderr)
         return EXIT_USAGE
     try:
-        if args.command == "count":
-            return cmd_count(args, "n_trop")
-        if args.command == "welschinger":
-            return cmd_count(args, "w_trop")
-        if args.command == "trees":
-            return cmd_trees(args)
-        if args.command == "disks":
-            return cmd_disks(args)
-        if args.command == "scatter":
-            return cmd_scatter(args)
-        if args.command == "potential":
-            return cmd_potential(args)
-        if args.command == "phi-check":
-            return cmd_phi_check(args)
-        if args.command == "degenerate":
-            return cmd_degenerate(args)
-        if args.command == "render":
-            return cmd_render(args)
-        raise InvariantError("unhandled command %r" % (args.command,))
+        return args.run(args)
     except GenericityError as e:
         print("genericity failure: %s" % e, file=sys.stderr)
         return EXIT_GENERIC

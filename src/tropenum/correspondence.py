@@ -44,20 +44,16 @@ def reduced_graph(c):
             raise InvariantError("two marks on one vertex")
         marked[vi] = label
     nb = len(c.bedges)
-    at_vertex = {}
-    for pi, (i, j, w, d) in enumerate(c.bedges):
-        at_vertex.setdefault(i, []).append((pi, 0))
-        at_vertex.setdefault(j, []).append((pi, 1))
-    for ui, (i, d, w) in enumerate(c.uedges):
-        at_vertex.setdefault(i, []).append((nb + ui, 0))
+    # an edge end (p, s): side s of bounded edge p, or of ray p - nb,
+    # whose side 1 lies at infinity; a mark welds its vertex's two ends
     weld = {}
-    for vi in marked:
-        inc = at_vertex.get(vi, [])
-        if len(inc) != 2:
+    for vi, label in marked.items():
+        ends = [(e if u is not None else nb + e, s)
+                for _, _, u, e, s in c.incidence[vi]]
+        if len(ends) != 2:
             raise InvariantError("marked vertex is not bivalent")
-        (p1, s1), (p2, s2) = inc
-        weld[(p1, s1)] = (p2, s2)
-        weld[(p2, s2)] = (p1, s1)
+        a, b = ends
+        weld[a], weld[b] = (b, label), (a, label)
 
     def token(pe):
         p, s = pe
@@ -72,8 +68,7 @@ def reduced_graph(c):
 
     consumed = set()
     edges = []
-    all_ends = [(p, s) for p in range(nb) for s in (0, 1)]
-    all_ends += [(nb + u, s) for u in range(len(c.uedges)) for s in (0, 1)]
+    all_ends = [(p, s) for p in range(nb + len(c.uedges)) for s in (0, 1)]
     for e0 in all_ends:
         if e0 in weld or e0 in consumed:
             continue
@@ -88,13 +83,11 @@ def reduced_graph(c):
             consumed.add(far)
             if far not in weld:
                 break
-            fv = c.bedges[p][1 - s] if p < nb else c.uedges[p - nb][0]
-            labels.append(marked[fv])
-            cur = weld[far]
+            cur, label = weld[far]
+            labels.append(label)
         w = weight(pieces[0])
-        for p in pieces:
-            if weight(p) != w:
-                raise InvariantError("weight jumps across a marked point")
+        if any(weight(p) != w for p in pieces):
+            raise InvariantError("weight jumps across a marked point")
         edges.append(((token(e0), token(far)), w, tuple(sorted(labels))))
     if len(consumed) != len(all_ends):
         raise InvariantError("reduced graph left a closed loop")

@@ -19,8 +19,6 @@ class Fan:
         self.name = name or "custom"
         n = len(self.rays)
         self.cones2d = tuple((i, (i + 1) % n) for i in range(n))
-        self.smooth = all(abs(wedge(self.rays[i], self.rays[j])) == 1
-                          for i, j in self.cones2d)
 
     def __repr__(self):
         return "Fan(%s, %r)" % (list(self.rays), self.name)

@@ -39,8 +39,10 @@ def fmt_q(x):
 def parse_q(s):
     if not isinstance(s, str):
         raise InvariantError("rational must be a string, got %r" % (s,))
-    num, _, den = s.partition("/")
-    return Fraction(int(num), int(den) if den else 1)
+    num, slash, den = s.partition("/")
+    if slash and not (den and int(den)):
+        raise InvariantError("rational %r needs a nonzero denominator" % s)
+    return Fraction(int(num), int(den) if slash else 1)
 
 
 def _fmt_ratio(num, den):

@@ -273,21 +273,6 @@ def identity_automorphism(nrays):
                             [ray_generator(nrays, i) for i in range(nrays)])
 
 
-def apply_generator(fan, c, uset, m, n):
-    """exp(c u_I z^m (x) n): z^{m'} -> z^{m'} (1 + c u_I <n, r(m')> z^m)."""
-    uset = frozenset(uset)
-    if not uset:
-        raise InvariantError("empty u index set is not nilpotent")
-    nrays = fan.nrays()
-    images = []
-    for ridx, v in enumerate(fan.rays):
-        g = ray_generator(nrays, ridx)
-        coef = _coef(c) * dot(n, v)
-        images.append(g.mul(ring_one(nrays).add(ring_mono(nrays, coef,
-                                                          uset, m))))
-    return RingAutomorphism(nrays, images)
-
-
 class Wall:
     """Ray from base along -r(m0) with the function f = 1 + c*u_I*z^{m0}.
 

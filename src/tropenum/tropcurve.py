@@ -15,11 +15,13 @@ multiplicity is the product over trivalent vertices; the real (signed) count
 weight is 0 for even multiplicity m and (-1)^((m-1)/2) otherwise.
 """
 
+from collections import defaultdict
 from fractions import Fraction
 
 from .fan import degree_total
-from .lattice import (GenericityError, InvariantError, hdiff, hfrac, hnorm,
-                      hpoint, lattice_length, on_segment, primitive, wedge)
+from .lattice import (GenericityError, InvariantError, dot, hdiff, hnorm,
+                      hpoint, lattice_length, on_ray, on_segment, primitive,
+                      wedge)
 
 
 class ParamTropCurve:
@@ -31,6 +33,9 @@ class ParamTropCurve:
     marks:    tuple of (label, vertex_index), sorted by label
     vout:     boundary vertex index (disks) or None
     out_edge: index into uedges of a tree's distinguished out-edge, or None
+    incidence: per vertex, its edge ends (weight, outgoing dir, far vertex
+               or None for a ray, edge index, side 0 at i or 1 at j),
+               bounded edges first in index order, then rays
     """
 
     def __init__(self, vertices, bedges, uedges, marks, vout=None,
@@ -43,22 +48,19 @@ class ParamTropCurve:
         self.marks = tuple(sorted((int(l), int(v)) for l, v in marks))
         self.vout = vout
         self.out_edge = out_edge
-
-    def vertex_fractions(self):
-        return [hfrac(p) for p in self.vertices]
+        ends = defaultdict(list)
+        for e, (i, j, w, d) in enumerate(self.bedges):
+            ends[i].append((w, d, j, e, 0))
+            ends[j].append((w, (-d[0], -d[1]), i, e, 1))
+        for e, (i, d, w) in enumerate(self.uedges):
+            ends[i].append((w, d, None, e, 0))
+        # an end at a vertex index out of range is left to validate_curve
+        self.incidence = tuple(tuple(ends[v])
+                               for v in range(len(self.vertices)))
 
     def germs(self, v):
         """Outgoing (weight, direction) germs of real edges at vertex v."""
-        out = []
-        for i, j, w, d in self.bedges:
-            if i == v:
-                out.append((w, d))
-            elif j == v:
-                out.append((w, (-d[0], -d[1])))
-        for i, d, w in self.uedges:
-            if i == v:
-                out.append((w, d))
-        return out
+        return [(w, d) for w, d, _, _, _ in self.incidence[v]]
 
     def __repr__(self):
         return ("ParamTropCurve(%d vertices, %d bounded, %d unbounded, "
@@ -112,10 +114,6 @@ def degree(c, fan):
 def genus(c):
     """First Betti number; requires connectedness."""
     n = len(c.vertices)
-    adj = [[] for _ in range(n)]
-    for i, j, _, _ in c.bedges:
-        adj[i].append(j)
-        adj[j].append(i)
     seen = [False] * n
     stack = [0] if n else []
     while stack:
@@ -123,7 +121,8 @@ def genus(c):
         if seen[v]:
             continue
         seen[v] = True
-        stack.extend(u for u in adj[v] if not seen[u])
+        stack.extend(u for _, _, u, _, _ in c.incidence[v]
+                     if u is not None and not seen[u])
     if not all(seen):
         raise InvariantError("curve graph is disconnected")
     return len(c.bedges) - n + 1
@@ -206,13 +205,13 @@ def validate_curve(c, fan, points=None):
     bad = check_balancing(c)
     if bad:
         raise InvariantError("balancing fails at vertices %r" % (bad,))
-    marked = {}
+    marked = set()
     for label, v in c.marks:
-        if v in marked.values():
+        if v in marked:
             raise GenericityError("two marks at one vertex")
         if v == c.vout:
             raise InvariantError("mark at the boundary vertex")
-        marked[label] = v
+        marked.add(v)
     if points is not None:
         for label, v in c.marks:
             if c.vertices[v] != hnorm(*points[label]):
@@ -222,7 +221,7 @@ def validate_curve(c, fan, points=None):
         if v == c.vout:
             if val != 1:
                 raise InvariantError("boundary vertex valence %d != 1" % val)
-        elif v in marked.values():
+        elif v in marked:
             if val != 2:
                 raise GenericityError("marked vertex valence %d != 2" % val)
         else:
@@ -243,41 +242,34 @@ def validate_curve(c, fan, points=None):
 
 
 def _check_no_overlaps(c):
-    # rays are truncated far beyond every vertex so overlap tests reduce
-    # to exact segment arithmetic
-    pieces = []
-    span = 1
-    fracs = c.vertex_fractions()
-    for x, y in fracs:
-        span = max(span, abs(x), abs(y))
-    reach = 4 * span + 4
-    for i, j, w, d in c.bedges:
-        pieces.append((c.vertices[i], c.vertices[j], (i, j)))
-    for v, d, w in c.uedges:
-        x, y = fracs[v]
-        pieces.append((c.vertices[v],
-                       hpoint(x + reach * d[0], y + reach * d[1]),
-                       (v, None)))
-    for a in range(len(pieces)):
-        for b in range(a + 1, len(pieces)):
-            A1, A2, ea = pieces[a]
-            B1, B2, eb = pieces[b]
-            da = hdiff(A1, A2)
-            db = hdiff(B1, B2)
-            if wedge(da, db) == 0 and wedge(da, hdiff(A1, B1)) == 0:
-                # collinear: overlap iff the pieces share more than a point
-                shared = sum(1 for P in (B1, B2)
-                             if on_segment(P, A1, A2, strict=True))
-                shared += sum(1 for P in (A1, A2)
-                              if on_segment(P, B1, B2, strict=True))
-                if shared or (A1 in (B1, B2) and A2 in (B1, B2)):
-                    raise GenericityError("overlapping collinear edges")
-    # no vertex interior to a non-incident edge
-    for a, (A1, A2, ea) in enumerate(pieces):
-        for v, P in enumerate(c.vertices):
-            if v in ea:
+    """No two edges share more than a point, and no vertex lies inside an
+    edge that does not end at it.  A bounded edge is tested as its segment
+    and a ray as a ray, exactly.  validate_curve has already checked that
+    the vertices are distinct and the bounded edges of positive length."""
+    V = c.vertices
+    pieces = [((V[i], V[j]), hdiff(V[i], V[j]), (i, j))
+              for i, j, _, _ in c.bedges]
+    pieces += [((V[v],), d, (v, None)) for v, d, _ in c.uedges]
+
+    def inside(P, ends, d):
+        if len(ends) == 1:
+            return on_ray(P, ends[0], d, strict=True)
+        return on_segment(P, ends[0], ends[1], strict=True)
+
+    for a, (ea, da, _) in enumerate(pieces):
+        for eb, db, _ in pieces[a + 1:]:
+            if wedge(da, db) or wedge(da, hdiff(ea[0], eb[0])):
                 continue
-            if on_segment(P, A1, A2, strict=True):
+            # collinear: overlap iff the pieces share more than a point;
+            # two rays from one base do iff they point the same way
+            if (any(inside(P, ea, da) for P in eb)
+                    or any(inside(P, eb, db) for P in ea)
+                    or set(ea) == set(eb)
+                    and (len(ea) == 2 or dot(da, db) > 0)):
+                raise GenericityError("overlapping collinear edges")
+    for ends, d, incident in pieces:
+        for v, P in enumerate(V):
+            if v not in incident and inside(P, ends, d):
                 raise GenericityError("vertex %d interior to an edge" % v)
     return True
 
@@ -288,24 +280,19 @@ def canonical_type(c):
     here are trees, so a minimal rooted encoding over all roots is canonical.
     """
     n = len(c.vertices)
-    inc = [[] for _ in range(n)]
-    for idx, (i, j, w, d) in enumerate(c.bedges):
-        inc[i].append((j, w, d))
-        inc[j].append((i, w, (-d[0], -d[1])))
     labels = [[] for _ in range(n)]
     for label, v in c.marks:
         labels[v].append(label)
     if c.vout is not None:
         labels[c.vout].append("out")
-    rays = [[] for _ in range(n)]
-    for idx, (v, d, w) in enumerate(c.uedges):
-        tag = "eout" if idx == c.out_edge else "ray"
-        rays[v].append((tag, d, w))
 
     def enc(v, parent):
+        ends = c.incidence[v]
         subs = sorted(enc(u, v) + ((w, d),)
-                      for u, w, d in inc[v] if u != parent)
-        leaf = sorted(rays[v])
+                      for w, d, u, _, _ in ends
+                      if u is not None and u != parent)
+        leaf = sorted(("eout" if e == c.out_edge else "ray", d, w)
+                      for w, d, u, e, _ in ends if u is None)
         return (tuple(sorted(labels[v], key=str)), tuple(leaf), tuple(subs))
 
     return min(repr(enc(v, -1)) for v in range(n))

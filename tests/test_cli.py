@@ -175,11 +175,17 @@ def test_render_rejects_garbage(tmp_path):
     assert missing.returncode == 1
 
 
+# a count document whose first point has the x coordinate %s
+COUNT_AT = '{"schema": "tropenum/count/1", "points": [["%s", "0"]]}'
+
+
 def test_render_rejects_malformed_document(tmp_path):
     bad = tmp_path / "bad.json"
     for text, why in (("{\"schema\": \"tropenum/potential/1\"}",
                        "tropenum/potential/1"),
-                      ("{\"schema\": []}", "missing schema id")):
+                      ("{\"schema\": []}", "missing schema id"),
+                      (COUNT_AT % "1/0", "'1/0' needs a nonzero denominator"),
+                      (COUNT_AT % "1/", "'1/' needs a nonzero denominator")):
         bad.write_text(text)
         p = run_cli("render", str(bad), str(tmp_path / "bad.svg"))
         err = p.stderr.decode()

@@ -12,14 +12,12 @@ def test_p2_fan():
     f = builtin_fan("p2")
     assert f.rays == ((1, 0), (0, 1), (-1, -1))
     assert len(f.cones2d) == 3
-    assert f.smooth
 
 
 def test_p1xp1_fan():
     f = builtin_fan("p1xp1")
     assert set(f.rays) == {(1, 0), (0, 1), (-1, 0), (0, -1)}
     assert len(f.cones2d) == 4
-    assert f.smooth
 
 
 def test_dp6_fan():
@@ -27,7 +25,6 @@ def test_dp6_fan():
     assert set(f.rays) == {(1, 0), (0, 1), (-1, -1), (1, 1), (-1, 0), (0, -1)}
     assert f.rays[0] == (1, 0)
     assert len(f.cones2d) == 6
-    assert f.smooth
 
 
 def test_incomplete_fan_rejected():

@@ -11,8 +11,8 @@ from tropenum.enumeration import sample_generic_points
 from tropenum.fan import builtin_fan, make_degree
 from tropenum.lattice import hfrac, wedge
 from tropenum.scattering import (RingElement, ScatteringDiagram, Wall,
-                                 apply_generator, build_diagram,
-                                 check_consistency, format_element,
+                                 build_diagram, check_consistency,
+                                 format_element,
                                  identity_automorphism, loop_automorphism,
                                  path_automorphism, path_crossings,
                                  ring_mono, ring_one, ring_zero,
@@ -85,26 +85,6 @@ def test_format_element_is_stable():
     s = format_element(f, names=["x0", "x1", "x2"])
     assert s == "1 + 2*u1*u2*x0*x2"
     assert format_element(ring_zero(3)) == "0"
-
-
-def test_apply_generator_inverse_pair():
-    rng = random.Random(77)
-    for _ in range(10):
-        m = tuple(rng.randrange(3) for _ in range(3))
-        n = (rng.randrange(-2, 3), rng.randrange(-2, 3))
-        fwd = apply_generator(P2, Fraction(2), (0,), m, n)
-        bck = apply_generator(P2, Fraction(-2), (0,), m, n)
-        assert fwd.compose(bck).is_identity()
-        assert bck.compose(fwd).is_identity()
-
-
-def test_apply_generator_fixes_annihilated_ray():
-    # n = (1, 0) annihilates the ray (0, 1)
-    aut = apply_generator(P2, Fraction(1), (0,), (0, 0, 1), (1, 0))
-    x1 = ring_mono(3, 1, (), (0, 1, 0))
-    assert aut.apply(x1) == x1
-    with pytest.raises(InvariantError):
-        apply_generator(P2, Fraction(1), (), (0, 0, 1), (1, 0))
 
 
 def test_wall_validation():
