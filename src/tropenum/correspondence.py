@@ -17,10 +17,10 @@ the surface fan.  The global half imports `arrangement` where it uses it,
 so a process that only checks Phi does not load the overlay.
 """
 
-from math import lcm
+from math import lcm, prod
 
-from .lattice import (as_hpoint, cokernel_order, exact_shift, hdiff, hfrac,
-                      hnorm, primitive, rot90, smith_normal_form)
+from .lattice import (as_hpoint, exact_shift, hnorm, primitive, rot90,
+                      smith_normal_form)
 from .tropcurve import InvariantError, mikhalkin_multiplicity
 
 
@@ -34,64 +34,56 @@ def reduced_graph(c):
     smoothed away by concatenating its two edges (marks sit at straight
     bivalent vertices, so every concatenated edge is a straight segment
     or ray).  Returns (verts, edges): verts the surviving vertex indices
-    of c, edges a list of (ends, weight, marks) where ends is a pair of
-    ("v", vertex_index) or ("inf", direction) tokens and marks lists the
-    labels absorbed into the edge.
+    of c, and per reduced edge a record (a, b, u, weight, marks).  The
+    edge leaves vertex a along the primitive direction u of its first
+    piece, read from the incidence table, and ends at vertex b, or at
+    infinity when b is None.  On a line with no vertex a and b are None.
+    Unless b alone is None, u is lexicographically positive.  marks lists
+    the labels absorbed into the edge, sorted.
     """
     marked = {}
     for label, vi in c.marks:
         if vi in marked:
             raise InvariantError("two marks on one vertex")
         marked[vi] = label
-    nb = len(c.bedges)
-    # an edge end (p, s): side s of bounded edge p, or of ray p - nb,
-    # whose side 1 lies at infinity; a mark welds its vertex's two ends
-    weld = {}
-    for vi, label in marked.items():
-        ends = [(e if u is not None else nb + e, s)
-                for _, _, u, e, s in c.incidence[vi]]
-        if len(ends) != 2:
-            raise InvariantError("marked vertex is not bivalent")
-        a, b = ends
-        weld[a], weld[b] = (b, label), (a, label)
-
-    def token(pe):
-        p, s = pe
-        if p < nb:
-            return ("v", c.bedges[p][s])
-        if s == 0:
-            return ("v", c.uedges[p - nb][0])
-        return ("inf", c.uedges[p - nb][1])
-
-    def weight(p):
-        return c.bedges[p][2] if p < nb else c.uedges[p - nb][2]
-
-    consumed = set()
+    if any(len(c.incidence[vi]) != 2 for vi in marked):
+        raise InvariantError("marked vertex is not bivalent")
+    done = set()        # pieces walked, as (is a ray, edge index)
     edges = []
-    all_ends = [(p, s) for p in range(nb + len(c.uedges)) for s in (0, 1)]
-    for e0 in all_ends:
-        if e0 in weld or e0 in consumed:
-            continue
-        labels = []
-        pieces = []
-        cur = e0
+
+    def walk(a, w, end, labels):
+        # from a (None: a ray at infinity) along the incidence end `end`,
+        # through marked vertices to an unmarked one or to infinity
+        u = end[1]
         while True:
-            consumed.add(cur)
-            p, s = cur
-            pieces.append(p)
-            far = (p, 1 - s)
-            consumed.add(far)
-            if far not in weld:
+            wp, _, b, e, s = end
+            done.add((b is None, e))
+            if wp != w:
+                raise InvariantError("weight jumps across a marked point")
+            if b not in marked:
                 break
-            cur, label = weld[far]
-            labels.append(label)
-        w = weight(pieces[0])
-        if any(weight(p) != w for p in pieces):
-            raise InvariantError("weight jumps across a marked point")
-        edges.append(((token(e0), token(far)), w, tuple(sorted(labels))))
-    if len(consumed) != len(all_ends):
-        raise InvariantError("reduced graph left a closed loop")
+            labels.append(marked[b])
+            # the end we arrive at is bounded, and bounded ends come first
+            x, y = c.incidence[b]
+            end = y if x[3:] == (e, 1 - s) else x
+        if u < (0, 0) and (a is None) == (b is None):
+            a, b, u = b, a, (-u[0], -u[1])
+        edges.append((a, b, u, w, tuple(sorted(labels))))
+
     verts = [i for i in range(len(c.vertices)) if i not in marked]
+    for a in verts:
+        for end in c.incidence[a]:
+            if (end[2] is None, end[3]) not in done:
+                walk(a, end[0], end, [])
+    for vi, label in marked.items():
+        ends = c.incidence[vi]
+        for k, end in enumerate(ends):
+            if end[2] is None and (True, end[3]) not in done:
+                # a line through marks alone: walk it from this ray
+                done.add((True, end[3]))
+                walk(None, end[0], ends[1 - k], [label])
+    if len(done) != len(c.bedges) + len(c.uedges):
+        raise InvariantError("reduced graph left a closed loop")
     return verts, edges
 
 # ---------------------------------------------------------------------------
@@ -112,13 +104,15 @@ class PhiSystem:
            each row reads the quotient M/Zu through the lex-positive
            primitive normal of u
     row_labels: ("edge", v_minus, v_plus) and ("mark", label) in row order
+    factors: the invariant factors of rows (lattice.smith_normal_form)
     """
 
-    def __init__(self, curve, verts, rows, row_labels):
+    def __init__(self, curve, verts, rows, row_labels, factors):
         self.curve = curve
         self.verts = tuple(verts)
         self.rows = tuple(tuple(r) for r in rows)
         self.row_labels = tuple(row_labels)
+        self.factors = tuple(factors)
 
     def shape(self):
         return (len(self.rows), 2 * len(self.verts))
@@ -131,40 +125,22 @@ def build_phi(c):
     """The map Phi of a marked solution, as an integer matrix.
 
     A displacement H of the reduced-graph vertices goes to the classes of
-    H(v+) - H(v-) in M/Zu for every bounded reduced edge and of H(v-) in
-    M/Zu for every mark.  Raises InvariantError when the map has a
-    kernel, which would mean the curve deforms and was never rigid.
+    H(v+) - H(v-) in M/Zu for every bounded reduced edge, v- its end a
+    and v+ its end b, and of H(a) in M/Zu for every mark on an edge with
+    a vertex a.  Raises InvariantError when the map has a kernel, which
+    would mean the curve deforms and was never rigid.
     """
     verts, edges = reduced_graph(c)
     col = {vi: 2 * k for k, vi in enumerate(verts)}
     ncols = 2 * len(verts)
-
-    def imgkey(vi):
-        x, y = hfrac(c.vertices[vi])
-        return (x, y)
-
     bounded = []
     by_mark = {}
-    for ends, w, labels in edges:
-        kinds = sorted(t[0] for t in ends)
-        if kinds == ["v", "v"]:
-            va, vb = ends[0][1], ends[1][1]
-            if imgkey(vb) < imgkey(va):
-                va, vb = vb, va
-            u, _ = primitive(hdiff(c.vertices[va], c.vertices[vb]))
-            bounded.append((col[va], col[vb], u))
-            for lb in labels:
-                by_mark[lb] = (col[va], u)
-        elif kinds == ["inf", "v"]:
-            (vtok, dtok) = ends if ends[0][0] == "v" else (ends[1], ends[0])
-            u = dtok[1]
-            for lb in labels:
-                by_mark[lb] = (col[vtok[1]], u)
-        else:
-            # a straight-line curve: the edge has no vertex at all, so a
-            # mark on it constrains nothing Phi can see
-            for lb in labels:
-                by_mark[lb] = None
+    for a, b, u, _, labels in edges:
+        if b is not None:
+            bounded.append((col[a], col[b], u))
+        # on a line with no vertex a mark constrains nothing Phi can see
+        for lb in labels:
+            by_mark[lb] = None if a is None else (col[a], u)
 
     bounded.sort()
     rows = []
@@ -183,34 +159,30 @@ def build_phi(c):
         spot = by_mark[label]
         if spot is not None:
             cm, u = spot
-            n = _lexpos(rot90(u))
-            row[cm] += n[0]
-            row[cm + 1] += n[1]
+            row[cm], row[cm + 1] = _lexpos(rot90(u))
         rows.append(row)
         row_labels.append(("mark", label))
-    if len(smith_normal_form(rows)) != ncols:
+    factors = smith_normal_form(rows)
+    if len(factors) != ncols:
         raise InvariantError("lattice map has a kernel: curve is not rigid")
-    return PhiSystem(c, verts, rows, row_labels)
+    return PhiSystem(c, verts, rows, row_labels, factors)
 
 
 def index_d(sys):
-    """Cokernel order of Phi, a positive integer."""
-    o = cokernel_order(list(list(r) for r in sys.rows))
-    if o == "infinite":
+    """Cokernel order of Phi, a positive integer: the product of its
+    invariant factors, finite when there is one per row."""
+    if len(sys.factors) < len(sys.rows):
         raise InvariantError("infinite cokernel contradicts rigidity")
-    return o
+    return prod(sys.factors)
 
 
 def log_count_w(c):
     """Number of log enhancements of a stable map over the solution: the
     product of the bounded reduced-edge weights, with one extra factor of
     its edge's weight for every mark."""
-    _, edges = reduced_graph(c)
     out = 1
-    for ends, w, labels in edges:
-        if ends[0][0] == "v" and ends[1][0] == "v":
-            out *= w
-        out *= w ** len(labels)
+    for _, b, _, w, labels in reduced_graph(c)[1]:
+        out *= w ** (len(labels) + (b is not None))
     return out
 
 
@@ -291,17 +263,14 @@ def _edges_by_line(pd):
 
 def _cover_query(index, A, B, d):
     """Do the decomposition edges (index: _edges_by_line) tile the segment
-    A-B (d None) or the ray from A in direction d (B None)?
+    A-B or, when B is None, the ray from A?  d is the piece's direction.
 
     Works on exact integer keys of the positions, oriented along the
     query, so one upward sweep covers both cases; None stands for the
     infinite end.
     """
     from .arrangement import line_coord, line_dir, line_key
-    if d is None:
-        dp, _ = primitive(hdiff(A, B))
-    else:
-        dp, _ = primitive(d)
+    dp, _ = primitive(d)
     key = line_key(A, dp)
     sign = 1 if dp == line_dir(key) else -1
     edges = index.get(key, ())
@@ -351,7 +320,7 @@ def properties_report(pd, curves, fan):
     for c in curves:
         for i, j, w, d in c.bedges:
             ok1 = ok1 and _cover_query(index, c.vertices[i], c.vertices[j],
-                                       None)
+                                       d)
         for i, d, w in c.uedges:
             ok1 = ok1 and _cover_query(index, c.vertices[i], None, d)
     vset = set(pd.vertices)

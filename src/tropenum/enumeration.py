@@ -25,14 +25,15 @@ no longer rejects a configuration (see Forest).
 """
 
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations, product
+from math import isqrt
 
 from .fan import degree_total, make_degree, r_vector
 from .lattice import (as_hpoint, hdiff, hpoint, hshift, offset_key, on_line,
                       on_ray, on_segment, primitive, ray_hits, ray_meets,
-                      wedge)
+                      walls_through, wedge)
 from .tropcurve import (GenericityError, InvariantError, ParamTropCurve,
                         TropicalDisk, TropicalTree, canonical_type,
                         geometric_signature, mikhalkin_multiplicity,
@@ -45,7 +46,7 @@ BBOX = (-10, 10)        # sampled coordinates lie strictly inside BBOX^2
 def _sieve_primes(lo, hi):
     flags = bytearray([1]) * (hi + 1)
     flags[0:2] = b"\x00\x00"
-    for p in range(2, int(hi ** 0.5) + 1):
+    for p in range(2, isqrt(hi) + 1):
         if flags[p]:
             flags[p * p::p] = bytearray(len(range(p * p, hi + 1, p)))
     return [p for p in range(lo, hi + 1) if flags[p]]
@@ -187,9 +188,11 @@ class Forest:
     of its wall; `ray_hits` asks a bucket which walls a ray meets.  The stem
     tracer asks the buckets `_cands[m]` lists for a stem monomial m: the
     entries (left, bucket, c) with deg <= m, left = m - deg nonzero,
-    r(left) != 0 and c = wedge(r(m), out), which a new degree extends in
-    place.  Gluing is a join: each ta asks the level-n2 buckets, for trees
-    with marks disjoint from its own and, when n1 == n2, a larger key.
+    r(left) != 0 and c = wedge(r(m), out).  A stem asks only degrees of
+    lower levels, which are complete when it is traced, so a table never
+    needs a later bucket.  Gluing is a join: each ta asks the level-n2
+    buckets, for trees with marks disjoint from its own and, when
+    n1 == n2, a larger key.
     Hits and faults go by serial: the tracer raises the fault of lowest
     serial; gluing adds ta's trees in tb serial order up to the lowest
     faulty tb, then raises its fault.  The sign, root and cap tests keep
@@ -265,8 +268,6 @@ class Forest:
         if bucket is None:
             bucket = self._by_deg[t.deg] = ([], [], t.out)
             self._at_level.setdefault(level, []).append((t.deg, bucket))
-            for m, cands in self._cands.items():
-                self._add_cand(cands, m, t.deg, bucket)
         elif bucket[2] != t.out:
             raise InvariantError("two out directions in one degree")
         keys, ts, _ = bucket
@@ -320,18 +321,11 @@ class Forest:
 
     def _check_walls_off_points(self):
         """Raise the fault of the lowest tree serial, then the lowest point
-        index, whose wall passes through a marked point.  A wall's line
-        holds p only if its offset key is p's, so each point bisects its
-        own key in each degree bucket and tests only those walls; a strict
-        test of the wall's own root is always False."""
-        faults = []         # (tree serial, point index)
-        for keys, ts, o in self._by_deg.values():
-            for j, p in enumerate(self.config.points):
-                q = offset_key(wedge(p, o), p[2])
-                for t in ts[bisect_left(keys, q):bisect_right(keys, q)]:
-                    if (p != t.base and on_line(p, t.base, t.out)
-                            and on_ray(p, t.base, t.out, strict=True)):
-                        faults.append((t.serial, j))
+        index, whose wall passes through a marked point other than its
+        root."""
+        faults = [(t.serial, j) for bucket in self._by_deg.values()
+                  for j, p in enumerate(self.config.points)
+                  for t in walls_through(bucket, p) if t.base != p]
         if faults:
             raise GenericityError(
                 "tree wall passes through point %d" % min(faults)[1])
@@ -567,9 +561,8 @@ def enumerate_maslov2_disks(fan, config, Q, forest=None):
     qpt = as_hpoint(Q)
     if forest is None:
         forest = build_forest(fan, config)
-    for t in forest.trees:
-        if on_ray(qpt, t.base, t.out):
-            raise GenericityError("base point lies on a tree wall")
+    if any(walls_through(b, qpt) for b in forest._by_deg.values()):
+        raise GenericityError("base point lies on a tree wall")
     for p in config.points:
         if p == qpt:
             raise GenericityError("base point coincides with a marked point")

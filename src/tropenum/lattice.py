@@ -14,11 +14,11 @@ direction does this ray hit" on an index sorted by `offset_key`, settling
 the signs of both crossing parameters in integers, for the Maslov-0
 forest (stem tracer, gluing) and the scattering diagram (`crossings`,
 `germs`), which build a point with `hshift` only for a hit; `ray_meets`
-settles the same signs for one wall.  `ray_params`
-(the parameters of one pair of lines) and `ray_intersect` (plus the
-point) have no caller in the engine; they stay as the tests' reference
-for `ray_hits`, and for the benchmark's tracer, which wraps
-`ray_intersect` by name.
+settles the same signs for one wall, and `walls_through` asks the same
+index which walls hold a point.  `ray_params` (the parameters of one
+pair of lines) and `ray_intersect` (plus the point) have no caller in
+the engine; they stay as the tests' reference for `ray_hits`, and for
+the benchmark's tracer, which wraps `ray_intersect` by name.
 
 Floating point is forbidden here and in every caller.
 
@@ -392,6 +392,26 @@ def ray_hits(index, X, r, c, xr, skip):
         e = (bx * ry - by * rx) * xw - xr * bw
         if e * c >= 0:
             out.append((t, d, e))
+    return out
+
+
+def walls_through(index, P):
+    """The walls of one offset index (see ray_hits) whose rays hold the
+    point P, root included, in index order.  A wall's line holds P only if
+    its offset key is P's, so P bisects its own key and only those walls
+    take the exact test, written out as in ray_hits: P on the line
+    (kn * P.w == wedge(P, o) * base.w) and not behind the root
+    (dot(P - base, o) >= 0, scaled by P.w * base.w > 0)."""
+    keys, walls, (ox, oy) = index
+    px, py, pw = P
+    pn = px * oy - py * ox
+    q = (pn << OFFSET_BITS) // pw     # offset_key(pn, pw)
+    out = []
+    for t in walls[bisect_left(keys, q):bisect_right(keys, q)]:
+        bx, by, bw = t.base
+        if (t.kn * pw == pn * bw
+                and (px * bw - bx * pw) * ox + (py * bw - by * pw) * oy >= 0):
+            out.append(t)
     return out
 
 

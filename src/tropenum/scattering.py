@@ -37,7 +37,8 @@ from .enumeration import build_forest, mask_labels
 from .fan import r_vector
 from .lattice import (GenericityError, InvariantError, angle_key, as_hpoint,
                       dot, exact_shift, hdiff, hfrac, hshift, offset_key,
-                      on_ray, primitive, ray_hits, rot90, wedge)
+                      on_ray, primitive, ray_hits, rot90, walls_through,
+                      wedge)
 
 
 def _zerovec(nrays):
@@ -388,7 +389,9 @@ class ScatteringDiagram:
         return len(self.marked)
 
     def supp_contains(self, X):
-        return any(w.support_contains(X) for w in self.walls)
+        """Does a wall's ray hold X (a triple or a rational pair)?"""
+        X = as_hpoint(X)
+        return any(walls_through(ix, X) for ix in self._index.values())
 
     def germs(self):
         """Singular point (homogeneous triple) -> its wall germs

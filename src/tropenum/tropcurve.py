@@ -278,13 +278,15 @@ def canonical_type(c):
     """Canonical encoding of the combinatorial type: the marked weighted
     graph with edge directions, up to isomorphism respecting marks.  Curves
     here are trees, so a minimal rooted encoding over all roots is canonical.
+    A disk's boundary vertex carries the label -1, below every mark, so
+    that labels compare as ints.
     """
     n = len(c.vertices)
     labels = [[] for _ in range(n)]
     for label, v in c.marks:
         labels[v].append(label)
     if c.vout is not None:
-        labels[c.vout].append("out")
+        labels[c.vout].append(-1)
 
     def enc(v, parent):
         ends = c.incidence[v]

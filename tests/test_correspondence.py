@@ -94,11 +94,10 @@ def test_correspondence_on_p2():
         for c in rep.curves:
             sys = build_phi(c)
             verts, edges = reduced_graph(c)
-            nbounded = sum(1 for ends, w, ls in edges
-                           if ends[0][0] == "v" and ends[1][0] == "v")
+            nbounded = sum(1 for a, b, u, w, ls in edges if b is not None)
             assert sys.shape() == (nbounded + len(c.marks), 2 * len(verts))
             d = index_d(sys)
-            assert abs(det(sys.rows)) == d
+            assert abs(det(sys.rows)) == d == cokernel_order(sys.rows)
             assert d * log_count_w(c) == mikhalkin_multiplicity(c)
             assert verify_correspondence(c)
 
@@ -133,11 +132,13 @@ def test_reduced_graph_of_conic():
     for c in rep.curves:
         verts, edges = reduced_graph(c)
         assert len(verts) == 4
-        kinds = sorted(tuple(sorted(t[0] for t in ends))
-                       for ends, w, ls in edges)
-        assert kinds == [("inf", "v")] * 6 + [("v", "v")] * 3
-        assert sum(len(ls) for _, _, ls in edges) == 5
-        assert all(w >= 1 for _, w, _ in edges)
+        # every edge leaves an unmarked vertex; 3 end at one, 6 at infinity
+        assert all(a in verts for a, _, _, _, _ in edges)
+        ends = sorted(b is None for _, b, _, _, _ in edges)
+        assert ends == [False] * 3 + [True] * 6
+        assert all(u > (0, 0) for _, b, u, _, _ in edges if b is not None)
+        assert sum(len(ls) for _, _, _, _, ls in edges) == 5
+        assert all(w >= 1 for _, _, _, w, _ in edges)
 
 
 def test_decomposition_of_a_line():

@@ -26,10 +26,12 @@ import pytest
 
 from tropenum.broken import sample_endpoint
 from tropenum.enumeration import (Disk, Forest, PointConfig, Tree,
-                                  _boxed_exponents, sample_generic_points)
+                                  _boxed_exponents, build_forest,
+                                  enumerate_maslov2_disks,
+                                  sample_generic_points)
 from tropenum.fan import builtin_fan, make_degree, r_vector
-from tropenum.lattice import (hdiff, hpoint, on_ray, on_segment, primitive,
-                              ray_intersect, wedge)
+from tropenum.lattice import (hdiff, hpoint, hshift, on_ray, on_segment,
+                              primitive, ray_intersect, walls_through, wedge)
 from tropenum.tropcurve import GenericityError
 
 P2 = builtin_fan("p2")
@@ -368,30 +370,86 @@ def test_wall_check_cases_hold_several_faults():
                                 % faults[0][1])
 
 
-def test_new_degree_drops_cached_candidates():
-    # Forest.build never adds a tree whose degree could deflect a stem
-    # already traced, so drive the forest by hand: trace the degree-3
-    # disks over the leaves alone, add the level-2 trees (new degrees,
-    # which extend the cached candidate lists in place), then trace again.
-    # Both forests glue through the reference's plain _glue.
-    cfg = sample_generic_points(3, 3)
-    Q = sample_endpoint(11)
-    runs = []
-    for cls in (Forest, ScanForest):
-        forest = cls(P2, cfg)
-        forest.build(1)
-        before = forest.disks(Q, forest.allowed, forest.degrees(3, 3))
-        forest.levels[2] = []
-        for ta in forest.levels[1]:
-            for tb in forest.levels[1]:
-                if ta.key < tb.key and not ta.marks & tb.marks:
-                    t = ScanForest._glue(forest, ta, tb)
-                    if t is not None:
-                        forest._add(t, 2)
-        after = forest.disks(Q, forest.allowed, forest.degrees(3, 3))
-        runs.append(([d.key for d in before], [d.key for d in after]))
-    assert runs[0] == runs[1]
-    assert len(runs[0][1]) > len(runs[0][0])
+def _assert_candidates_fresh(forest):
+    """Every cached candidate list equals a fresh scan of all buckets: no
+    bucket the forest holds was filed after a stem asked for it."""
+    assert forest._cands
+    for m, cands in forest._cands.items():
+        fresh = []
+        for deg, bucket in forest._by_deg.items():
+            forest._add_cand(fresh, m, deg, bucket)
+        assert [(left, id(b), c) for left, b, c in cands] == \
+            [(left, id(b), c) for left, b, c in fresh]
+
+
+def _generic(build, k, seed):
+    """build(config) on the first attempt for seed that raises no
+    GenericityError."""
+    for attempt in range(32):
+        try:
+            return build(sample_generic_points(k, seed, attempt=attempt))
+        except GenericityError:
+            continue
+    raise AssertionError("no generic configuration")
+
+
+def _pivot_forest(fan, deg, config):
+    """The capped forest of enumerate_rational_curves, with its pivot."""
+    _, _, others, cap, level, pivot, _ = _pivot_case(fan, deg, config)
+    forest = Forest(fan, config, allowed_mask=others, degree_cap=cap)
+    forest.build(level, pivot=pivot)
+    return forest
+
+
+@pytest.mark.parametrize("fan,deg", [(P2, (3, 3, 3)), (P1P1, (2, 2, 2, 2)),
+                                     (DP6, (1,) * 6)],
+                         ids=["p2", "p1xp1", "dp6"])
+def test_pivot_forest_candidates_stay_fresh(fan, deg):
+    def build(config):
+        forest = _pivot_forest(fan, deg, config)
+        _assert_candidates_fresh(forest)
+        _pivot_disks(forest, config.points[-1], forest.allowed)
+        _assert_candidates_fresh(forest)
+
+    for seed in (1, 2):
+        _generic(build, sum(deg) - 1, seed)
+
+
+@pytest.mark.parametrize("fan,k", [(P2, 4), (P1P1, 4), (DP6, 3)],
+                         ids=["p2", "p1xp1", "dp6"])
+def test_uncapped_forest_candidates_stay_fresh(fan, k):
+    def build(config):
+        forest = build_forest(fan, config)
+        _assert_candidates_fresh(forest)
+        enumerate_maslov2_disks(fan, config, sample_endpoint(k + 7),
+                                forest=forest)
+        _assert_candidates_fresh(forest)
+
+    _generic(build, k, 1)
+
+
+def test_walls_through_matches_a_scan():
+    """lattice.walls_through on a bucket against on_ray on every wall of
+    it, at the marked points, the roots, points on the walls and points
+    just off them, over uncapped and pivot forests."""
+    forests = [_generic(lambda cfg: build_forest(P2, cfg), 4, 1),
+               _generic(lambda cfg: build_forest(P1P1, cfg), 3, 2),
+               _generic(lambda cfg: _pivot_forest(DP6, (1,) * 6, cfg), 5, 1)]
+    points = held = 0
+    for forest in forests:
+        pts = list(forest.config.points)
+        for t in forest.trees:
+            pts += [t.base, hshift(t.base, 2, 3, t.out),
+                    hshift(t.base, -1, 5, t.out),
+                    hshift(t.base, 1, 7, (t.out[1], -t.out[0]))]
+        for P in pts:
+            for bucket in forest._by_deg.values():
+                want = [t for t in bucket[1] if on_ray(P, t.base, t.out)]
+                assert walls_through(bucket, P) == want
+                held += len(want)
+        points += len(pts)
+    assert points > 1000
+    assert held > points
 
 
 def test_over_cap_pair_still_faults_at_a_root():

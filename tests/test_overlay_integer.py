@@ -281,10 +281,7 @@ def ref_edges_by_line(pd):
 
 
 def ref_cover_query(index, A, B, d):
-    if d is None:
-        dp, _ = primitive(hdiff(A, B))
-    else:
-        dp, _ = primitive(d)
+    dp, _ = primitive(d)
     key = ref_line_key(A, dp)
     sign = 1 if dp == ref_line_dir(key) else -1
     sa = sign * ref_line_coord(key, A)
@@ -401,8 +398,8 @@ def test_cover_query_matches_reference_off_the_skeleton(decompositions):
         ref = ref_edges_by_line(pd)
         for c in curves:
             for i, j, w, d in c.bedges:
-                check(c.vertices[i], c.vertices[j], None)
-                check(_shift(c.vertices[i]), _shift(c.vertices[j]), None)
+                check(c.vertices[i], c.vertices[j], d)
+                check(_shift(c.vertices[i]), _shift(c.vertices[j]), d)
         for P in pd.points:
             for r in fan.rays:
                 check(P, None, r)
@@ -410,7 +407,7 @@ def test_cover_query_matches_reference_off_the_skeleton(decompositions):
         for e in pd.edges:
             A = pd.vertices[e[1]]
             if e[0] == "seg":
-                check(A, hshift(pd.vertices[e[2]], 1, EPS, e[3]), None)
+                check(A, hshift(pd.vertices[e[2]], 1, EPS, e[3]), e[3])
             else:
                 check(hshift(A, -1, EPS, e[2]), None, e[2])
     assert outcomes == {True, False}

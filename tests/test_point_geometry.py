@@ -21,7 +21,7 @@ from tropenum.broken import _LEG_FAULTS, sample_endpoint
 from tropenum.enumeration import sample_generic_points
 from tropenum.fan import builtin_fan, r_vector
 from tropenum.lattice import (as_hpoint, dot, hfrac, hpoint, hshift, rot90,
-                              wedge)
+                              walls_through, wedge)
 from tropenum.scattering import build_diagram, path_crossings
 from tropenum.tropcurve import GenericityError
 
@@ -272,6 +272,30 @@ def test_path_crossings_match_reference(diagrams):
                 faults.add(want[1])
     assert paths >= 500
     assert len(faults) >= 3, faults
+
+
+def test_support_queries_match_reference(diagrams):
+    """supp_contains and walls_through against a scan of every wall, at
+    the endpoints, the singular points (wall bases and crossings), and
+    points ahead of, behind and beside each wall's root."""
+    points = held = 0
+    for _, _, d, sing, pts in diagrams[::5]:
+        pts = pts + sing
+        for w in d.walls:
+            (x, y), (a, b) = hfrac(w.base), w.dirvec
+            pts += [(x + Fraction(2 * a, 3), y + Fraction(2 * b, 3)),
+                    (x - Fraction(a, 5), y - Fraction(b, 5)),
+                    (x + Fraction(b, 7), y - Fraction(a, 7))]
+        for X in pts:
+            want = [w for w in d.walls if ref_support_contains(w, X)]
+            assert d.supp_contains(X) == bool(want)
+            P = hpoint(*X)
+            got = [w for ix in d._index.values() for w in walls_through(ix, P)]
+            assert sorted(map(id, got)) == sorted({id(w) for w in want})
+            held += bool(want)
+        points += len(pts)
+    assert points > 1000
+    assert 0 < held < points
 
 
 # -- the boundary converter ---------------------------------------------------
