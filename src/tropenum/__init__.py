@@ -25,19 +25,16 @@ _EXPORTS = {
     "fan": ("Fan", "builtin_fan", "degree_total", "make_degree", "make_fan",
             "newton_polygon", "r_vector"),
     "gw": ("kontsevich_number",),
-    "lattice": ("GenericityError", "InvariantError", "cokernel_order", "det",
-                "hfrac", "primitive", "smith_normal_form", "wedge"),
+    "lattice": ("GenericityError", "InvariantError", "hfrac", "primitive",
+                "smith_normal_form", "wedge"),
     "scattering": ("RingAutomorphism", "RingElement", "ScatteringDiagram",
                    "Wall", "build_diagram", "check_consistency",
-                   "format_element", "identity_automorphism",
-                   "loop_automorphism", "path_automorphism",
-                   "path_crossings", "ring_mono", "ring_one", "ring_zero",
-                   "wall_crossing"),
+                   "format_element", "loop_automorphism", "path_automorphism",
+                   "path_crossings", "ring_mono", "ring_one"),
     "tropcurve": ("CornerLocus", "MinPlusPoly", "ParamTropCurve",
                   "TropicalDisk", "TropicalTree", "check_balancing",
-                  "corner_locus", "degree", "genus", "maslov_index",
-                  "mikhalkin_multiplicity", "validate_curve",
-                  "welschinger_multiplicity"),
+                  "corner_locus", "degree", "genus", "mikhalkin_multiplicity",
+                  "validate_curve", "welschinger_multiplicity"),
 }
 _HOME = {name: mod for mod, names in _EXPORTS.items() for name in names}
 

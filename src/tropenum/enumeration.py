@@ -26,12 +26,11 @@ no longer rejects a configuration (see Forest).
 
 import random
 from bisect import bisect_right
-from fractions import Fraction
 from itertools import combinations, product
 from math import isqrt
 
 from .fan import degree_total, make_degree, r_vector
-from .lattice import (as_hpoint, hdiff, hpoint, hshift, offset_key, on_line,
+from .lattice import (as_hpoint, hdiff, hshift, offset_key, on_line,
                       on_ray, on_segment, primitive, ray_hits, ray_meets,
                       walls_through, wedge)
 from .tropcurve import (GenericityError, InvariantError, ParamTropCurve,
@@ -74,7 +73,9 @@ def sample_generic_points(k, seed, attempt=0):
     Each coordinate is n/p with p prime in [1009, 9973] and p not dividing n;
     2k distinct primes make all coordinates pairwise distinct automatically,
     and the large pairwise-coprime denominators keep accidental rational
-    collinearities rare.  Deterministic in (seed, attempt).
+    collinearities rare.  The point (n1/p, n2/q) is the triple
+    (n1*q, n2*p, p*q), already in lowest terms.  Deterministic in
+    (seed, attempt).
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -82,13 +83,13 @@ def sample_generic_points(k, seed, attempt=0):
     lo, hi = BBOX
     denoms = rng.sample(_PRIMES, 2 * k) if k else []
 
-    def coord(p):
+    def numerator(p):
         while True:
             n = rng.randint(lo * p + 1, hi * p - 1)
             if n % p:
-                return Fraction(n, p)
-    pts = [hpoint(coord(denoms[2 * i]), coord(denoms[2 * i + 1]))
-           for i in range(k)]
+                return n
+    pts = [(numerator(p) * q, numerator(q) * p, p * q)
+           for p, q in zip(denoms[0::2], denoms[1::2])]
     cert = {
         "seed": seed,
         "attempt": attempt,
@@ -189,10 +190,10 @@ class Forest:
     tracer asks the buckets `_cands[m]` lists for a stem monomial m: the
     entries (left, bucket, c) with deg <= m, left = m - deg nonzero,
     r(left) != 0 and c = wedge(r(m), out).  A stem asks only degrees of
-    lower levels, which are complete when it is traced, so a table never
-    needs a later bucket.  Gluing is a join: each ta asks the level-n2
-    buckets, for trees with marks disjoint from its own and, when
-    n1 == n2, a larger key.
+    lower levels, which are complete when it is traced, so a table is built
+    from the buckets of levels below |m| and never needs a later bucket.
+    Gluing is a join: each ta asks the level-n2 buckets, for trees with
+    marks disjoint from its own and, when n1 == n2, a larger key.
     Hits and faults go by serial: the tracer raises the fault of lowest
     serial; gluing adds ta's trees in tb serial order up to the lowest
     faulty tb, then raises its fault.  The sign, root and cap tests keep
@@ -373,8 +374,9 @@ class Forest:
         cands = self._cands.get(m)
         if cands is None:
             cands = self._cands[m] = []
-            for deg, bucket in self._by_deg.items():
-                self._add_cand(cands, m, deg, bucket)
+            for level in range(1, sum(m)):
+                for deg, bucket in self._at_level.get(level, ()):
+                    self._add_cand(cands, m, deg, bucket)
         return cands
 
     def _trace(self, X0, X, m, rmask, steps, out):
@@ -412,7 +414,8 @@ class Forest:
         for _, V, t, _ in hits:
             by_point.setdefault(V, []).append(t)
         for ts in by_point.values():
-            if any(wedge(a.out, b.out) for a, b in combinations(ts, 2)):
+            if len(ts) > 1 and any(wedge(a.out, b.out)
+                                   for a, b in combinations(ts, 2)):
                 raise GenericityError("two transversal walls cross the stem "
                                       "at one point")
         for _, V, t, left in hits:

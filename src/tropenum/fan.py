@@ -8,7 +8,7 @@ many unbounded edges of a curve leave along each ray.  The Newton polygon of a
 degree is the lattice polygon whose edge dual to rho has lattice length d_rho.
 """
 
-from .lattice import angle_key, lattice_length, primitive, rot90, wedge
+from .lattice import angle_key, primitive, rot90, wedge
 
 
 class Fan:
@@ -109,18 +109,6 @@ def r_vector(fan, m):
     return (x, y)
 
 
-def locate_direction(fan, v):
-    """("cone", i) if v lies in the interior of 2D cone i, ("ray", i) if on
-    ray i.  Completeness makes this total for nonzero v."""
-    for i, r in enumerate(fan.rays):
-        if wedge(r, v) == 0 and (r[0] * v[0] + r[1] * v[1]) > 0:
-            return ("ray", i)
-    for ci, (i, j) in enumerate(fan.cones2d):
-        if wedge(fan.rays[i], v) > 0 and wedge(v, fan.rays[j]) > 0:
-            return ("cone", ci)
-    raise ValueError("direction %r not located; fan incomplete?" % (v,))
-
-
 def newton_polygon(fan, deg):
     """Vertices of the Newton polygon of a balanced degree.
 
@@ -151,15 +139,3 @@ def newton_polygon(fan, deg):
     verts = [(x - lo[0], y - lo[1]) for x, y in verts]
     start = verts.index(min(verts))
     return verts[start:] + verts[:start]
-
-
-def newton_edge_lengths(fan, deg):
-    """Lattice lengths of the polygon boundary edges, in CCW chaining order."""
-    poly = newton_polygon(fan, deg)
-    if len(poly) < 2:
-        return []
-    out = []
-    for i, p in enumerate(poly):
-        q = poly[(i + 1) % len(poly)]
-        out.append(lattice_length((q[0] - p[0], q[1] - p[1])))
-    return out

@@ -42,7 +42,11 @@ def parse_q(s):
     num, slash, den = s.partition("/")
     if slash and not (den and int(den)):
         raise InvariantError("rational %r needs a nonzero denominator" % s)
-    return Fraction(int(num), int(den) if slash else 1)
+    value = Fraction(int(num), int(den) if slash else 1)
+    if fmt_q(value) != s:
+        raise InvariantError("rational %r is not \"p\" or \"p/q\" in lowest "
+                             "terms" % s)
+    return value
 
 
 def _fmt_ratio(num, den):

@@ -2,8 +2,9 @@
 
 Everything downstream (fans, curves, arrangements, wall crossing) reduces to
 arithmetic in M = Z^2 and its rational span.  This module owns that arithmetic:
-primitive vectors, the wedge form identifying M ^ M with Z, Smith normal form
-and cokernel orders of integer matrices, the one exact elimination over Q
+primitive vectors, the wedge form identifying M ^ M with Z, the
+counterclockwise order of directions (`angle_key`, in integers), the Smith
+normal form of integer matrices, the one exact elimination over Q
 (`eliminate`, which the brute-force counter runs once per marked type), and
 the one point type of the package: a rational plane point is an int triple
 (X, Y, W), W > 0, gcd 1, standing for (X/W, Y/W).  `as_hpoint` turns what
@@ -29,6 +30,7 @@ error types live here too: `GenericityError` means "resample" and
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd
 
 
@@ -77,26 +79,34 @@ def lattice_length(v):
     return gcd(abs(x), abs(y))
 
 
+def _ccw_cmp(a, b):
+    """-1, 0 or 1 as a comes before, with or after b counterclockwise from
+    (1, 0): by half-plane (angles in [0, pi), then [pi, 2pi)), then by the
+    sign of wedge(a, b) within one half-plane."""
+    ha = a[1] < 0 or (a[1] == 0 and a[0] < 0)
+    hb = b[1] < 0 or (b[1] == 0 and b[0] < 0)
+    if ha != hb:
+        return 1 if ha else -1
+    c = a[0] * b[1] - a[1] * b[0]
+    return (c < 0) - (c > 0)
+
+
+_ccw_key = cmp_to_key(_ccw_cmp)
+
+
 def angle_key(v):
-    """Total order key sorting nonzero integer vectors by CCW angle from (1,0).
+    """Total order key sorting nonzero integer vectors by CCW angle from (1,0),
+    in integers.
 
     Collinear same-direction vectors compare equal; opposite directions differ.
     """
-    x, y = v
-    if x == 0 and y == 0:
+    if v[0] == 0 and v[1] == 0:
         raise ValueError("zero vector has no angle")
-    if y > 0 or (y == 0 and x > 0):
-        half = 0
-    else:
-        half = 1
-    if y == 0:
-        return (half, 0, Fraction(0))
-    # within an open half-plane the angle is monotone in -x/y
-    return (half, 1, Fraction(-x, y))
+    return _ccw_key(v)
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form and cokernel order
+# Smith normal form
 
 def smith_normal_form(rows):
     """Invariant factors of an integer matrix, as a list d_1 | d_2 | ... > 0.
@@ -171,49 +181,6 @@ def smith_normal_form(rows):
         if top >= m or top >= n:
             break
     return diag
-
-
-def det(rows):
-    """Determinant of a square integer matrix, by fraction-free elimination."""
-    A = [[int(e) for e in r] for r in rows]
-    n = len(A)
-    for r in A:
-        if len(r) != n:
-            raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            for i in range(k + 1, n):
-                if A[i][k]:
-                    A[k], A[i] = A[i], A[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
-
-
-def cokernel_order(rows):
-    """Order of Z^rows / (column span of the matrix); "infinite" if not finite.
-
-    The cokernel is finite exactly when the rank equals the number of rows,
-    and then its order is the product of the invariant factors.
-    """
-    m = len(rows)
-    diag = smith_normal_form(rows)
-    if len(diag) < m:
-        return "infinite"
-    out = 1
-    for d in diag:
-        out *= d
-    return out
 
 
 # ---------------------------------------------------------------------------

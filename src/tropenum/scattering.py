@@ -36,9 +36,8 @@ from fractions import Fraction
 from .enumeration import build_forest, mask_labels
 from .fan import r_vector
 from .lattice import (GenericityError, InvariantError, angle_key, as_hpoint,
-                      dot, exact_shift, hdiff, hfrac, hshift, offset_key,
-                      on_ray, primitive, ray_hits, rot90, walls_through,
-                      wedge)
+                      dot, exact_shift, hdiff, hshift, offset_key, primitive,
+                      ray_hits, rot90, walls_through, wedge)
 
 
 def _zerovec(nrays):
@@ -96,16 +95,6 @@ class RingElement:
         e.terms = out
         return e
 
-    def scale(self, c):
-        c = _coef(c)
-        e = RingElement(self.nrays, y0=self.y0 * c)
-        if c:
-            e.terms = {key: v * c for key, v in self.terms.items()}
-        return e
-
-    def sub(self, other):
-        return self.add(other.scale(-1))
-
     def mul(self, other):
         if self.y0 or other.y0:
             raise InvariantError("y0 is a formal constant, not a factor")
@@ -125,42 +114,19 @@ class RingElement:
         return e
 
     def pow(self, e):
+        """self^e for an integer e >= 0.  No engine code raises an element
+        to a negative power, so a negative e is a bug."""
         e = int(e)
-        if e >= 0:
-            out = ring_one(self.nrays)
-            b = self
-            while e:
-                if e & 1:
-                    out = out.mul(b)
-                b = b.mul(b)
-                e >>= 1
-            return out
-        return self._inverse().pow(-e)
-
-    def _inverse(self):
-        # factor as c* z^{m*} (1 + N) with N nilpotent, invert the pieces
-        star = None
-        for (m, uset), c in self.terms.items():
-            if not uset:
-                if star is not None:
-                    raise InvariantError("unsupported: negative power of a "
-                                         "non-unipotent element")
-                star = (m, c)
-        if star is None:
-            raise InvariantError("unsupported: negative power of a "
-                                 "non-unipotent element")
-        mstar, cstar = star
-        neg = tuple(-x for x in mstar)
-        g = ring_mono(self.nrays, Fraction(1) / cstar, (), neg).mul(self)
-        n = g.sub(ring_one(self.nrays))
+        if e < 0:
+            raise InvariantError("negative power of a ring element")
         out = ring_one(self.nrays)
-        p = ring_one(self.nrays)
-        while True:
-            p = p.mul(n).scale(-1)
-            if not p.terms:
-                break
-            out = out.add(p)
-        return out.mul(ring_mono(self.nrays, Fraction(1) / cstar, (), neg))
+        b = self
+        while e:
+            if e & 1:
+                out = out.mul(b)
+            b = b.mul(b)
+            e >>= 1
+        return out
 
     def mod_u(self):
         """Image with every u_i set to 0."""
@@ -181,10 +147,6 @@ class RingElement:
 
     def __repr__(self):
         return "RingElement(%s)" % format_element(self)
-
-
-def ring_zero(nrays):
-    return RingElement(nrays)
 
 
 def ring_one(nrays):
@@ -240,6 +202,10 @@ class RingAutomorphism:
             raise InvariantError("need one image per ray generator")
         self.nrays = nrays
 
+    # No engine code applies or composes automorphisms: crossings fold
+    # term by term (_cross).  compose stays because the benchmark's tracer
+    # wraps it by name, and apply is its body; apply raises on a negative
+    # exponent, since pow does.
     def apply(self, elem):
         out = RingElement(self.nrays, y0=elem.y0)
         for (m, uset), c in elem.terms.items():
@@ -267,11 +233,6 @@ class RingAutomorphism:
     def __repr__(self):
         return ("RingAutomorphism(%s)"
                 % "; ".join(format_element(im) for im in self.images))
-
-
-def identity_automorphism(nrays):
-    return RingAutomorphism(nrays,
-                            [ray_generator(nrays, i) for i in range(nrays)])
 
 
 class Wall:
@@ -306,10 +267,6 @@ class Wall:
         nrays = fan.nrays()
         self.f = ring_one(nrays).add(ring_mono(nrays, self.c, self.uset,
                                                self.m0))
-
-    def support_contains(self, X):
-        """Is X (a homogeneous triple or a rational pair) on the ray?"""
-        return on_ray(as_hpoint(X), self.base, self.dirvec)
 
     def __repr__(self):
         return ("Wall(ray at %s, dir %s, f=%s)"
@@ -346,20 +303,6 @@ def _fold(fan, crossings):
     for wall, n0 in crossings:
         images = [_cross(wall, n0, im) for im in images]
     return RingAutomorphism(nrays, images)
-
-
-def wall_crossing(wall, crossing_sign):
-    """Crossing automorphism with n0 = +-rot90 of the support direction.
-
-    path_automorphism picks the sign so that <n0, velocity> < 0; crossing
-    the same wall with the opposite sign gives the exact inverse.
-    """
-    if crossing_sign not in (1, -1):
-        raise InvariantError("crossing sign must be +1 or -1")
-    n = rot90(wall.dirvec)
-    if crossing_sign < 0:
-        n = (-n[0], -n[1])
-    return _fold(wall.fan, [(wall, n)])
 
 
 class ScatteringDiagram:
@@ -427,8 +370,12 @@ class ScatteringDiagram:
         return self._germs
 
     def sing_points(self):
-        """The singular points, sorted by their (x, y) values."""
-        return sorted(self.germs(), key=hfrac)
+        """The singular points, sorted by their (x, y) values on the exact
+        integer keys of `exact_shift`."""
+        germs = self.germs()
+        K = exact_shift(X[2] for X in germs)
+        return sorted(germs, key=lambda X: ((X[0] << K) // X[2],
+                                            (X[1] << K) // X[2]))
 
     def crossings(self, X, d, faults, end=None):
         """Transversal wall crossings of X + s*d, s > 0 (and s < 1/end for

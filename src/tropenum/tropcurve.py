@@ -18,7 +18,6 @@ weight is 0 for even multiplicity m and (-1)^((m-1)/2) otherwise.
 from collections import defaultdict
 from fractions import Fraction
 
-from .fan import degree_total
 from .lattice import (GenericityError, InvariantError, dot, hdiff, hnorm,
                       hpoint, lattice_length, on_ray, on_segment, primitive,
                       wedge)
@@ -168,11 +167,6 @@ def welschinger_multiplicity(c):
     if m % 2 == 0:
         return 0
     return -1 if ((m - 1) // 2) % 2 else 1
-
-
-def maslov_index(c, fan):
-    """2 * (total degree - number of marks); 0 for trees, 2 for disks."""
-    return 2 * (degree_total(degree(c, fan)) - len(c.marks))
 
 
 def validate_curve(c, fan, points=None):

@@ -185,7 +185,11 @@ def test_render_rejects_malformed_document(tmp_path):
                        "tropenum/potential/1"),
                       ("{\"schema\": []}", "missing schema id"),
                       (COUNT_AT % "1/0", "'1/0' needs a nonzero denominator"),
-                      (COUNT_AT % "1/", "'1/' needs a nonzero denominator")):
+                      (COUNT_AT % "1/", "'1/' needs a nonzero denominator"),
+                      # docs/schemas.md: "p" or "p/q" in lowest terms
+                      *((COUNT_AT % q, "%r is not \"p\" or \"p/q\"" % q)
+                        for q in ("2/4", "1/-2", "3/1", "+3", " 3",
+                                  "1_000"))):
         bad.write_text(text)
         p = run_cli("render", str(bad), str(tmp_path / "bad.svg"))
         err = p.stderr.decode()

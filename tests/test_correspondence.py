@@ -2,6 +2,7 @@
 
 import pytest
 
+from reference import cokernel_order, det
 from tropenum.arrangement import Overlay
 from tropenum.correspondence import (build_decomposition, build_phi,
                                      fan_over, index_d, log_count_w,
@@ -9,7 +10,6 @@ from tropenum.correspondence import (build_decomposition, build_phi,
                                      rescale_lattice, verify_correspondence)
 from tropenum.enumeration import run_count
 from tropenum.fan import builtin_fan, make_degree
-from tropenum.lattice import cokernel_order, det
 from tropenum.tropcurve import InvariantError, mikhalkin_multiplicity
 
 

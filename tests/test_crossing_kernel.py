@@ -2,11 +2,12 @@
 replaced.
 
 ref_loop_automorphism and ref_path_automorphism are the earlier
-implementations, kept here as the reference: each wall crossing is a
-RingAutomorphism whose generator images are z^{e_i} * f^{<n0, v_i>}, built
-with RingElement.pow, and the crossings are chained with
-RingAutomorphism.compose.  The library applies each crossing term by term
-to the current images in closed form, f^e = 1 + e*c*u_I*z^{m0}.  On the
+implementations, kept here as the reference: each wall crossing is the
+RingAutomorphism `reference.ref_crossing_auto`, whose generator images are
+z^{e_i} * f^{<n0, v_i>} with powers of either sign, and the crossings are
+chained with `reference.ref_compose`.  The library applies each crossing
+term by term to the current images in closed form, f^e = 1 + e*c*u_I*z^{m0},
+and never composes automorphisms.  On the
 same diagrams both must give equal automorphisms at every singular point
 and along every path, and broken.transport must agree with the reference.
 The library reads the loop germs from the diagram's incidence table while
@@ -18,15 +19,15 @@ from fractions import Fraction
 
 import pytest
 
+from reference import (ref_angle_key, ref_compose, ref_crossing_auto,
+                       ref_identity)
 from tropenum.broken import potential, sample_endpoint, transport
 from tropenum.enumeration import sample_generic_points
 from tropenum.fan import builtin_fan
-from tropenum.lattice import (angle_key, as_hpoint, dot, hdiff, hshift, rot90,
-                              wedge)
-from tropenum.scattering import (RingAutomorphism, ScatteringDiagram, Wall,
-                                 build_diagram, identity_automorphism,
+from tropenum.lattice import as_hpoint, dot, hdiff, hshift, rot90, wedge
+from tropenum.scattering import (ScatteringDiagram, Wall, build_diagram,
                                  loop_automorphism, path_automorphism,
-                                 path_crossings, ray_generator)
+                                 path_crossings)
 from tropenum.tropcurve import GenericityError
 
 P2 = builtin_fan("p2")
@@ -36,17 +37,10 @@ P1P1 = builtin_fan("p1xp1")
 # -- the compose-based reference ----------------------------------------------
 
 
-def ref_crossing_auto(wall, n0):
-    nrays = wall.fan.nrays()
-    return RingAutomorphism(nrays, [
-        ray_generator(nrays, i).mul(wall.f.pow(dot(n0, v)))
-        for i, v in enumerate(wall.fan.rays)])
-
-
-def ref_compose(fan, crossings):
-    total = identity_automorphism(fan.nrays())
+def ref_chain(fan, crossings):
+    total = ref_identity(fan.nrays())
     for wall, n0 in crossings:
-        total = ref_crossing_auto(wall, n0).compose(total)
+        total = ref_compose(ref_crossing_auto(wall, n0), total)
     return total
 
 
@@ -64,18 +58,18 @@ def ref_loop_automorphism(diagram, X):
             germs.append(((-d[0], -d[1]), widx))
         elif along == 0:
             germs.append((d, widx))
-    germs.sort(key=lambda g: (angle_key(g[0]), g[1]))
+    germs.sort(key=lambda g: (ref_angle_key(g[0]), g[1]))
     crossings = []
     for g, widx in germs:
         n0 = rot90(g)
         crossings.append((diagram.walls[widx], (-n0[0], -n0[1])))
-    return ref_compose(diagram.fan, crossings)
+    return ref_chain(diagram.fan, crossings)
 
 
 def ref_path_automorphism(diagram, path):
-    return ref_compose(diagram.fan, [(diagram.walls[widx], n0)
-                                     for widx, n0 in path_crossings(diagram,
-                                                                    path)])
+    return ref_chain(diagram.fan, [(diagram.walls[widx], n0)
+                                   for widx, n0 in path_crossings(diagram,
+                                                                  path)])
 
 
 # -- comparison ---------------------------------------------------------------

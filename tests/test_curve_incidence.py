@@ -429,10 +429,10 @@ def test_solutions_and_stretched_solutions_match_reference(solutions,
 def test_count_fraction_work_stays_pinned():
     """Fractions that run_count constructs on the P2 cubic, seed 1.
 
-    Positions are integer triples and the overlap test runs on exact
-    segments and rays, so the only Fractions left are those of sampling
-    the points: 32 of them.  With rays truncated to Fraction segments the
-    count constructed 1,076.
+    Positions are integer triples, the overlap test runs on exact
+    segments and rays, and the sampled points are built as triples, so no
+    Fraction is left.  With rays truncated to Fraction segments the count
+    constructed 1,076, and with Fraction coordinates for the samples 32.
     """
     fan = builtin_fan("p2")
     made = []
@@ -448,4 +448,4 @@ def test_count_fraction_work_stays_pinned():
     finally:
         Fraction.__new__ = orig
     assert rep.n_trop == 12
-    assert len(made) == 32
+    assert len(made) == 0

@@ -2,10 +2,30 @@ import random
 
 import pytest
 
-from tropenum.fan import (builtin_fan, degree_total, locate_direction,
-                          make_degree, make_fan, newton_edge_lengths,
+from tropenum.fan import (builtin_fan, degree_total, make_degree, make_fan,
                           newton_polygon, r_vector)
-from tropenum.lattice import primitive, wedge
+from tropenum.lattice import lattice_length, primitive, wedge
+
+
+def locate_direction(fan, v):
+    """("cone", i) if v lies in the interior of 2D cone i, ("ray", i) if on
+    ray i.  Completeness makes this total for nonzero v."""
+    for i, r in enumerate(fan.rays):
+        if wedge(r, v) == 0 and (r[0] * v[0] + r[1] * v[1]) > 0:
+            return ("ray", i)
+    for ci, (i, j) in enumerate(fan.cones2d):
+        if wedge(fan.rays[i], v) > 0 and wedge(v, fan.rays[j]) > 0:
+            return ("cone", ci)
+    raise ValueError("direction %r not located; fan incomplete?" % (v,))
+
+
+def newton_edge_lengths(fan, deg):
+    """Lattice lengths of the polygon boundary edges, in CCW chaining order."""
+    poly = newton_polygon(fan, deg)
+    if len(poly) < 2:
+        return []
+    return [lattice_length((q[0] - p[0], q[1] - p[1]))
+            for p, q in zip(poly, poly[1:] + poly[:1])]
 
 
 def test_p2_fan():

@@ -27,7 +27,7 @@ import pytest
 from tropenum.broken import sample_endpoint
 from tropenum.enumeration import (Disk, Forest, PointConfig, Tree,
                                   _boxed_exponents, build_forest,
-                                  enumerate_maslov2_disks,
+                                  enumerate_maslov2_disks, run_count,
                                   sample_generic_points)
 from tropenum.fan import builtin_fan, make_degree, r_vector
 from tropenum.lattice import (hdiff, hpoint, hshift, on_ray, on_segment,
@@ -426,6 +426,25 @@ def test_uncapped_forest_candidates_stay_fresh(fan, k):
         _assert_candidates_fresh(forest)
 
     _generic(build, k, 1)
+
+
+def test_candidate_tables_scan_only_lower_levels(monkeypatch):
+    """A stem of monomial m is deflected only by trees of degree below m,
+    which lie at levels below |m|, so its candidate table scans only the
+    buckets of those levels.  On the P2 cubic, seed 1, that is 1,116
+    _add_cand calls; scanning every bucket made 1,575.  The freshness tests
+    above check that the tables equal a scan of every bucket."""
+    calls = []
+    add_cand = Forest._add_cand
+
+    def counted(self, *args):
+        calls.append(args)
+        return add_cand(self, *args)
+
+    monkeypatch.setattr(Forest, "_add_cand", counted)
+    rep = run_count(P2, (3, 3, 3), seed=1)
+    assert (rep.n_trop, rep.w_trop) == (12, 8)
+    assert len(calls) == 1116
 
 
 def test_walls_through_matches_a_scan():

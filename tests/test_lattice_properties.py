@@ -2,9 +2,10 @@
 arithmetic written here, sharing no code with tropenum.lattice beyond
 hpoint, which turns a Fraction pair into the triple the kernels take; of
 the integer side and line tests the Maslov-0 forest puts in front of them,
-and of its offset-sorted wall index; of the exact sort keys of ratios; and
-of the exact elimination, checked by matrix products on small integer
-matrices."""
+and of its offset-sorted wall index; of the exact sort keys of ratios; of
+the exact elimination, checked by matrix products on small integer
+matrices; and of the integer angular order against the Fraction slopes of
+`reference.ref_angle_key`."""
 
 from fractions import Fraction
 from math import floor, gcd
@@ -13,7 +14,8 @@ from types import SimpleNamespace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropenum.lattice import (OFFSET_BITS, det, eliminate, exact_shift,
+from reference import det, ref_angle_key
+from tropenum.lattice import (OFFSET_BITS, angle_key, eliminate, exact_shift,
                               hdiff, hfrac, hpoint, line_param, offset_key,
                               on_line, on_ray, on_segment, ray_hits,
                               ray_intersect, ray_params, wedge)
@@ -360,3 +362,22 @@ def test_exact_shift_keys_order_ratios_exactly(ratios):
             k1, k2 = (n1 << K) // d1, (n2 << K) // d2
             q1, q2 = Fraction(n1, d1), Fraction(n2, d2)
             assert (k1 < k2) == (q1 < q2) and (k1 == k2) == (q1 == q2)
+
+
+@SETTINGS
+@given(st.lists(st.tuples(vector, st.integers(1, 4), st.booleans()),
+                min_size=1, max_size=10))
+def test_angle_key_matches_fraction_reference(draws):
+    # each vector comes with a positive multiple (collinear, equal angle)
+    # and, if drawn, its opposite (a half turn away)
+    vs = []
+    for v, k, flip in draws:
+        vs += [v, (k * v[0], k * v[1])]
+        if flip:
+            vs.append((-v[0], -v[1]))
+    for a in vs:
+        for b in vs:
+            ka, kb = angle_key(a), angle_key(b)
+            ra, rb = ref_angle_key(a), ref_angle_key(b)
+            assert (ka < kb) == (ra < rb) and (ka == kb) == (ra == rb)
+    assert sorted(vs, key=angle_key) == sorted(vs, key=ref_angle_key)

@@ -3,7 +3,8 @@
 `RefOverlay`, `ref_line_key`, `ref_line_coord`, `ref_edges_by_line` and
 `ref_cover_query` are the overlay and the coverage check as they were
 written on Fraction line keys and Fraction positions, with the cell
-orientation a Fraction shoelace sum.  The program's integer versions must
+orientation a Fraction shoelace sum and the germs at a vertex in the
+Fraction-slope order of `reference.ref_angle_key`.  The program's integer versions must
 give the same complex (vertices, edges with their tags, faces), the same
 properties and the same InvariantError, message and all, on real
 decompositions and on small random arrangements.
@@ -15,14 +16,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reference import ref_angle_key
 from tropenum import correspondence
 from tropenum.arrangement import Overlay
 from tropenum.correspondence import build_decomposition, properties_report
 from tropenum.enumeration import run_count
 from tropenum.fan import builtin_fan, make_degree
-from tropenum.lattice import (InvariantError, angle_key, as_hpoint, hdiff,
-                              hfrac, hnorm, hpoint, hshift, primitive, rot90,
-                              wedge)
+from tropenum.lattice import (InvariantError, as_hpoint, hdiff, hfrac, hnorm,
+                              hpoint, hshift, primitive, rot90, wedge)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +192,7 @@ def ref_trace_faces(verts, edges):
     order_dirs = []
     pos = []
     for v in range(len(verts)):
-        dirs = sorted(germs[v], key=angle_key)
+        dirs = sorted(germs[v], key=ref_angle_key)
         if len(dirs) < 2:
             raise InvariantError("dangling edge at a vertex")
         order_dirs.append(dirs)
@@ -460,10 +461,11 @@ def test_decomposition_fraction_work_stays_pinned():
     """Fractions that build_decomposition and properties_report construct
     on dP6, seed 1.
 
-    Lines, positions, crossings and cell orientations are integers, so
-    the only Fractions left are those of `lattice.angle_key`, which orders
-    the germs at each vertex: 479 of them.  With Fraction line keys and
-    positions the two calls constructed 22,872.
+    Lines, positions, crossings and cell orientations are integers, and
+    `lattice.angle_key` orders the germs at each vertex by the sign of a
+    wedge, so no Fraction is left.  With Fraction line keys and positions
+    the two calls constructed 22,872, and with Fraction slopes for the
+    germ order 479.
     """
     fan = builtin_fan("dp6")
     rep = run_count(fan, make_degree(fan, (1,) * 6), 1)
@@ -481,4 +483,4 @@ def test_decomposition_fraction_work_stays_pinned():
     finally:
         Fraction.__new__ = orig
     assert all(props.values())
-    assert len(made) == 479
+    assert len(made) == 0

@@ -16,6 +16,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from reference import cokernel_order
 from test_curve_incidence import pt, ref_reduced_graph
 
 from tropenum import correspondence
@@ -23,8 +24,8 @@ from tropenum.correspondence import (build_phi, index_d, log_count_w,
                                      reduced_graph)
 from tropenum.enumeration import run_count
 from tropenum.fan import builtin_fan, make_degree
-from tropenum.lattice import (InvariantError, cokernel_order, hdiff, hfrac,
-                              primitive, rot90, smith_normal_form)
+from tropenum.lattice import (InvariantError, hdiff, hfrac, primitive, rot90,
+                              smith_normal_form)
 from tropenum.tropcurve import ParamTropCurve
 
 COUNTS = [("p2", (d, d, d), seed) for d in (1, 2, 3) for seed in range(1, 9)]

@@ -17,12 +17,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tropenum.broken import _LEG_FAULTS, sample_endpoint
+from reference import ref_support_contains
+from tropenum.broken import _LEG_FAULTS, potential, sample_endpoint
 from tropenum.enumeration import sample_generic_points
 from tropenum.fan import builtin_fan, r_vector
 from tropenum.lattice import (as_hpoint, dot, hfrac, hpoint, hshift, rot90,
                               walls_through, wedge)
-from tropenum.scattering import build_diagram, path_crossings
+from tropenum.scattering import (build_diagram, check_consistency,
+                                 path_crossings)
 from tropenum.tropcurve import GenericityError
 
 P2 = builtin_fan("p2")
@@ -30,12 +32,6 @@ P1P1 = builtin_fan("p1xp1")
 
 
 # -- the Fraction-pair reference ---------------------------------------------
-
-
-def ref_support_contains(w, X):
-    base = hfrac(w.base)
-    v = (X[0] - base[0], X[1] - base[1])
-    return wedge(w.dirvec, v) == 0 and dot(w.dirvec, v) >= 0
 
 
 def ref_sing_points(d):
@@ -216,6 +212,34 @@ def test_sing_points_match_reference(diagrams):
         assert [hfrac(P) for P in got] == sing
         assert all(P == as_hpoint(P) for P in got)
     assert len(diagrams) >= 50
+
+
+def test_potential_fraction_work_stays_pinned():
+    """Fractions that build_diagram, check_consistency and potential
+    construct at k = 4 on P2, seed 1, as `potential --k 4` runs them.
+
+    Sampled points are triples, singular points sort on the integer keys
+    of `exact_shift` and the germs at a point by the sign of a wedge, so
+    none is left.  With Fraction coordinates for the samples, Fraction
+    sort keys for the singular points and Fraction slopes for the germs,
+    the three calls constructed 360.
+    """
+    made = []
+    orig = Fraction.__dict__["__new__"]
+
+    def counted(cls, *args, **kwargs):
+        made.append(cls)
+        return orig(cls, *args, **kwargs)
+
+    Fraction.__new__ = counted
+    try:
+        d = build_diagram(P2, sample_generic_points(4, 1))
+        rep = check_consistency(d)
+        W = potential(d, P2, sample_endpoint(2))
+    finally:
+        Fraction.__new__ = orig
+    assert rep.ok and len(d.walls) == 66 and W.lines
+    assert len(made) == 0
 
 
 def test_legs_match_reference(diagrams):
