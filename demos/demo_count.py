@@ -6,7 +6,7 @@ Run:  python3 demos/demo_count.py
 
 from tropenum import (build_phi, builtin_fan, index_d, kontsevich_number,
                       log_count_w, make_degree, mikhalkin_multiplicity,
-                      run_count, smith_normal_form)
+                      run_count)
 
 P2 = builtin_fan("p2")
 
@@ -37,7 +37,7 @@ rows, cols = sysm.shape()
 print("solution %d of %d: multiplicity %d"
       % (pick + 1, len(rep.curves), rep.mults[pick]))
 print("its vertex-displacement map is a %dx%d integer matrix" % (rows, cols))
-print("invariant factors:", smith_normal_form(sysm.rows))
+print("of full rank %d, so its cokernel order is |det|" % sysm.rank)
 d_index = index_d(sysm)
 w_count = log_count_w(c)
 print("cokernel order d = %d, log count w = %d, product = %d"

@@ -26,7 +26,7 @@ _EXPORTS = {
             "newton_polygon", "r_vector"),
     "gw": ("kontsevich_number",),
     "lattice": ("GenericityError", "InvariantError", "hfrac", "primitive",
-                "smith_normal_form", "wedge"),
+                "wedge"),
     "scattering": ("RingAutomorphism", "RingElement", "ScatteringDiagram",
                    "Wall", "build_diagram", "check_consistency",
                    "format_element", "loop_automorphism", "path_automorphism",

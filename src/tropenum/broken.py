@@ -24,8 +24,6 @@ Degenerate pictures (a segment along a wall, through a wall base or a
 wall crossing) raise GenericityError asking for a fresh endpoint.
 """
 
-from fractions import Fraction
-
 from .enumeration import (_boxed_exponents, enumerate_maslov2_disks,
                           mask_labels)
 # the endpoint sampler lives next to sample_generic_points; this module
@@ -217,8 +215,6 @@ def verify_disk_correspondence(fan, config, Q):
     got = sorted(bl.key() for bl in lines)
     want = []
     for rec in enumerate_maslov2_disks(fan, config, Q):
-        c = Fraction(rec.mult)
-        want.append((rec.deg, tuple(mask_labels(rec.marks)),
-                     (c.numerator, c.denominator)))
+        want.append((rec.deg, tuple(mask_labels(rec.marks)), (rec.mult, 1)))
     want.sort()
     return got == want

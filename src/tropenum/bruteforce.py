@@ -245,26 +245,23 @@ def bruteforce_rational_curves(fan, deg, config):
             if nrows == nun and not _isolates_every_end(t, internal, rays,
                                                         marked):
                 continue
-            pivots, _, T = eliminate(base_rows
-                                     + [slot_rows[i] for i in subset])
+            pivots, _, T, D = eliminate(base_rows
+                                        + [slot_rows[i] for i in subset])
             rank = len(pivots)
             if rank < nun and nrows == nun:
                 raise InvariantError("rigid marked type is singular")
             # the right-hand side vanishes on the base rows, so only the
-            # slot columns of T act on it; each is cleared to integers
-            cols = []
-            for row in T:
-                den = lcm(*(e.denominator for e in row[off:]))
-                cols.append(([int(e * den) for e in row[off:]], den * den_b))
+            # slot columns of T act on it
+            cols = [row[off:] for row in T]
             for perm in permutations(range(k)):
                 rhs = [slot_rhs[si][mi] for mi, si in zip(perm, subset)]
-                if any(sum(map(mul, row, rhs)) for row, _ in cols[rank:]):
+                if any(sum(map(mul, row, rhs)) for row in cols[rank:]):
                     continue
                 if rank < nun:
                     raise InvariantError("marked type solved to a family")
-                # full column rank: pivots are 0..nun-1, so T*b is x
-                x = [Fraction(sum(map(mul, row, rhs)), den)
-                     for row, den in cols[:nun]]
+                # full column rank: pivots are 0..nun-1, so x = T*b / D
+                x = [Fraction(sum(map(mul, row, rhs)), D * den_b)
+                     for row in cols[:nun]]
                 pos = [(x[2 * c], x[2 * c + 1]) for c in range(t)]
                 curve = _realize(fan, internal, rays, slots, subset, perm,
                                  pos, pts, config)

@@ -76,11 +76,6 @@ def parse_qpoint(text):
         raise ValueError("--q needs two rationals x,y") from None
 
 
-def default_seed():
-    env = os.environ.get("TROPENUM_SEED")
-    return int(env) if env else 0
-
-
 def write_out(args, text):
     if args.out and args.out != "-":
         with open(args.out, "w") as fh:
@@ -225,7 +220,10 @@ def build_parser():
         p.set_defaults(run=run)
         p.add_argument("--fan", default="p2",
                        help="builtin fan name (p2, p1xp1, dp6) or JSON path")
-        p.add_argument("--seed", type=int, default=default_seed())
+        # argparse converts a string default only when --seed is absent,
+        # so a malformed $TROPENUM_SEED is a usage error of that run alone
+        p.add_argument("--seed", type=int,
+                       default=os.environ.get("TROPENUM_SEED") or "0")
         p.add_argument("--jobs", type=int, default=1,
                        help="accepted for compatibility; has no effect")
         p.add_argument("--out", default="-", help="output path, - = stdout")

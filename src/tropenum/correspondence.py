@@ -17,10 +17,9 @@ the surface fan.  The global half imports `arrangement` where it uses it,
 so a process that only checks Phi does not load the overlay.
 """
 
-from math import lcm, prod
+from math import lcm
 
-from .lattice import (as_hpoint, exact_shift, hnorm, primitive, rot90,
-                      smith_normal_form)
+from .lattice import as_hpoint, eliminate, exact_shift, hnorm, primitive, rot90
 from .tropcurve import InvariantError, mikhalkin_multiplicity
 
 
@@ -104,15 +103,18 @@ class PhiSystem:
            each row reads the quotient M/Zu through the lex-positive
            primitive normal of u
     row_labels: ("edge", v_minus, v_plus) and ("mark", label) in row order
-    factors: the invariant factors of rows (lattice.smith_normal_form)
+    rank, scale: the rank of rows and the scale D of their integer
+           elimination (lattice.eliminate), |det| when rows is square
+           and of full rank
     """
 
-    def __init__(self, curve, verts, rows, row_labels, factors):
+    def __init__(self, curve, verts, rows, row_labels, rank, scale):
         self.curve = curve
         self.verts = tuple(verts)
         self.rows = tuple(tuple(r) for r in rows)
         self.row_labels = tuple(row_labels)
-        self.factors = tuple(factors)
+        self.rank = rank
+        self.scale = scale
 
     def shape(self):
         return (len(self.rows), 2 * len(self.verts))
@@ -162,18 +164,18 @@ def build_phi(c):
             row[cm], row[cm + 1] = _lexpos(rot90(u))
         rows.append(row)
         row_labels.append(("mark", label))
-    factors = smith_normal_form(rows)
-    if len(factors) != ncols:
+    pivots, _, _, scale = eliminate(rows)
+    if len(pivots) != ncols:
         raise InvariantError("lattice map has a kernel: curve is not rigid")
-    return PhiSystem(c, verts, rows, row_labels, factors)
+    return PhiSystem(c, verts, rows, row_labels, len(pivots), scale)
 
 
 def index_d(sys):
-    """Cokernel order of Phi, a positive integer: the product of its
-    invariant factors, finite when there is one per row."""
-    if len(sys.factors) < len(sys.rows):
+    """Cokernel order of Phi, a positive integer: finite when Phi has full
+    row rank, and then, Phi being square, |det Phi|."""
+    if sys.rank < len(sys.rows):
         raise InvariantError("infinite cokernel contradicts rigidity")
-    return prod(sys.factors)
+    return sys.scale
 
 
 def log_count_w(c):

@@ -3,12 +3,13 @@
 Everything downstream (fans, curves, arrangements, wall crossing) reduces to
 arithmetic in M = Z^2 and its rational span.  This module owns that arithmetic:
 primitive vectors, the wedge form identifying M ^ M with Z, the
-counterclockwise order of directions (`angle_key`, in integers), the Smith
-normal form of integer matrices, the one exact elimination over Q
-(`eliminate`, which the brute-force counter runs once per marked type), and
-the one point type of the package: a rational plane point is an int triple
-(X, Y, W), W > 0, gcd 1, standing for (X/W, Y/W).  `as_hpoint` turns what
-callers pass (a triple or a pair of rationals) into one.
+counterclockwise order of directions (`angle_key`, in integers), the one
+exact elimination, fraction-free in integers (`eliminate`: its scale D is
+|det Phi|, the cokernel order of a rigid solution's lattice map, and the
+brute-force counter runs it once per marked type), and the one point type
+of the package: a rational plane point is an int triple (X, Y, W), W > 0,
+gcd 1, standing for (X/W, Y/W).  `as_hpoint` turns what callers pass (a
+triple or a pair of rationals) into one.
 
 `ray_hits` is the one crossing kernel: it answers "which walls of one
 direction does this ray hit" on an index sorted by `offset_key`, settling
@@ -106,115 +107,46 @@ def angle_key(v):
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form
-
-def smith_normal_form(rows):
-    """Invariant factors of an integer matrix, as a list d_1 | d_2 | ... > 0.
-
-    Uses row/column reduction with pivoting on the smallest nonzero entry.
-    Matrices here are tiny (at most ~20x20), so no care beyond correctness.
-    """
-    A = [[int(e) for e in r] for r in rows]
-    m = len(A)
-    n = len(A[0]) if m else 0
-    for r in A:
-        if len(r) != n:
-            raise ValueError("ragged matrix")
-    diag = []
-    top = 0
-    while True:
-        # find smallest nonzero entry in the trailing block
-        best = None
-        for i in range(top, m):
-            for j in range(top, n):
-                e = A[i][j]
-                if e != 0 and (best is None or abs(e) < abs(A[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        A[top], A[bi] = A[bi], A[top]
-        for r in A:
-            r[top], r[bj] = r[bj], r[top]
-        while True:
-            if A[top][top] < 0:
-                A[top] = [-e for e in A[top]]
-            p = A[top][top]
-            dirty = False
-            for i in range(top + 1, m):
-                q = A[i][top] // p
-                if q:
-                    A[i] = [a - q * b for a, b in zip(A[i], A[top])]
-                if A[i][top]:
-                    # remainder smaller than the pivot: swap it up and restart
-                    A[top], A[i] = A[i], A[top]
-                    dirty = True
-                    break
-            if dirty:
-                continue
-            for j in range(top + 1, n):
-                q = A[top][j] // p
-                if q:
-                    for r in A:
-                        r[j] -= q * r[top]
-                if A[top][j]:
-                    for r in A:
-                        r[top], r[j] = r[j], r[top]
-                    dirty = True
-                    break
-            if dirty:
-                continue
-            # row and column clean; enforce divisibility of the rest
-            stuck = None
-            for i in range(top + 1, m):
-                for j in range(top + 1, n):
-                    if A[i][j] % p:
-                        stuck = i
-                        break
-                if stuck is not None:
-                    break
-            if stuck is None:
-                break
-            A[top] = [a + b for a, b in zip(A[top], A[stuck])]
-        diag.append(A[top][top])
-        top += 1
-        if top >= m or top >= n:
-            break
-    return diag
-
-
-# ---------------------------------------------------------------------------
 # exact elimination
 
 def eliminate(A):
-    """Gauss-Jordan elimination of [A | I] over the rationals.
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of [A | I].
 
-    Returns (pivots, R, T) with T invertible, T*A == R and R in reduced
-    row echelon form, row i leading at column pivots[i].  The rows of T
-    past len(pivots) span the left kernel of A: A x = b is solvable
-    exactly when they annihilate b.
+    Returns (pivots, R, T, D), all integers, with D > 0, T*A == R and
+    R == D * rref(A): row i of R leads at column pivots[i] with the entry
+    D, and every other row is 0 there.  Each step divides by the previous
+    pivot exactly, since every entry is a minor of [A | I]; D is the last
+    pivot up to sign, so D == |det A| for a square A of full rank.  T is
+    invertible and its rows past len(pivots) span the left kernel of A:
+    A x = b is solvable exactly when they annihilate b, and then
+    x = T*b / D on the pivot columns, the free ones 0, is a solution.
     """
     m = len(A)
     n = len(A[0]) if m else 0
-    M = [[Fraction(e) for e in row] + [Fraction(int(i == j)) for j in range(m)]
+    M = [list(row) + [int(i == j) for j in range(m)]
          for i, row in enumerate(A)]
     pivots = []
+    prev = 1
     for c in range(n):
         r = len(pivots)
         if r == m:
             break
-        pr = next((i for i in range(r, m) if M[i][c] != 0), None)
+        pr = next((i for i in range(r, m) if M[i][c]), None)
         if pr is None:
             continue
         M[r], M[pr] = M[pr], M[r]
-        pv = M[r][c]
-        M[r] = [e / pv for e in M[r]]
+        top = M[r]
+        p = top[c]
         for i in range(m):
-            if i != r and M[i][c] != 0:
+            if i != r:
                 f = M[i][c]
-                M[i] = [e - f * g for e, g in zip(M[i], M[r])]
+                M[i] = [(p * e - f * g) // prev for e, g in zip(M[i], top)]
+        prev = p
         pivots.append(c)
-    return pivots, [row[:n] for row in M], [row[n:] for row in M]
+    if prev < 0:
+        M = [[-e for e in row] for row in M]
+        prev = -prev
+    return pivots, [row[:n] for row in M], [row[n:] for row in M], prev
 
 
 # ---------------------------------------------------------------------------

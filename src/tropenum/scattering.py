@@ -308,21 +308,22 @@ def _fold(fan, crossings):
 class ScatteringDiagram:
     """Finite collection of walls plus the marked points they grew from.
     Walls of one direction o form one `ray_hits` index (keys, walls, o).
-    A wall's indices are its positions in `walls`, found by identity: one
-    Wall may sit in several diagrams."""
+    A wall's index is its position in `walls`, found by identity: one Wall
+    may sit in several diagrams, but only once in each."""
 
     def __init__(self, fan, walls, marked_points):
         self.fan = fan
         self.walls = tuple(walls)
         self.marked = tuple(as_hpoint(p) for p in marked_points)
         self._germs = None
-        self._pos = {}          # id(wall) -> its positions in walls
+        self._pos = {}          # id(wall) -> its position in walls
         by_dir = {}
         for widx, w in enumerate(self.walls):
-            if id(w) not in self._pos:
-                by_dir.setdefault(w.dirvec, []).append(
-                    (offset_key(w.kn, w.base[2]), widx, w))
-            self._pos.setdefault(id(w), []).append(widx)
+            first = self._pos.setdefault(id(w), widx)
+            if first != widx:
+                raise InvariantError("wall %d repeats wall %d" % (widx, first))
+            by_dir.setdefault(w.dirvec, []).append(
+                (offset_key(w.kn, w.base[2]), widx, w))
         self._index = {}
         for o, entries in by_dir.items():
             keys, _, ws = zip(*sorted(entries))
@@ -355,15 +356,15 @@ class ScatteringDiagram:
                     if not c:
                         continue
                     for wb, s, t in ray_hits(index, X, r, c, wa.kn, 0):
-                        for b in self._pos[id(wb)]:
-                            if b <= a:
-                                continue
-                            at = table.setdefault(
-                                hshift(X, s, X[2] * wb.base[2] * c, r), set())
-                            for x, widx, v in ((s, a, r), (t, b, o)):
-                                at.add((v, widx))
-                                if x:
-                                    at.add(((-v[0], -v[1]), widx))
+                        b = self._pos[id(wb)]
+                        if b <= a:
+                            continue
+                        at = table.setdefault(
+                            hshift(X, s, X[2] * wb.base[2] * c, r), set())
+                        for x, widx, v in ((s, a, r), (t, b, o)):
+                            at.add((v, widx))
+                            if x:
+                                at.add(((-v[0], -v[1]), widx))
             self._germs = {
                 X: tuple(sorted(gs, key=lambda g: (angle_key(g[0]), g[1])))
                 for X, gs in table.items()}
@@ -398,7 +399,7 @@ class ScatteringDiagram:
                     # on the ray's line: any support overlap at s > 0
                     D = hdiff(w.base, X)
                     if dot(o, D) >= 0 or dot(o, d) > 0:
-                        bad.append((self._pos[id(w)][0], along))
+                        bad.append((self._pos[id(w)], along))
                     continue
                 den = X[2] * w.base[2] * c
                 if den < 0:
@@ -406,9 +407,9 @@ class ScatteringDiagram:
                 if not s or (end is not None and s * end >= den):
                     continue
                 if not t:
-                    bad.append((self._pos[id(w)][0], at_base))
+                    bad.append((self._pos[id(w)], at_base))
                 else:
-                    hits.extend((s, den, widx) for widx in self._pos[id(w)])
+                    hits.append((s, den, self._pos[id(w)]))
         if bad:
             raise GenericityError(min(bad)[1])
         K = exact_shift(h[1] for h in hits)

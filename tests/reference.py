@@ -5,7 +5,12 @@ written so that they share no shortcut with the code they check:
 
 * `ref_angle_key`, the counterclockwise order of directions on Fraction
   slopes (the library compares integer wedges);
-* `det` and `cokernel_order`, by elimination and by the invariant factors;
+* `det`, by fraction-free elimination; `smith_normal_form`, the invariant
+  factors of an integer matrix, by row and column reduction, and
+  `cokernel_order`, their product; `ref_eliminate`, Gauss-Jordan
+  elimination of [A | I] over Fraction (the library's one elimination,
+  `lattice.eliminate`, runs in integers and gives the cokernel order of
+  Phi as its scale, with no Smith form);
 * ring powers of any sign (`ref_pow`, with the unipotent inverse), and the
   automorphisms they build: `ref_apply` raises the generator images to
   powers, `ref_compose` chains them, and `ref_crossing_auto` is the
@@ -17,8 +22,7 @@ written so that they share no shortcut with the code they check:
 from fractions import Fraction
 
 from tropenum.fan import degree_total
-from tropenum.lattice import (InvariantError, dot, hfrac, rot90,
-                              smith_normal_form, wedge)
+from tropenum.lattice import InvariantError, dot, hfrac, rot90, wedge
 from tropenum.scattering import (RingAutomorphism, RingElement, ray_generator,
                                  ring_mono, ring_one)
 from tropenum.tropcurve import degree
@@ -67,6 +71,81 @@ def det(rows):
     return sign * A[n - 1][n - 1]
 
 
+def smith_normal_form(rows):
+    """Invariant factors of an integer matrix, as a list d_1 | d_2 | ... > 0.
+
+    Uses row/column reduction with pivoting on the smallest nonzero entry.
+    Matrices here are tiny (at most ~20x20), so no care beyond correctness.
+    """
+    A = [[int(e) for e in r] for r in rows]
+    m = len(A)
+    n = len(A[0]) if m else 0
+    for r in A:
+        if len(r) != n:
+            raise ValueError("ragged matrix")
+    diag = []
+    top = 0
+    while True:
+        # find smallest nonzero entry in the trailing block
+        best = None
+        for i in range(top, m):
+            for j in range(top, n):
+                e = A[i][j]
+                if e != 0 and (best is None or abs(e) < abs(A[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        bi, bj = best
+        A[top], A[bi] = A[bi], A[top]
+        for r in A:
+            r[top], r[bj] = r[bj], r[top]
+        while True:
+            if A[top][top] < 0:
+                A[top] = [-e for e in A[top]]
+            p = A[top][top]
+            dirty = False
+            for i in range(top + 1, m):
+                q = A[i][top] // p
+                if q:
+                    A[i] = [a - q * b for a, b in zip(A[i], A[top])]
+                if A[i][top]:
+                    # remainder smaller than the pivot: swap it up and restart
+                    A[top], A[i] = A[i], A[top]
+                    dirty = True
+                    break
+            if dirty:
+                continue
+            for j in range(top + 1, n):
+                q = A[top][j] // p
+                if q:
+                    for r in A:
+                        r[j] -= q * r[top]
+                if A[top][j]:
+                    for r in A:
+                        r[top], r[j] = r[j], r[top]
+                    dirty = True
+                    break
+            if dirty:
+                continue
+            # row and column clean; enforce divisibility of the rest
+            stuck = None
+            for i in range(top + 1, m):
+                for j in range(top + 1, n):
+                    if A[i][j] % p:
+                        stuck = i
+                        break
+                if stuck is not None:
+                    break
+            if stuck is None:
+                break
+            A[top] = [a + b for a, b in zip(A[top], A[stuck])]
+        diag.append(A[top][top])
+        top += 1
+        if top >= m or top >= n:
+            break
+    return diag
+
+
 def cokernel_order(rows):
     """Order of Z^rows / (column span of the matrix); "infinite" if not
     finite, which is when the rank is below the number of rows."""
@@ -77,6 +156,36 @@ def cokernel_order(rows):
     for d in diag:
         out *= d
     return out
+
+
+def ref_eliminate(A):
+    """Gauss-Jordan elimination of [A | I] over the rationals.
+
+    Returns (pivots, R, T) with T invertible, T*A == R and R in reduced
+    row echelon form, row i leading at column pivots[i].  The rows of T
+    past len(pivots) span the left kernel of A.
+    """
+    m = len(A)
+    n = len(A[0]) if m else 0
+    M = [[Fraction(e) for e in row] + [Fraction(int(i == j)) for j in range(m)]
+         for i, row in enumerate(A)]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        if r == m:
+            break
+        pr = next((i for i in range(r, m) if M[i][c] != 0), None)
+        if pr is None:
+            continue
+        M[r], M[pr] = M[pr], M[r]
+        pv = M[r][c]
+        M[r] = [e / pv for e in M[r]]
+        for i in range(m):
+            if i != r and M[i][c] != 0:
+                f = M[i][c]
+                M[i] = [e - f * g for e, g in zip(M[i], M[r])]
+        pivots.append(c)
+    return pivots, [row[:n] for row in M], [row[n:] for row in M]
 
 
 # -- the ring and its automorphisms -------------------------------------------

@@ -12,18 +12,16 @@ import time
 
 import pytest
 
-from reference import det
+from reference import det, smith_normal_form
 from tropenum.broken import (enumerate_broken_lines, potential,
                              sample_endpoint, transport,
                              verify_disk_correspondence)
 from tropenum.correspondence import (build_decomposition, build_phi,
-                                     fan_over, index_d, log_count_w,
-                                     properties_report, rescale_lattice,
-                                     verify_correspondence)
+                                     fan_over, index_d, properties_report,
+                                     rescale_lattice, verify_correspondence)
 from tropenum.enumeration import run_count, sample_generic_points
 from tropenum.fan import builtin_fan, make_degree
 from tropenum.gw import kontsevich_number
-from tropenum.lattice import smith_normal_form
 from tropenum.scattering import (RingElement, ScatteringDiagram,
                                  build_diagram, check_consistency,
                                  format_element, path_crossings, ring_mono)

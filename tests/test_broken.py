@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from tropenum.broken import (enumerate_broken_lines, potential,

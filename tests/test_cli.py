@@ -77,6 +77,27 @@ def test_seed_env_default():
     assert flagged.stdout == defaulted.stdout
 
 
+def test_bad_seed_env_is_a_usage_error(tmp_path):
+    bad = {"TROPENUM_SEED": "x3"}
+    p = run_cli("potential", "--k", "1", env=bad)
+    assert p.returncode == 1
+    err = p.stderr.decode()
+    assert "Traceback" not in err
+    assert [ln for ln in err.splitlines() if "error" in ln] == [
+        "error: argument --seed: invalid int value: 'x3'"]
+    # an explicit --seed, --help and render never read it
+    flagged = run_cli("potential", "--k", "1", "--seed", "3", env=bad)
+    assert flagged.returncode == 0
+    assert flagged.stdout == run_cli("potential", "--k", "1",
+                                     "--seed", "3").stdout
+    assert run_cli("--help", env=bad).returncode == 0
+    assert run_cli("count", "--help", env=bad).returncode == 0
+    missing = str(tmp_path / "missing.json")
+    p = run_cli("render", missing, str(tmp_path / "out.svg"), env=bad)
+    assert p.returncode == 1
+    assert p.stderr.decode().startswith("cannot render %s: " % missing)
+
+
 def test_every_document_round_trips(tmp_path):
     emitted = [
         ("count", "count", "--degree", "1", "--seed", "2"),

@@ -20,7 +20,7 @@ COUNT = BASE | {"fan", "tropcurve", "enumeration"}
 POTENTIAL = COUNT | {"scattering", "broken"}
 
 # the 72 names the package exported when it imported every submodule,
-# less the 6 that only the tests used (now in tests/reference.py)
+# less the 7 that only the tests used (now in tests/reference.py)
 PUBLIC = [
     "BrokenLine", "CornerLocus", "CountReport", "Fan", "Fan3D",
     "GenericityError", "InvariantError", "MinPlusPoly", "ParamTropCurve",
@@ -36,7 +36,7 @@ PUBLIC = [
     "newton_polygon", "path_automorphism", "path_crossings", "potential",
     "primitive", "properties_report", "r_vector", "reduced_graph",
     "rescale_lattice", "ring_mono", "ring_one", "run_count", "sample_endpoint",
-    "sample_generic_points", "smith_normal_form", "transport", "tree_to_curve",
+    "sample_generic_points", "transport", "tree_to_curve",
     "validate_curve", "verify_correspondence", "verify_disk_correspondence",
     "wedge", "welschinger_multiplicity",
 ]
@@ -84,7 +84,7 @@ def test_each_command_loads_only_its_modules(tmp_path):
 
 
 def test_public_names_resolve_lazily():
-    assert len(PUBLIC) == len(set(PUBLIC)) == 66
+    assert len(PUBLIC) == len(set(PUBLIC)) == 65
     assert sorted(tropenum.__all__) == sorted(PUBLIC)
     listed = dir(tropenum)
     for name in PUBLIC:

@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from reference import cokernel_order
+from reference import cokernel_order, smith_normal_form
 from tropenum.lattice import (angle_key, dot, eliminate, hdiff, hfrac, hnorm,
                               hpoint, hshift, lattice_length, line_param,
                               on_ray, on_segment, primitive, ray_intersect,
-                              rot90, smith_normal_form, wedge)
+                              rot90, wedge)
 
 
 def det2(m):
@@ -104,12 +104,16 @@ def apply(A, x):
 
 
 def test_eliminate_unique_and_none():
-    pivots, R, T = eliminate([[2, 0], [0, 3]])
-    assert pivots == [0, 1] and R == [[1, 0], [0, 1]]
-    assert apply(T, [4, 9]) == [Fraction(2), Fraction(3)]
+    pivots, R, T, D = eliminate([[2, 0], [0, 3]])
+    assert pivots == [0, 1] and R == [[6, 0], [0, 6]] and D == 6
+    assert apply(T, [4, 9]) == [12, 18]     # D * (2, 3)
+    # the last pivot is -6 here: the sign goes into T, and D = |det| = 6
+    pivots, R, T, D = eliminate([[-2, 0], [0, 3]])
+    assert pivots == [0, 1] and R == [[6, 0], [0, 6]] and D == 6
+    assert T == [[-3, 0], [0, 2]]
     # x + y = 0 and x + y = 1: the left-kernel row of T rejects b
-    pivots, R, T = eliminate([[1, 1], [1, 1]])
-    assert pivots == [0] and R == [[1, 1], [0, 0]]
+    pivots, R, T, D = eliminate([[1, 1], [1, 1]])
+    assert pivots == [0] and R == [[1, 1], [0, 0]] and D == 1
     assert apply(T[1:], [0, 1]) != [0]
     assert apply(T[1:], [1, 1]) == [0]
 
@@ -123,19 +127,19 @@ def test_eliminate_family_substitutes():
         xs = [Fraction(rng.randint(-5, 5), rng.randint(1, 5))
               for _ in range(cols)]
         b = apply(a, xs)
-        pivots, R, T = eliminate(a)
+        pivots, R, T, D = eliminate(a)
         tb = apply(T, b)
         assert not any(tb[len(pivots):])
         # the solution with every free coordinate 0
         part = [Fraction(0)] * cols
         for i, c in enumerate(pivots):
-            part[c] = tb[i]
+            part[c] = tb[i] / D
         assert apply(a, part) == b
-        # one kernel vector per free column
+        # one kernel vector per free column, scaled by D
         for fc in range(cols):
             if fc in pivots:
                 continue
-            vec = [Fraction(int(c == fc)) for c in range(cols)]
+            vec = [D * int(c == fc) for c in range(cols)]
             for i, c in enumerate(pivots):
                 vec[c] = -R[i][fc]
             assert not any(apply(a, vec))

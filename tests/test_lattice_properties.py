@@ -3,18 +3,19 @@ arithmetic written here, sharing no code with tropenum.lattice beyond
 hpoint, which turns a Fraction pair into the triple the kernels take; of
 the integer side and line tests the Maslov-0 forest puts in front of them,
 and of its offset-sorted wall index; of the exact sort keys of ratios; of
-the exact elimination, checked by matrix products on small integer
-matrices; and of the integer angular order against the Fraction slopes of
-`reference.ref_angle_key`."""
+the integer elimination, checked by matrix products on small integer
+matrices and against the Fraction elimination, determinant and Smith
+form of `reference`; and of the integer angular order against the
+Fraction slopes of `reference.ref_angle_key`."""
 
 from fractions import Fraction
-from math import floor, gcd
+from math import floor, gcd, prod
 from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import det, ref_angle_key
+from reference import det, ref_angle_key, ref_eliminate, smith_normal_form
 from tropenum.lattice import (OFFSET_BITS, angle_key, eliminate, exact_shift,
                               hdiff, hfrac, hpoint, line_param, offset_key,
                               on_line, on_ray, on_segment, ray_hits,
@@ -296,24 +297,21 @@ def matrices(draw):
 @given(matrices())
 def test_eliminate_gives_rref_and_left_kernel(A):
     m, n = len(A), len(A[0])
-    pivots, R, T = eliminate(A)
+    pivots, R, T, D = eliminate(A)
     rank = len(pivots)
+    assert D > 0
     assert matmul(T, A) == R
     assert pivots == sorted(set(pivots)) and all(0 <= c < n for c in pivots)
     for i, row in enumerate(R):
         if i >= rank:
             assert not any(row)
             continue
-        assert not any(row[:pivots[i]]) and row[pivots[i]] == 1
+        assert not any(row[:pivots[i]]) and row[pivots[i]] == D
         assert all(R[j][pivots[i]] == 0 for j in range(m) if j != i)
     for y in T[rank:]:
         assert not any(apply(list(zip(*A)), y))
     # T is invertible, so its rows past the rank span the left kernel
-    scale = 1
-    for row in T:
-        for e in row:
-            scale = scale * e.denominator // gcd(scale, e.denominator)
-    assert det([[e * scale for e in row] for row in T]) != 0
+    assert det(T) != 0
 
 
 @SETTINGS
@@ -324,7 +322,7 @@ def test_eliminate_solves_consistent_systems(data, A):
     b = apply(A, x0)
     if data.draw(st.booleans()):
         b[data.draw(st.integers(0, len(b) - 1))] += 1
-    pivots, R, T = eliminate(A)
+    pivots, R, T, D = eliminate(A)
     rank = len(pivots)
     tb = apply(T, b)
     if any(tb[rank:]):
@@ -333,18 +331,58 @@ def test_eliminate_solves_consistent_systems(data, A):
         assert b != apply(A, x0)
         return
     # the solution with every free coordinate 0, then a kernel basis with
-    # one vector per free column
+    # one vector per free column, scaled by D
     x = [Fraction(0)] * n
     for i, c in enumerate(pivots):
-        x[c] = tb[i]
+        x[c] = Fraction(tb[i], D)
     assert apply(A, x) == b
     free = [c for c in range(n) if c not in pivots]
     assert len(free) == n - rank
     for fc in free:
-        v = [Fraction(int(c == fc)) for c in range(n)]
+        v = [D * int(c == fc) for c in range(n)]
         for i, c in enumerate(pivots):
             v[c] = -R[i][fc]
         assert not any(apply(A, v))
+
+
+@st.composite
+def with_zero_rows(draw):
+    """A matrix of matrices() with one or two rows of zeros inserted."""
+    A = draw(matrices())
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        A.insert(draw(st.integers(0, len(A))), [0] * len(A[0]))
+    return A
+
+
+edge_matrices = st.one_of(
+    st.just([]),
+    st.integers(min_value=1, max_value=4).map(lambda m: [[]] * m),
+    matrices(), with_zero_rows())
+
+
+@SETTINGS
+@given(edge_matrices)
+def test_eliminate_matches_fraction_reference(A):
+    """The integer elimination is the Fraction one scaled by D: the same
+    pivots, R == D * R_ref and T == D * T_ref, every division exact."""
+    m = len(A)
+    n = len(A[0]) if m else 0
+    pivots, R, T, D = eliminate(A)
+    ref_pivots, ref_R, ref_T = ref_eliminate(A)
+    rank = len(pivots)
+    assert all(type(e) is int for row in R + T for e in row + [D])
+    assert pivots == ref_pivots and D > 0
+    assert R == [[D * e for e in row] for row in ref_R]
+    assert T == [[D * e for e in row] for row in ref_T]
+    assert matmul(T, A) == R
+    assert det(T) != 0
+    for y in T[rank:]:
+        assert not any(apply(list(zip(*A)), y))
+    if m == n:
+        d = det(A)
+        assert (d != 0) == (rank == n)
+        if d:
+            assert D == abs(d) == prod(smith_normal_form(A))
 
 
 ratio = st.tuples(st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6))

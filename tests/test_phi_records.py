@@ -6,17 +6,19 @@ edge, its direction u read from the curve's incidence table.
 read `ref_reduced_graph`'s end tokens ("v", i) / ("inf", d), order the two
 ends of a bounded edge by their Fraction positions, re-derive its
 direction from them with `primitive(hdiff(...))`, and take the cokernel
-order by a second Smith normal form.  Both must give the same rows,
-vertices, row labels, index and log count on every solution of several
-counts, on the same solutions with their bounded edges listed in another
-order, and on a line through two marks whose edges are out of order.
+order as the product of the invariant factors of the reference Smith
+normal form, where the library takes the scale of one integer
+elimination.  Both must give the same rows, vertices, row labels, index
+and log count on every solution of several counts, on the same solutions
+with their bounded edges listed in another order, and on a line through
+two marks whose edges are out of order.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
-from reference import cokernel_order
+from reference import cokernel_order, smith_normal_form
 from test_curve_incidence import pt, ref_reduced_graph
 
 from tropenum import correspondence
@@ -24,8 +26,8 @@ from tropenum.correspondence import (build_phi, index_d, log_count_w,
                                      reduced_graph)
 from tropenum.enumeration import run_count
 from tropenum.fan import builtin_fan, make_degree
-from tropenum.lattice import (InvariantError, hdiff, hfrac, primitive, rot90,
-                              smith_normal_form)
+from tropenum.lattice import (InvariantError, eliminate, hdiff, hfrac,
+                              primitive, rot90)
 from tropenum.tropcurve import ParamTropCurve
 
 COUNTS = [("p2", (d, d, d), seed) for d in (1, 2, 3) for seed in range(1, 9)]
@@ -181,19 +183,19 @@ def test_out_of_order_line_matches_reference():
     assert log_count_w(c) == ref_log_count_w(c) == 1
 
 
-def test_phi_builds_no_fraction_and_one_smith_form(solutions, monkeypatch):
+def test_phi_builds_no_fraction_and_one_elimination(solutions, monkeypatch):
     """build_phi, index_d and log_count_w read directions off the records:
-    they construct no Fraction, and Phi's invariant factors come from one
-    Smith normal form per solution.  The token version built the
+    they construct no Fraction, and Phi's rank and cokernel order come from
+    one integer elimination per solution.  The token version built the
     Fractions of every bounded edge's end positions and ran a second Smith
     form for the index."""
     calls = []
 
     def counted(rows):
         calls.append(len(rows))
-        return smith_normal_form(rows)
+        return eliminate(rows)
 
-    monkeypatch.setattr(correspondence, "smith_normal_form", counted)
+    monkeypatch.setattr(correspondence, "eliminate", counted)
     made = []
     orig = Fraction.__dict__["__new__"]
 

@@ -124,6 +124,17 @@ def test_wall_validation():
         Wall(P2, base, (0, 0, 1), 0, (0,))  # f = 1
 
 
+def test_repeated_wall_is_a_bug():
+    base = hfrac((Fraction(0), Fraction(0), Fraction(1)))
+    wa = Wall(P2, base, (0, 0, 1), 1, (0,))
+    wb = Wall(P2, base, (0, 0, 2), 1, (1,))
+    # an equal but distinct wall object is a wall of its own
+    twin = Wall(P2, base, (0, 0, 1), 1, (0,))
+    assert len(ScatteringDiagram(P2, [wa, wb, twin], [base]).germs()) == 1
+    with pytest.raises(InvariantError, match="wall 2 repeats wall 0"):
+        ScatteringDiagram(P2, [wa, wb, wa], [base])
+
+
 def crossing(w, sign):
     n = rot90(w.dirvec)
     return _fold(w.fan, [(w, (sign * n[0], sign * n[1]))])

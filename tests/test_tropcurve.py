@@ -4,7 +4,7 @@ import pytest
 
 from reference import ref_maslov_index
 from tropenum.fan import builtin_fan
-from tropenum.lattice import hpoint, primitive, wedge
+from tropenum.lattice import hpoint, primitive
 from tropenum.tropcurve import (GenericityError, InvariantError, MinPlusPoly,
                                 ParamTropCurve, TropicalDisk, canonical_type,
                                 check_balancing, corner_locus, degree,
