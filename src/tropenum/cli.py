@@ -52,8 +52,11 @@ def load_fan(spec):
                     and all(type(x) is int for x in r)):
                 raise ValueError("fan file %s: ray %s is not an integer pair"
                                  % (spec, json.dumps(r)))
-        return make_fan([tuple(r) for r in doc["rays"]],
-                        name=doc.get("name", "custom"))
+        name = doc.get("name", "custom")
+        if not isinstance(name, str):
+            raise ValueError("fan file %s: name %s is not a string"
+                             % (spec, json.dumps(name)))
+        return make_fan([tuple(r) for r in doc["rays"]], name=name)
     return builtin_fan(spec)
 
 

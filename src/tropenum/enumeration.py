@@ -25,14 +25,13 @@ no longer rejects a configuration (see Forest).
 """
 
 import random
-from bisect import bisect_right
 from itertools import combinations, product
 from math import isqrt
 
 from .fan import degree_total, make_degree, r_vector
-from .lattice import (as_hpoint, hdiff, hshift, offset_key, on_line,
-                      on_ray, on_segment, primitive, ray_hits, ray_meets,
-                      walls_through, wedge)
+from .lattice import (as_hpoint, hdiff, hshift, on_line, on_ray,
+                      on_segment, primitive, ray_hits, ray_meets,
+                      wall_index, walls_through, wedge)
 from .tropcurve import (GenericityError, InvariantError, ParamTropCurve,
                         TropicalDisk, TropicalTree, canonical_type,
                         geometric_signature, mikhalkin_multiplicity,
@@ -137,7 +136,7 @@ def _boxed_exponents(cap):
 class Tree:
     """Maslov-0 tree record: mark set, degree, wall (root + out direction),
     out-edge weight, multiplicity, how it was built, and its serial number
-    (position in Forest.trees, set when the forest files it).
+    (position in Forest.trees, set when the forest adds it).
 
     kn = wedge(base, out) on the homogeneous root, the numerator of the
     wall's offset kn / base.w (see lattice.ray_hits).
@@ -184,16 +183,17 @@ class Forest:
     organized by level (number of marks used), plus the backward disk tracer
     that consumes them.
 
-    Each tree gets a serial number, its position in `trees`, and is filed
-    in the bucket of its degree (of level |deg|), sorted by the offset key
-    of its wall; `ray_hits` asks a bucket which walls a ray meets.  The stem
-    tracer asks the buckets `_cands[m]` lists for a stem monomial m: the
-    entries (left, bucket, c) with deg <= m, left = m - deg nonzero,
-    r(left) != 0 and c = wedge(r(m), out).  A stem asks only degrees of
-    lower levels, which are complete when it is traced, so a table is built
-    from the buckets of levels below |m| and never needs a later bucket.
-    Gluing is a join: each ta asks the level-n2 buckets, for trees with
-    marks disjoint from its own and, when n1 == n2, a larger key.
+    Each tree gets a serial number, its position in `trees`.  A level is
+    filed once complete (the leaves, then each level's glue and pass
+    trees): one `lattice.wall_index` bucket per degree, in the order the
+    degrees first occur; `ray_hits` asks a bucket which walls a ray meets.
+    Nothing reads a level before it is filed: gluing at level n asks only
+    lower levels, and a stem of monomial m only levels below |m|.  The
+    stem tracer asks the buckets `_cands[m]` lists: the entries (left,
+    bucket, c) with deg <= m, left = m - deg nonzero, r(left) != 0 and
+    c = wedge(r(m), out).  Gluing is a join: each ta asks the level-n2
+    buckets, for trees with marks disjoint from its own and, when
+    n1 == n2, a larger key.
     Hits and faults go by serial: the tracer raises the fault of lowest
     serial; gluing adds ta's trees in tb serial order up to the lowest
     faulty tb, then raises its fault.  The sign, root and cap tests keep
@@ -216,8 +216,7 @@ class Forest:
         self.cap = tuple(degree_cap) if degree_cap is not None else None
         self.trees = []
         self.levels = {}
-        self._by_deg = {}       # degree -> (keys, trees, out), by offset key
-        self._at_level = {}     # level -> [(degree, bucket)]
+        self._at_level = {}     # filed level -> [(degree, bucket)]
         self._cands = {}        # stem monomial -> [(left, bucket, c)]
         self._r = {}            # exponent vector -> r_vector
 
@@ -245,6 +244,7 @@ class Forest:
                          (-ray[0], -ray[1]), 1, 1, "leaf", (i, ridx),
                          ("l", i, ridx))
                 self._add(t, 1)
+        self._file(1)
         for n in range(2, max_level + 1):
             self.levels[n] = []
             for n1 in range(1, n // 2 + 1):
@@ -260,31 +260,32 @@ class Forest:
                              disk.w, disk.mult, "pass", (i, disk),
                              ("p", i, disk.key))
                     self._add(t, n)
+            self._file(n)
         self._check_walls_off_points()
         return self.trees
 
     def _add(self, t, level):
         t.serial = len(self.trees)
-        bucket = self._by_deg.get(t.deg)
-        if bucket is None:
-            bucket = self._by_deg[t.deg] = ([], [], t.out)
-            self._at_level.setdefault(level, []).append((t.deg, bucket))
-        elif bucket[2] != t.out:
-            raise InvariantError("two out directions in one degree")
-        keys, ts, _ = bucket
-        key = offset_key(t.kn, t.base[2])
-        i = bisect_right(keys, key)
-        keys.insert(i, key)
-        ts.insert(i, t)
         self.levels[level].append(t)
         self.trees.append(t)
+
+    def _file(self, level):
+        """File a complete level: one wall index per degree."""
+        by_deg = {}
+        for t in self.levels[level]:
+            by_deg.setdefault(t.deg, []).append(t)
+        for ts in by_deg.values():
+            if any(t.out != ts[0].out for t in ts):
+                raise InvariantError("two out directions in one degree")
+        self._at_level[level] = [(deg, wall_index(ts[0].out, ts))
+                                 for deg, ts in by_deg.items()]
 
     def _join(self, ta, n2, level):
         """Glue ta to the level-n2 trees its out-ray crosses."""
         X, r = ta.base, ta.out
         xr, same = wedge(X, r), 2 * n2 == level
         found = []          # (tb serial, fault reason or (tb, deg, d, c))
-        for deg_b, bucket in self._at_level.get(n2, ()):
+        for deg_b, bucket in self._at_level[n2]:
             c = wedge(r, bucket[2])
             walls = ray_hits(bucket, X, r, c, xr, ta.marks)
             if not walls:
@@ -324,12 +325,15 @@ class Forest:
         """Raise the fault of the lowest tree serial, then the lowest point
         index, whose wall passes through a marked point other than its
         root."""
-        faults = [(t.serial, j) for bucket in self._by_deg.values()
+        faults = [(t.serial, j) for bucket in self._buckets()
                   for j, p in enumerate(self.config.points)
                   for t in walls_through(bucket, p) if t.base != p]
         if faults:
             raise GenericityError(
                 "tree wall passes through point %d" % min(faults)[1])
+
+    def _buckets(self):
+        return [b for filed in self._at_level.values() for _, b in filed]
 
     # -- Maslov-2 disks ----------------------------------------------------
 
@@ -564,7 +568,7 @@ def enumerate_maslov2_disks(fan, config, Q, forest=None):
     qpt = as_hpoint(Q)
     if forest is None:
         forest = build_forest(fan, config)
-    if any(walls_through(b, qpt) for b in forest._by_deg.values()):
+    if any(walls_through(b, qpt) for b in forest._buckets()):
         raise GenericityError("base point lies on a tree wall")
     for p in config.points:
         if p == qpt:

@@ -33,12 +33,11 @@ class Fan:
         return len(self.rays)
 
 
-def make_fan(rays, cones=None, name=None):
+def make_fan(rays, name=None):
     """Validate and normalize a complete fan from ray generators.
 
     Rays are normalized to primitive vectors and sorted counterclockwise
-    starting from (1,0).  `cones` may list ray-index pairs (in the input
-    order); if given it must match the inferred consecutive-pair cones.
+    starting from (1,0); the cones are the consecutive pairs.
     Raises ValueError on duplicate rays or a non-complete cover.
     """
     prim = []
@@ -47,8 +46,7 @@ def make_fan(rays, cones=None, name=None):
         prim.append(p)
     if len(set(prim)) != len(prim):
         raise ValueError("degenerate fan: duplicate rays")
-    order = sorted(range(len(prim)), key=lambda i: angle_key(prim[i]))
-    sorted_rays = [prim[i] for i in order]
+    sorted_rays = sorted(prim, key=angle_key)
     n = len(sorted_rays)
     if n < 3:
         raise ValueError("incomplete fan: need at least 3 rays")
@@ -58,12 +56,6 @@ def make_fan(rays, cones=None, name=None):
         # 180 degrees or more is left uncovered
         if wedge(sorted_rays[i], sorted_rays[(i + 1) % n]) <= 0:
             raise ValueError("incomplete fan: cones do not cover the plane")
-    if cones is not None:
-        where = {i: order.index(i) for i in range(len(prim))}
-        given = {frozenset((where[a], where[b])) for a, b in cones}
-        inferred = {frozenset((i, (i + 1) % n)) for i in range(n)}
-        if given != inferred:
-            raise ValueError("incomplete fan: cones do not match ray order")
     return Fan(sorted_rays, name=name)
 
 

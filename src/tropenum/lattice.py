@@ -12,15 +12,16 @@ gcd 1, standing for (X/W, Y/W).  `as_hpoint` turns what callers pass (a
 triple or a pair of rationals) into one.
 
 `ray_hits` is the one crossing kernel: it answers "which walls of one
-direction does this ray hit" on an index sorted by `offset_key`, settling
-the signs of both crossing parameters in integers, for the Maslov-0
-forest (stem tracer, gluing) and the scattering diagram (`crossings`,
-`germs`), which build a point with `hshift` only for a hit; `ray_meets`
-settles the same signs for one wall, and `walls_through` asks the same
-index which walls hold a point.  `ray_params` (the parameters of one
-pair of lines) and `ray_intersect` (plus the point) have no caller in
-the engine; they stay as the tests' reference for `ray_hits`, and for
-the benchmark's tracer, which wraps `ray_intersect` by name.
+direction does this ray hit" on the index that `wall_index` alone builds,
+the walls sorted by `offset_key`, settling the signs of both crossing
+parameters in integers, for the Maslov-0 forest (stem tracer, gluing)
+and the scattering diagram (`crossings`, `germs`), which build a point
+with `hshift` only for a hit; `ray_meets` settles the same signs for one
+wall, and `walls_through` asks the same index which walls hold a point.
+`ray_params` (the parameters of one pair of lines) and `ray_intersect`
+(plus the point) have no caller in the engine; they stay as the tests'
+reference for `ray_hits`, and for the benchmark's tracer, which wraps
+`ray_intersect` by name.
 
 Floating point is forbidden here and in every caller.
 
@@ -256,6 +257,15 @@ def offset_key(num, w):
     num / w.  For a line of direction o, num / w = wedge(P, o) / P.w is the
     same for every point P on it: the line's offset."""
     return (num << OFFSET_BITS) // w
+
+
+def wall_index(o, walls):
+    """The offset index (keys, walls, o) of walls of one direction o that
+    `ray_hits` and `walls_through` read: the walls stably sorted by
+    keys[i] = offset_key(kn, base.w), so walls of one key keep the order
+    given."""
+    ws = sorted(walls, key=lambda t: offset_key(t.kn, t.base[2]))
+    return [offset_key(t.kn, t.base[2]) for t in ws], ws, o
 
 
 def ray_hits(index, X, r, c, xr, skip):

@@ -23,7 +23,7 @@ non-marked singular points is checked by composing an exact loop, never
 assumed.
 
 A diagram owns its incidences.  It files its walls by direction in
-offset-sorted indexes and asks `lattice.ray_hits` which walls a ray
+`lattice.wall_index` indexes and asks `lattice.ray_hits` which walls a ray
 meets.  ScatteringDiagram.germs maps every singular point (a wall base or
 a transversal crossing) to its wall germs in angular order; sing_points
 and loop_automorphism read that table.  ScatteringDiagram.crossings is
@@ -36,8 +36,8 @@ from fractions import Fraction
 from .enumeration import build_forest, mask_labels
 from .fan import r_vector
 from .lattice import (GenericityError, InvariantError, angle_key, as_hpoint,
-                      dot, exact_shift, hdiff, hshift, offset_key, primitive,
-                      ray_hits, rot90, walls_through, wedge)
+                      dot, exact_shift, hdiff, hshift, primitive, ray_hits,
+                      rot90, wall_index, walls_through, wedge)
 
 
 def _zerovec(nrays):
@@ -133,13 +133,6 @@ class RingElement:
         e = RingElement(self.nrays, y0=self.y0)
         e.terms = {key: c for key, c in self.terms.items() if not key[1]}
         return e
-
-    def key(self):
-        """Canonical sorting/equality key."""
-        items = sorted((m, tuple(sorted(uset)),
-                        (c.numerator, c.denominator))
-                       for (m, uset), c in self.terms.items())
-        return (tuple(items), (self.y0.numerator, self.y0.denominator))
 
     def __eq__(self, other):
         return (isinstance(other, RingElement) and self.nrays == other.nrays
@@ -307,7 +300,7 @@ def _fold(fan, crossings):
 
 class ScatteringDiagram:
     """Finite collection of walls plus the marked points they grew from.
-    Walls of one direction o form one `ray_hits` index (keys, walls, o).
+    Walls of one direction o form one `wall_index` (keys, walls, o).
     A wall's index is its position in `walls`, found by identity: one Wall
     may sit in several diagrams, but only once in each."""
 
@@ -322,12 +315,8 @@ class ScatteringDiagram:
             first = self._pos.setdefault(id(w), widx)
             if first != widx:
                 raise InvariantError("wall %d repeats wall %d" % (widx, first))
-            by_dir.setdefault(w.dirvec, []).append(
-                (offset_key(w.kn, w.base[2]), widx, w))
-        self._index = {}
-        for o, entries in by_dir.items():
-            keys, _, ws = zip(*sorted(entries))
-            self._index[o] = (keys, ws, o)
+            by_dir.setdefault(w.dirvec, []).append(w)
+        self._index = {o: wall_index(o, ws) for o, ws in by_dir.items()}
 
     def k(self):
         return len(self.marked)

@@ -4,7 +4,7 @@ The only place in the package where rationals become decimals; every
 coordinate is printed with 6 fixed digits, so output is byte-stable.
 """
 
-from .jsonio import parse_q
+from .jsonio import parse_point
 from .lattice import InvariantError
 
 SIZE = 640.0
@@ -86,17 +86,16 @@ class _Board:
 
 
 def _pts(doc, key):
-    return [(parse_q(p[0]), parse_q(p[1])) for p in doc.get(key, [])]
+    return [parse_point(p) for p in doc.get(key, [])]
 
 
 def _render_count(doc):
-    anchors = list(_pts(doc, "points"))
+    anchors = _pts(doc, "points")
     for sol in doc["solutions"]:
-        anchors.extend((parse_q(v[0]), parse_q(v[1]))
-                       for v in sol["vertices"])
+        anchors.extend(parse_point(v) for v in sol["vertices"])
     board = _Board(anchors)
     for sol in doc["solutions"]:
-        verts = [(parse_q(v[0]), parse_q(v[1])) for v in sol["vertices"]]
+        verts = [parse_point(v) for v in sol["vertices"]]
         for i, j, w, _ in sol["bounded_edges"]:
             board.line(verts[i], verts[j], "#333333", 0.8 + 0.6 * w)
         for i, d, w in sol["rays"]:
@@ -113,20 +112,17 @@ def _wall_color(w):
 
 
 def _render_diagram(doc, extra=None):
-    anchors = list(_pts(doc, "points"))
-    anchors.extend((parse_q(w["base"][0]), parse_q(w["base"][1]))
-                   for w in doc["walls"])
+    anchors = _pts(doc, "points")
+    anchors.extend(parse_point(w["base"]) for w in doc["walls"])
     lines = doc.get("lines", []) if extra else []
     if extra:
-        anchors.append((parse_q(doc["endpoint"][0]),
-                        parse_q(doc["endpoint"][1])))
+        anchors.append(parse_point(doc["endpoint"]))
         for line in lines:
             for seg in line["segments"]:
-                anchors.append((parse_q(seg["end"][0]),
-                                parse_q(seg["end"][1])))
+                anchors.append(parse_point(seg["end"]))
     board = _Board(anchors)
     for w in doc["walls"]:
-        base = (parse_q(w["base"][0]), parse_q(w["base"][1]))
+        base = parse_point(w["base"])
         end = board.clip_ray(base, w["dir"])
         title = " + ".join(
             t["coeff"] + "".join("*u%d" % i for i in t["u"]) +
@@ -136,7 +132,7 @@ def _render_diagram(doc, extra=None):
     for line in lines:
         segs = line["segments"]
         first = segs[0]
-        b0 = (parse_q(first["end"][0]), parse_q(first["end"][1]))
+        b0 = parse_point(first["end"])
         # the unbounded tail leaves b0 against the travel direction,
         # that is along +r(m) of the first segment's exponent
         r = [sum(m * v[i] for m, v in zip(first["z"], rays))
@@ -144,21 +140,21 @@ def _render_diagram(doc, extra=None):
         back = board.clip_ray(b0, r)
         board.line(back, b0, "#2060c0", 1.4, dash=True)
         for seg in segs[1:]:
-            a = (parse_q(seg["start"][0]), parse_q(seg["start"][1]))
-            b = (parse_q(seg["end"][0]), parse_q(seg["end"][1]))
+            a = parse_point(seg["start"])
+            b = parse_point(seg["end"])
             board.line(a, b, "#2060c0", 1.4, dash=True)
     for idx, p in enumerate(_pts(doc, "points")):
         board.dot(p, "#c02020", 4.0, title="P%d" % (idx + 1))
         board.text(p, "P%d" % (idx + 1), "#c02020")
     if extra:
-        q = (parse_q(doc["endpoint"][0]), parse_q(doc["endpoint"][1]))
+        q = parse_point(doc["endpoint"])
         board.dot(q, "#000000", 4.5, title="Q")
         board.text(q, "Q")
     return board.emit()
 
 
 def _render_decomposition(doc):
-    verts = [(parse_q(v[0]), parse_q(v[1])) for v in doc["vertices"]]
+    verts = [parse_point(v) for v in doc["vertices"]]
     board = _Board(verts + _pts(doc, "points"))
     for e in doc["edges"]:
         if e["kind"] == "seg":

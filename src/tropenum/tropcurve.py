@@ -341,9 +341,6 @@ class CornerLocus:
         self.rays = tuple(rays)           # (P, dir, weight)
         self.lines = tuple(lines)         # (P, dir, weight), full lines
 
-    def pieces(self):
-        return len(self.segments) + len(self.rays) + len(self.lines)
-
 
 def _strict_feasible_1d(cons):
     # cons: (a, b) meaning a*t < b; exact Fraction feasibility

@@ -15,14 +15,19 @@ written so that they share no shortcut with the code they check:
   automorphisms they build: `ref_apply` raises the generator images to
   powers, `ref_compose` chains them, and `ref_crossing_auto` is the
   crossing of one wall, z^{e_i} -> z^{e_i} * f^{<n0, v_i>};
+* `ref_bucket`, a wall index grown one wall at a time by `bisect_right`
+  insertion, as the Maslov-0 forest filed its trees before
+  `lattice.wall_index` built each bucket once;
 * `ref_support_contains`, a wall's ray on Fraction pairs;
 * `ref_maslov_index`, 2 * (total degree - number of marks).
 """
 
+from bisect import bisect_right
 from fractions import Fraction
 
 from tropenum.fan import degree_total
-from tropenum.lattice import InvariantError, dot, hfrac, rot90, wedge
+from tropenum.lattice import (InvariantError, dot, hfrac, offset_key, rot90,
+                              wedge)
 from tropenum.scattering import (RingAutomorphism, RingElement, ray_generator,
                                  ring_mono, ring_one)
 from tropenum.tropcurve import degree
@@ -186,6 +191,18 @@ def ref_eliminate(A):
                 M[i] = [e - f * g for e, g in zip(M[i], M[r])]
         pivots.append(c)
     return pivots, [row[:n] for row in M], [row[n:] for row in M]
+
+
+def ref_bucket(o, walls):
+    """The index (keys, walls, o) of walls of direction o, each inserted
+    after the walls of an equal or smaller offset key, in the order given."""
+    keys, ws = [], []
+    for t in walls:
+        key = offset_key(t.kn, t.base[2])
+        i = bisect_right(keys, key)
+        keys.insert(i, key)
+        ws.insert(i, t)
+    return keys, ws, o
 
 
 # -- the ring and its automorphisms -------------------------------------------

@@ -301,7 +301,9 @@ def test_malformed_fan_file_exits_one(tmp_path):
     for doc, why in (({"name": "x"}, "needs an object with a \"rays\" list"),
                      ([1, 2], "needs an object with a \"rays\" list"),
                      ({"rays": [[1, 0], "ab", [0, -1]]},
-                      "ray \"ab\" is not an integer pair")):
+                      "ray \"ab\" is not an integer pair"),
+                     ({"name": 5, "rays": [[1, 0], [0, 1], [-1, -1]]},
+                      "name 5 is not a string")):
         fan.write_text(json.dumps(doc))
         p = run_cli("count", "--fan", str(fan), "--degree", "1")
         err = p.stderr.decode()

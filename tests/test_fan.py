@@ -61,12 +61,6 @@ def test_rays_normalized_and_sorted():
     assert f.rays == ((1, 0), (0, 1), (-1, -1))
 
 
-def test_cones_argument_checked():
-    make_fan([(1, 0), (0, 1), (-1, -1)], cones=[(0, 1), (1, 2), (2, 0)])
-    with pytest.raises(ValueError):
-        make_fan([(1, 0), (0, 1), (-1, -1)], cones=[(0, 1), (1, 2)])
-
-
 def test_degree_validation():
     f = builtin_fan("p2")
     d = make_degree(f, (3, 3, 3))

@@ -376,8 +376,9 @@ def _assert_candidates_fresh(forest):
     assert forest._cands
     for m, cands in forest._cands.items():
         fresh = []
-        for deg, bucket in forest._by_deg.items():
-            forest._add_cand(fresh, m, deg, bucket)
+        for filed in forest._at_level.values():
+            for deg, bucket in filed:
+                forest._add_cand(fresh, m, deg, bucket)
         assert [(left, id(b), c) for left, b, c in cands] == \
             [(left, id(b), c) for left, b, c in fresh]
 
@@ -447,6 +448,35 @@ def test_candidate_tables_scan_only_lower_levels(monkeypatch):
     assert len(calls) == 1116
 
 
+def test_levels_are_filed_once_complete(monkeypatch):
+    """No tree joins a level after the level is filed, and each level is
+    filed once, after its last tree: its buckets hold exactly its trees.
+    On the P2 cubic count, the uncapped P2 forest with k = 4, and the dP6
+    anticanonical count."""
+    add, file_level = Forest._add, Forest._file
+    forests = []
+
+    def add_guarded(self, t, level):
+        assert level not in self._at_level
+        add(self, t, level)
+
+    def file_once(self, level):
+        assert level not in self._at_level
+        file_level(self, level)
+        forests.append(self)
+
+    monkeypatch.setattr(Forest, "_add", add_guarded)
+    monkeypatch.setattr(Forest, "_file", file_once)
+    assert run_count(P2, (3, 3, 3), seed=1).n_trop == 12
+    _generic(lambda cfg: build_forest(P2, cfg), 4, 1)
+    assert run_count(DP6, (1,) * 6, seed=1).n_trop > 0
+    for forest in set(forests):
+        for level, filed in forest._at_level.items():
+            assert (sorted(t.serial for _, b in filed for t in b[1])
+                    == [t.serial for t in forest.levels[level]])
+    assert len(set(forests)) >= 3
+
+
 def test_walls_through_matches_a_scan():
     """lattice.walls_through on a bucket against on_ray on every wall of
     it, at the marked points, the roots, points on the walls and points
@@ -462,7 +492,7 @@ def test_walls_through_matches_a_scan():
                     hshift(t.base, -1, 5, t.out),
                     hshift(t.base, 1, 7, (t.out[1], -t.out[0]))]
         for P in pts:
-            for bucket in forest._by_deg.values():
+            for bucket in forest._buckets():
                 want = [t for t in bucket[1] if on_ray(P, t.base, t.out)]
                 assert walls_through(bucket, P) == want
                 held += len(want)
@@ -485,6 +515,7 @@ def test_over_cap_pair_still_faults_at_a_root():
                   (1, 0), ("l", 1, 0))
         forest._add(ta, 1)
         forest._add(tb, 1)
+        forest._file(1)
         with pytest.raises(GenericityError,
                            match="tree ray through another tree's root"):
             if cls is Forest:

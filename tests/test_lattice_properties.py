@@ -2,11 +2,12 @@
 arithmetic written here, sharing no code with tropenum.lattice beyond
 hpoint, which turns a Fraction pair into the triple the kernels take; of
 the integer side and line tests the Maslov-0 forest puts in front of them,
-and of its offset-sorted wall index; of the exact sort keys of ratios; of
-the integer elimination, checked by matrix products on small integer
-matrices and against the Fraction elimination, determinant and Smith
-form of `reference`; and of the integer angular order against the
-Fraction slopes of `reference.ref_angle_key`."""
+and of its offset-sorted wall index, whose builder `wall_index` must order
+forest trees and diagram walls as `reference.ref_bucket` does; of the
+exact sort keys of ratios; of the integer elimination, checked by matrix
+products on small integer matrices and against the Fraction elimination,
+determinant and Smith form of `reference`; and of the integer angular
+order against the Fraction slopes of `reference.ref_angle_key`."""
 
 from fractions import Fraction
 from math import floor, gcd, prod
@@ -15,11 +16,15 @@ from types import SimpleNamespace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import det, ref_angle_key, ref_eliminate, smith_normal_form
+from reference import (det, ref_angle_key, ref_bucket, ref_eliminate,
+                       smith_normal_form)
+from tropenum.enumeration import Tree
+from tropenum.fan import builtin_fan
 from tropenum.lattice import (OFFSET_BITS, angle_key, eliminate, exact_shift,
                               hdiff, hfrac, hpoint, line_param, offset_key,
                               on_line, on_ray, on_segment, ray_hits,
-                              ray_intersect, ray_params, wedge)
+                              ray_intersect, ray_params, wall_index, wedge)
+from tropenum.scattering import Wall
 
 coord = st.fractions(min_value=-20, max_value=20, max_denominator=60)
 pair = st.tuples(coord, coord)
@@ -28,6 +33,7 @@ vector = st.tuples(small, small).filter(lambda v: v != (0, 0))
 scale = st.fractions(min_value=-3, max_value=3, max_denominator=12)
 
 SETTINGS = settings(max_examples=200, deadline=None)
+P2 = builtin_fan("p2")
 
 
 def cross(a, b):
@@ -225,6 +231,47 @@ def test_offset_index_finds_every_wall_the_ray_reaches(case):
         if p is not None:
             # e is the raw t_num, signs flipped when X.w * base.w * c < 0
             assert (p[0], p[1]) == ((d, e) if c > 0 else (-d, -e))
+
+
+@st.composite
+def tied_walls(draw):
+    """Forest trees or P2 diagram walls of one direction o = -(a, b),
+    a, b >= 0, most rooted on a few shared lines along o (equal offset
+    keys: the same root, or collinear ones), some within 2**-40 of such a
+    line (equal keys, unequal offsets), the rest anywhere."""
+    a, b = draw(st.sampled_from(((1, 0), (0, 1), (1, 1), (1, 2), (3, 1))))
+    o = (-a, -b)
+    lines = draw(st.lists(pair, min_size=1, max_size=3))
+    kind = draw(st.sampled_from(("tree", "wall")))
+    walls = []
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        where = draw(st.sampled_from(("root", "line", "near", "any")))
+        p = draw(st.sampled_from(lines)) if where != "any" else draw(pair)
+        if where in ("line", "near"):
+            p = along(p, draw(scale), o)
+        if where == "near":
+            p = along(p, Fraction(draw(st.sampled_from((1, -1))), 2 ** 40),
+                      (-o[1], o[0]))
+        B = hpoint(*p)
+        if kind == "tree":
+            walls.append(Tree(1, (1, 0, 0), B, o, 1, 1, "leaf", (0, 0),
+                              ("l", len(walls))))
+        else:
+            k = draw(st.integers(min_value=1, max_value=3))
+            walls.append(Wall(P2, B, (k * a, k * b, 0), 1, {len(walls)}))
+    return o, walls
+
+
+@SETTINGS
+@given(tied_walls())
+def test_wall_index_orders_as_the_incremental_bucket(case):
+    o, walls = case
+    got = wall_index(o, walls)
+    want = ref_bucket(o, walls)
+    assert got[0] == want[0]
+    assert [id(w) for w in got[1]] == [id(w) for w in want[1]]
+    assert got[2] == o
+    assert all(w.dirvec == o for w in walls if isinstance(w, Wall))
 
 
 @SETTINGS

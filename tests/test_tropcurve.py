@@ -1,10 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reference import ref_maslov_index
 from tropenum.fan import builtin_fan
-from tropenum.lattice import hpoint, primitive
+from tropenum.lattice import (hfrac, hpoint, on_line, on_ray, on_segment,
+                              primitive)
 from tropenum.tropcurve import (GenericityError, InvariantError, MinPlusPoly,
                                 ParamTropCurve, TropicalDisk, canonical_type,
                                 check_balancing, corner_locus, degree,
@@ -161,6 +164,33 @@ def test_corner_locus_shifted_vertex():
     loc = corner_locus(f)
     assert len(loc.rays) == 3
     assert loc.vertices == (hpoint(F(1), F(-2)),)
+
+
+def _attained(f, z, convention):
+    """How many terms of f attain its optimum at z."""
+    best = f.value(z, convention)
+    return sum(a + n[0] * z[0] + n[1] * z[1] == best for a, n in f.terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(-4, 4),
+                          st.tuples(st.integers(-2, 2), st.integers(-2, 2))),
+                min_size=2, max_size=6, unique_by=lambda t: t[1]),
+       st.tuples(st.fractions(-6, 6, max_denominator=7),
+                 st.fractions(-6, 6, max_denominator=7)))
+def test_value_ties_exactly_on_the_corner_locus(terms, z):
+    # at every vertex of the locus the optimum is attained at least twice;
+    # at a point off it, exactly once
+    f = MinPlusPoly(terms)
+    for convention in ("min", "max"):
+        loc = corner_locus(f, convention)
+        for P in loc.vertices:
+            assert _attained(f, hfrac(P), convention) >= 2
+        Z = hpoint(*z)
+        on = (any(on_segment(Z, P, Q) for P, Q, _ in loc.segments)
+              or any(on_ray(Z, P, d) for P, d, _ in loc.rays)
+              or any(on_line(Z, P, d) for P, d, _ in loc.lines))
+        assert (_attained(f, z, convention) >= 2) == on
 
 
 def test_corner_locus_weight_two_line():
