@@ -29,8 +29,7 @@ print("diagram is consistent:", rep.ok)
 
 # now remove the scattered walls (the ones carrying both u variables)
 # and watch the same loops fail to close
-kept = [w for w in d.walls
-        if all(len(i) < 2 for (m, i), c in w.f.terms.items() if any(m))]
+kept = [w for w in d.walls if w.marks.bit_count() < 2]
 broken = ScatteringDiagram(P2, kept, cfg.points)
 rep2 = check_consistency(broken)
 print()

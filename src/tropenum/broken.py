@@ -11,7 +11,7 @@ We trace backwards from Q.  The final exponent m_fin is bounded: a wall
 of build_diagram is f = 1 + c*u_I*z^{Delta(h)} for a Maslov-0 tree h
 through the marks I, with |Delta(h)| = |I|, and u_i^2 = 0 gives
 f^e = 1 + e*c*u_I*z^{Delta(h)}.  So every bend adds an exponent of size
-|I|, the u-index sets consumed along the way are pairwise disjoint, and
+|I|, the mark masks consumed along the way are pairwise disjoint, and
 sum(m_fin) <= 1 + k for k marked points.  For each candidate m_fin the
 tracer walks the ray Q + s*r(m), s > 0, branching over admissible bends,
 and accepts when the exponent has dropped to a single ray generator.
@@ -24,14 +24,13 @@ Degenerate pictures (a segment along a wall, through a wall base or a
 wall crossing) raise GenericityError asking for a fresh endpoint.
 """
 
-from .enumeration import (_boxed_exponents, enumerate_maslov2_disks,
-                          mask_labels)
+from .enumeration import _boxed_exponents, enumerate_maslov2_disks
 # the endpoint sampler lives next to sample_generic_points; this module
 # keeps its public name, the same function object
 from .enumeration import sample_endpoint  # noqa: F401
 from .fan import r_vector
 from .lattice import (GenericityError, InvariantError, as_hpoint, hfrac,
-                      hshift, wedge)
+                      hshift, mask_labels, wedge)
 from .scattering import (RingElement, _cross, build_diagram, path_crossings,
                          ring_mono)
 
@@ -40,9 +39,9 @@ class BrokenLine:
     """One broken line: an initial ray index, the bend points with the
     monomial carried on each segment, and the endpoint Q.
 
-    segs is a tuple of (start, end, (c, I, m)); the first start is None
-    for the unbounded segment and the last end is Q.  Points are
-    homogeneous triples.
+    segs is a tuple of (start, end, (c, I, m)), I the segment's u-part as
+    a mark mask; the first start is None for the unbounded segment and the
+    last end is Q.  Points are homogeneous triples.
     """
 
     __slots__ = ("fan", "init_ray", "segs", "endpoint")
@@ -61,17 +60,17 @@ class BrokenLine:
         return self.segs[-1][2]
 
     def final_element(self):
-        c, iset, m = self.final()
-        return ring_mono(self.fan.nrays(), c, iset, m)
+        c, mask, m = self.final()
+        return ring_mono(self.fan.nrays(), c, mask, m)
 
     def key(self):
-        c, iset, m = self.final()
-        return (m, tuple(sorted(iset)), (c.numerator, c.denominator))
+        c, mask, m = self.final()
+        return (m, mask_labels(mask), (c.numerator, c.denominator))
 
     def __repr__(self):
-        c, iset, m = self.final()
+        c, mask, m = self.final()
         return "BrokenLine(init=%d, bends=%d, final=%s*u%s*z^%s)" % (
-            self.init_ray, self.nbends(), c, sorted(iset), list(m))
+            self.init_ray, self.nbends(), c, list(mask_labels(mask)), list(m))
 
 
 class Potential:
@@ -94,14 +93,14 @@ class Potential:
         """The monomial z^{(1,...,1)} whose formal log pairs with the
         potential as the first flat coordinate."""
         n = self.fan.nrays()
-        return ring_mono(n, 1, (), (1,) * n)
+        return ring_mono(n, 1, 0, (1,) * n)
 
     def u_sum(self):
         """u_1 + ... + u_k, the second flat coordinate."""
         n = self.fan.nrays()
         terms = {}
         for i in range(self.k):
-            terms[((0,) * n, frozenset([i]))] = 1
+            terms[((0,) * n, 1 << i)] = 1
         return RingElement(n, terms)
 
     def __repr__(self):
@@ -134,7 +133,7 @@ class _Tracer:
                 continue
             if r_vector(self.fan, m) == (0, 0):
                 continue
-            self._trace(self.Q, m, frozenset(), [])
+            self._trace(self.Q, m, 0, [])
         self.out.sort(key=lambda bl: bl.key())
         return self.out
 
@@ -147,7 +146,7 @@ class _Tracer:
         for s, den, widx in hits:
             # the one bend at this wall takes the term e*c*u_I*z^{m0} of f^e
             w = self.d.walls[widx]
-            if w.uset & taken:
+            if w.marks & taken:
                 continue
             m_in = tuple(a - b for a, b in zip(m, w.m0))
             if any(a < 0 for a in m_in) or not any(m_in):
@@ -156,24 +155,24 @@ class _Tracer:
                 continue
             V = hshift(X, s, den, r)
             e = abs(wedge(w.dirvec, r))
-            bends_rev.append((V, widx, w.m0, w.uset, e * w.c))
-            self._trace(V, m_in, taken | w.uset, bends_rev)
+            bends_rev.append((V, widx, w.m0, w.marks, e * w.c))
+            self._trace(V, m_in, taken | w.marks, bends_rev)
             bends_rev.pop()
 
     def _emit(self, rho, bends_rev):
         n = self.fan.nrays()
         m = tuple(1 if i == rho else 0 for i in range(n))
         c = 1
-        iset = frozenset()
+        mask = 0
         segs = []
         prev = None
         for V, widx, mt, ut, ct in reversed(bends_rev):
-            segs.append((prev, V, (c, iset, m)))
+            segs.append((prev, V, (c, mask, m)))
             c = c * ct
-            iset = iset | ut
+            mask |= ut
             m = tuple(a + b for a, b in zip(m, mt))
             prev = V
-        segs.append((prev, self.Q, (c, iset, m)))
+        segs.append((prev, self.Q, (c, mask, m)))
         self.out.append(BrokenLine(self.fan, rho, segs, self.Q))
 
 
@@ -196,11 +195,12 @@ def potential(d, fan, Q):
 
 
 def transport(d, W, path):
-    """Parallel transport of a potential along a path: crosses the walls
-    of the path in order, each applied to W.value term by term.  The path
-    must start in the chamber of W.endpoint."""
+    """Parallel transport of a potential: crosses, in order, the walls of
+    the polyline from W.endpoint through the vertices of `path`, which may
+    start anywhere off the support, each applied to W.value term by term,
+    and gives the potential at the last vertex."""
     val = W.value
-    for widx, n0 in path_crossings(d, path):
+    for widx, n0 in path_crossings(d, [W.endpoint] + list(path)):
         val = _cross(d.walls[widx], n0, val)
     return Potential(W.fan, W.k, as_hpoint(path[-1]), val, ())
 
@@ -212,9 +212,6 @@ def verify_disk_correspondence(fan, config, Q):
     agree exactly."""
     d = build_diagram(fan, config)
     lines = enumerate_broken_lines(d, fan, Q)
-    got = sorted(bl.key() for bl in lines)
-    want = []
-    for rec in enumerate_maslov2_disks(fan, config, Q):
-        want.append((rec.deg, tuple(mask_labels(rec.marks)), (rec.mult, 1)))
-    want.sort()
-    return got == want
+    want = sorted((rec.deg, mask_labels(rec.marks), (rec.mult, 1))
+                  for rec in enumerate_maslov2_disks(fan, config, Q))
+    return sorted(bl.key() for bl in lines) == want

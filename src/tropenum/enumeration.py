@@ -29,8 +29,8 @@ from itertools import combinations, product
 from math import isqrt
 
 from .fan import degree_total, make_degree, r_vector
-from .lattice import (as_hpoint, hdiff, hshift, on_line, on_ray,
-                      on_segment, primitive, ray_hits, ray_meets,
+from .lattice import (as_hpoint, hdiff, hshift, mask_labels, on_line,
+                      on_ray, on_segment, primitive, ray_hits, ray_meets,
                       wall_index, walls_through, wedge)
 from .tropcurve import (GenericityError, InvariantError, ParamTropCurve,
                         TropicalDisk, TropicalTree, canonical_type,
@@ -121,11 +121,6 @@ def precheck_config(fan, deg, config):
             raise GenericityError(
                 "points %d, %d aligned with a curve direction" % (i, j))
     return True
-
-
-def mask_labels(mask):
-    """The 0-based labels of the marks in a mark mask, ascending."""
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def _boxed_exponents(cap):

@@ -7,9 +7,9 @@ validate the id and the field shapes and hand back the document as read,
 rationals still "p" or "p/q" strings.  u-indices appear 1-based in
 documents, matching the u1, u2, ... display names.
 
-At load time this module imports only `lattice`; the functions that need
-`enumeration`'s or `scattering`'s helpers import them when called, so
-reading or rendering a document loads no engine module.
+At load time this module imports only `lattice`, whose `mask_labels`
+writes out a mark mask; `potential_doc` imports `format_element` when
+called, so reading or rendering a document loads no engine module.
 """
 
 import json
@@ -17,7 +17,7 @@ import json
 from fractions import Fraction
 from math import gcd
 
-from .lattice import InvariantError
+from .lattice import InvariantError, mask_labels
 
 SCHEMAS = ("count", "trees", "disks", "diagram", "potential", "phicheck",
            "decomposition")
@@ -145,7 +145,6 @@ def load_count(doc):
 
 
 def trees_doc(fan, config, records):
-    from .enumeration import mask_labels
     return {
         **_header("trees", fan, config),
         "k": len(config.points),
@@ -171,7 +170,6 @@ def load_trees(doc):
 
 
 def disks_doc(fan, config, Q, records):
-    from .enumeration import mask_labels
     names = ["x%d" % i for i in range(fan.nrays())]
     out = []
     for d in records:
@@ -210,11 +208,10 @@ def load_disks(doc):
 
 def element_doc(elem):
     terms = []
-    for (m, iset), c in sorted(elem.terms.items(),
-                               key=lambda kv: (kv[0][0],
-                                               sorted(kv[0][1]))):
-        terms.append({"coeff": fmt_q(c), "u": [i + 1 for i in sorted(iset)],
-                      "z": list(m)})
+    for (m, mask), c in sorted(elem.terms.items(), key=lambda kv: (
+            kv[0][0], mask_labels(kv[0][1]))):
+        terms.append({"coeff": fmt_q(c), "z": list(m),
+                      "u": [i + 1 for i in mask_labels(mask)]})
     return {"y0": fmt_q(elem.y0), "terms": terms}
 
 
@@ -250,12 +247,12 @@ def potential_doc(fan, config, diagram, report, W):
     lines = []
     for bl in W.lines:
         segs = []
-        for a, b, (c, iset, m) in bl.segs:
+        for a, b, (c, mask, m) in bl.segs:
             segs.append({
                 "start": None if a is None else fmt_point(a),
                 "end": fmt_point(b),
                 "coeff": fmt_q(c),
-                "u": [i + 1 for i in sorted(iset)],
+                "u": [i + 1 for i in mask_labels(mask)],
                 "z": list(m),
             })
         lines.append({"init_ray": bl.init_ray, "segments": segs})

@@ -18,6 +18,8 @@ parameters in integers, for the Maslov-0 forest (stem tracer, gluing)
 and the scattering diagram (`crossings`, `germs`), which build a point
 with `hshift` only for a hit; `ray_meets` settles the same signs for one
 wall, and `walls_through` asks the same index which walls hold a point.
+`mask_labels` writes out the labels of a mark mask, the one form of a
+set of marks from the forest's trees to the ring and the broken lines.
 `ray_params` (the parameters of one pair of lines) and `ray_intersect`
 (plus the point) have no caller in the engine; they stay as the tests'
 reference for `ray_hits`, and for the benchmark's tracer, which wraps
@@ -266,6 +268,11 @@ def wall_index(o, walls):
     given."""
     ws = sorted(walls, key=lambda t: offset_key(t.kn, t.base[2]))
     return [offset_key(t.kn, t.base[2]) for t in ws], ws, o
+
+
+def mask_labels(mask):
+    """The 0-based labels of a mark mask (bit i for mark i), ascending."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def ray_hits(index, X, r, c, xr, skip):

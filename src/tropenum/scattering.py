@@ -1,10 +1,10 @@
 """Nilpotent coefficient ring, walls, and path-ordered wall crossing.
 
 The ring is spanned by monomials c * u_I * z^m where m is an integer
-exponent vector with one slot per fan ray and I is a set of point labels
-with u_i^2 = 0.  Exponents are kept per ray instead of being pushed to
-their image in M, so the product of all ray generators stays a visible
-monomial rather than collapsing to 1.
+exponent vector with one slot per fan ray and I is a set of marks, a bit
+mask as the forest's, with u_i^2 = 0.  Exponents are kept per ray instead
+of being pushed to their image in M, so the product of all ray generators
+stays a visible monomial rather than collapsing to 1.
 
 An automorphism is pinned by its images on the ray generators and fixes
 every u_i and the additive constant y0.  Crossing a wall with function f
@@ -33,11 +33,12 @@ the caller's GenericityError messages, for paths and broken lines alike.
 
 from fractions import Fraction
 
-from .enumeration import build_forest, mask_labels
+from .enumeration import build_forest
 from .fan import r_vector
 from .lattice import (GenericityError, InvariantError, angle_key, as_hpoint,
-                      dot, exact_shift, hdiff, hshift, primitive, ray_hits,
-                      rot90, wall_index, walls_through, wedge)
+                      dot, exact_shift, hdiff, hshift, mask_labels,
+                      primitive, ray_hits, rot90, wall_index, walls_through,
+                      wedge)
 
 
 def _zerovec(nrays):
@@ -54,13 +55,13 @@ def _coef(c):
 
 
 class RingElement:
-    """terms maps (exponent tuple, frozenset of u labels) to a rational,
-    an int when it is an integer (every diagram built from trees has
-    integer coefficients only) and a Fraction otherwise.
+    """terms maps (exponent tuple, mark mask) to a rational, an int when
+    it is an integer (every diagram built from trees has integer
+    coefficients only) and a Fraction otherwise.  The mask is the u-part,
+    bit i for u_{i+1}: products test u-parts with & and join them with |.
 
     y0 is an additive formal constant: it survives addition and
-    automorphism application but refuses multiplication.  u labels are
-    0-based marked-point indices.
+    automorphism application but refuses multiplication.
     """
 
     __slots__ = ("nrays", "terms", "y0")
@@ -70,11 +71,13 @@ class RingElement:
         self.y0 = _coef(y0)
         self.terms = {}
         if terms:
-            for (m, uset), c in terms.items():
+            for (m, mask), c in terms.items():
+                if type(mask) is not int or mask < 0:
+                    raise TypeError("u-part %r is not a mark mask" % (mask,))
                 c = _coef(c)
                 if not c:
                     continue
-                key = (tuple(m), frozenset(uset))
+                key = (tuple(m), mask)
                 if len(key[0]) != nrays:
                     raise InvariantError("exponent length != ray count")
                 c += self.terms.get(key, 0)
@@ -143,17 +146,17 @@ class RingElement:
 
 
 def ring_one(nrays):
-    return ring_mono(nrays, 1, (), _zerovec(nrays))
+    return ring_mono(nrays, 1, 0, _zerovec(nrays))
 
 
-def ring_mono(nrays, c, uset, m):
-    return RingElement(nrays, {(tuple(m), frozenset(uset)): c})
+def ring_mono(nrays, c, mask, m):
+    return RingElement(nrays, {(tuple(m), mask): c})
 
 
 def ray_generator(nrays, ridx):
     m = [0] * nrays
     m[ridx] = 1
-    return ring_mono(nrays, 1, (), m)
+    return ring_mono(nrays, 1, 0, m)
 
 
 def format_element(elem, names=None):
@@ -164,10 +167,10 @@ def format_element(elem, names=None):
     if elem.y0:
         bits.append("y0" if elem.y0 == 1 else "%s*y0" % elem.y0)
     order = sorted(elem.terms, key=lambda k: (sum(k[0]), k[0],
-                                              tuple(sorted(k[1]))))
-    for m, uset in order:
-        c = elem.terms[(m, uset)]
-        fs = ["u%d" % (i + 1) for i in sorted(uset)]
+                                              mask_labels(k[1])))
+    for m, mask in order:
+        c = elem.terms[(m, mask)]
+        fs = ["u%d" % (i + 1) for i in mask_labels(mask)]
         for i, e in enumerate(m):
             if e == 1:
                 fs.append(names[i])
@@ -201,8 +204,8 @@ class RingAutomorphism:
     # exponent, since pow does.
     def apply(self, elem):
         out = RingElement(self.nrays, y0=elem.y0)
-        for (m, uset), c in elem.terms.items():
-            acc = ring_mono(self.nrays, c, uset, _zerovec(self.nrays))
+        for (m, mask), c in elem.terms.items():
+            acc = ring_mono(self.nrays, c, mask, _zerovec(self.nrays))
             for ridx, e in enumerate(m):
                 if e:
                     acc = acc.mul(self.images[ridx].pow(e))
@@ -231,16 +234,15 @@ class RingAutomorphism:
 class Wall:
     """Ray from base along -r(m0) with the function f = 1 + c*u_I*z^{m0}.
 
-    c is a non-zero rational and I (uset) a non-empty set of point
-    labels, so f - 1 is nilpotent and f^e = 1 + e*c*u_I*z^{m0}.  f is
-    kept as a RingElement for the documents and the general ring code.
-    `ray_hits` reads kn = wedge(base, dirvec) and the mark mask of I.
+    c is a non-zero rational and I a non-empty mark mask `marks`, so
+    f - 1 is nilpotent and f^e = 1 + e*c*u_I*z^{m0}.  f is kept as a
+    RingElement for the documents and the general ring code.  `ray_hits`
+    reads kn = wedge(base, dirvec) and `marks`.
     """
 
-    __slots__ = ("fan", "base", "m0", "c", "uset", "f", "dirvec", "kn",
-                 "marks")
+    __slots__ = ("fan", "base", "m0", "c", "marks", "f", "dirvec", "kn")
 
-    def __init__(self, fan, base, m0, c, uset):
+    def __init__(self, fan, base, m0, c, marks):
         self.fan = fan
         self.base = as_hpoint(base)
         self.m0 = tuple(int(x) for x in m0)
@@ -250,15 +252,14 @@ class Wall:
         self.dirvec = primitive((-r[0], -r[1]))[0]
         self.kn = wedge(self.base, self.dirvec)
         self.c = _coef(c)
-        self.uset = frozenset(uset)
-        self.marks = sum(1 << i for i in self.uset)
+        self.marks = marks
         if not self.c:
             raise InvariantError("wall coefficient is zero")
-        if not self.uset:
+        if not marks:
             raise InvariantError("unsupported wall function: f - 1 is not "
                                  "nilpotent")
         nrays = fan.nrays()
-        self.f = ring_one(nrays).add(ring_mono(nrays, self.c, self.uset,
+        self.f = ring_one(nrays).add(ring_mono(nrays, self.c, marks,
                                                self.m0))
 
     def __repr__(self):
@@ -271,13 +272,13 @@ def _cross(wall, n0, elem):
     c*u_J*z^m picks up the factor f^e = 1 + e*c_w*u_I*z^{m0}, with
     e = <n0, r(m)>."""
     ns = [dot(n0, v) for v in wall.fan.rays]
-    cw, iw, m0 = wall.c, wall.uset, wall.m0
+    cw, iw, m0 = wall.c, wall.marks, wall.m0
     out = dict(elem.terms)
-    for (m, uset), c in elem.terms.items():
+    for (m, mask), c in elem.terms.items():
         e = sum(a * b for a, b in zip(m, ns))
-        if not e or uset & iw:
+        if not e or mask & iw:
             continue                # f^0 = 1, or u_i^2 = 0
-        key = (tuple(a + b for a, b in zip(m, m0)), uset | iw)
+        key = (tuple(a + b for a, b in zip(m, m0)), mask | iw)
         c2 = out.get(key, 0) + e * c * cw
         if c2:
             out[key] = c2
@@ -329,8 +330,9 @@ class ScatteringDiagram:
     def germs(self):
         """Singular point (homogeneous triple) -> its wall germs
         (direction, wall index) sorted by (angle_key, index), cached.  A
-        wall base gives its outgoing germ; wall a meets each wall b > a its
-        ray hits, and a wall crossed at parameter x gives its outgoing
+        wall base gives its outgoing germ; a wall of direction r meets each
+        wall of direction o > r (tuple order) its ray hits, so a crossing
+        is found once, and a wall crossed at parameter x gives its outgoing
         germ, and the opposite one when x > 0.  A wall that meets a point
         only collinearly with the other walls there is left out: its two
         germs commute with every germ at the point and cancel."""
@@ -342,12 +344,10 @@ class ScatteringDiagram:
                 X, r = wa.base, wa.dirvec
                 for o, index in self._index.items():
                     c = wedge(r, o)
-                    if not c:
+                    if not c or o < r:
                         continue
                     for wb, s, t in ray_hits(index, X, r, c, wa.kn, 0):
                         b = self._pos[id(wb)]
-                        if b <= a:
-                            continue
                         at = table.setdefault(
                             hshift(X, s, X[2] * wb.base[2] * c, r), set())
                         for x, widx, v in ((s, a, r), (t, b, o)):
@@ -461,7 +461,7 @@ def build_diagram(fan, config):
     out direction, function 1 + w(E_out) Mult(h) u_{I(h)} z^{Delta(h)}."""
     walls = []
     for t in build_forest(fan, config).trees:
-        w = Wall(fan, t.base, t.deg, t.w * t.mult, mask_labels(t.marks))
+        w = Wall(fan, t.base, t.deg, t.w * t.mult, t.marks)
         if w.dirvec != t.out:
             raise InvariantError("wall direction disagrees with the tree "
                                  "out-edge")

@@ -215,12 +215,12 @@ def _neg(elem):
 def ref_inverse(elem):
     """Inverse of c * z^{m*} * (1 + N) with N nilpotent: the pieces are
     inverted separately, 1/(1 + N) as the finite series sum (-N)^j."""
-    units = [(m, c) for (m, uset), c in elem.terms.items() if not uset]
+    units = [(m, c) for (m, mask), c in elem.terms.items() if not mask]
     if len(units) != 1:
         raise InvariantError("unsupported: negative power of a "
                              "non-unipotent element")
     mstar, cstar = units[0]
-    unit_inv = ring_mono(elem.nrays, Fraction(1) / cstar, (),
+    unit_inv = ring_mono(elem.nrays, Fraction(1) / cstar, 0,
                          tuple(-x for x in mstar))
     n = unit_inv.mul(elem).add(_neg(ring_one(elem.nrays)))
     out = p = ring_one(elem.nrays)
@@ -250,8 +250,8 @@ def ref_apply(auto, elem):
     """auto(elem): each term c*u_I*z^m goes to c*u_I * prod images[i]^m_i."""
     n = auto.nrays
     out = RingElement(n, y0=elem.y0)
-    for (m, uset), c in elem.terms.items():
-        acc = ring_mono(n, c, uset, (0,) * n)
+    for (m, mask), c in elem.terms.items():
+        acc = ring_mono(n, c, mask, (0,) * n)
         for ridx, e in enumerate(m):
             acc = acc.mul(ref_pow(auto.images[ridx], e))
         out = out.add(acc)

@@ -7,7 +7,6 @@ fixtures; the whole file stays around a minute of wall clock.
 """
 
 import math
-import random
 import time
 
 import pytest
@@ -121,7 +120,7 @@ def _drop_scattered(diagram):
     kept = []
     for w in diagram.walls:
         items = [(m, i) for (m, i), c in w.f.terms.items() if any(m)]
-        if all(len(i) < 2 for _, i in items):
+        if all(i.bit_count() < 2 for _, i in items):
             kept.append(w)
     assert len(kept) < len(diagram.walls)
     return ScatteringDiagram(diagram.fan, kept, diagram.marked)
@@ -186,17 +185,16 @@ def test_criterion_6_disks_equal_broken_lines():
         ["u1*x0*x2", "u2*x1*x2", "x0", "x1", "x2"]
     six = enumerate_broken_lines(d, P2, sample_endpoint(301))
     assert len(six) == 6
-    assert sorted(tuple(sorted(bl.final()[1])) for bl in six) == \
-        [(), (), (), (0,), (0, 1), (1,)]
+    assert sorted(bl.final()[1] for bl in six) == [0, 0, 0, 0b1, 0b10, 0b11]
     ok(6, "broken-line and disk monomial multisets agree on %d "
           "(config, endpoint) pairs; 5-term and 6-term chambers "
           "realized" % pairs)
 
 
 def test_criterion_7_potential_invariants():
-    base = ring_mono(3, 1, (), (1, 0, 0)).add(
-        ring_mono(3, 1, (), (0, 1, 0))).add(
-        ring_mono(3, 1, (), (0, 0, 1)))
+    base = ring_mono(3, 1, 0, (1, 0, 0)).add(
+        ring_mono(3, 1, 0, (0, 1, 0))).add(
+        ring_mono(3, 1, 0, (0, 0, 1)))
     moved = 0
     potentials = 0
     for k, seeds in ((1, (3, 5, 11)), (2, (3, 5, 11)), (3, (3, 5))):
@@ -280,22 +278,12 @@ def test_criterion_9_property_suites(cubic_runs, dp6_runs, small_runs):
             assert math.prod(factors) == abs(det(sysm.rows)) == index_d(sysm)
             square += 1
     assert square > 0
-    rng = random.Random(20260817)
-    for _ in range(60):
-        n = rng.randrange(1, 5)
-        A = [[rng.randrange(-6, 7) for _ in range(n)] for _ in range(n)]
-        d = det(A)
-        factors = smith_normal_form(A)
-        if len(factors) < n:
-            assert d == 0
-        else:
-            assert math.prod(factors) == abs(d)
 
     for i in range(3):
-        u = ring_mono(3, 1, (i,), (1, 0, 0))
+        u = ring_mono(3, 1, 1 << i, (1, 0, 0))
         assert u.mul(u) == RingElement(3)
-    joint = ring_mono(3, 1, (0, 1), (1, 1, 0))
-    assert joint.mul(ring_mono(3, 1, (1,), (0, 0, 1))) == RingElement(3)
+    joint = ring_mono(3, 1, 0b11, (1, 1, 0))
+    assert joint.mul(ring_mono(3, 1, 0b10, (0, 0, 1))) == RingElement(3)
     ok(9, "balancing on %d curves, seed-invariant counts, Smith form "
-          "against determinants (%d solution systems + 60 random "
-          "matrices), nilpotent generator laws" % (ncurves, square))
+          "against determinants on %d solution systems, nilpotent "
+          "generator laws" % (ncurves, square))

@@ -3,7 +3,7 @@ import pytest
 from tropenum.broken import (enumerate_broken_lines, potential,
                              sample_endpoint, transport,
                              verify_disk_correspondence)
-from tropenum.enumeration import sample_generic_points
+from tropenum.enumeration import resample, sample_generic_points
 from tropenum.fan import builtin_fan
 from tropenum.lattice import hfrac
 from tropenum.scattering import (build_diagram, format_element,
@@ -47,10 +47,10 @@ def test_two_point_chamber_multisets():
     Qp = sample_endpoint(301)
     lines2 = enumerate_broken_lines(d, P2, Qp)
     assert len(lines2) == 6
-    profiles = sorted(tuple(sorted(bl.final()[1])) for bl in lines2)
-    assert profiles == [(), (), (), (0,), (0, 1), (1,)]
+    profiles = sorted(bl.final()[1] for bl in lines2)
+    assert profiles == [0, 0, 0, 0b1, 0b10, 0b11]
     # the joint-u line bends once at the scattered wall
-    joint = [bl for bl in lines2 if bl.final()[1] == frozenset([0, 1])]
+    joint = [bl for bl in lines2 if bl.final()[1] == 0b11]
     assert len(joint) == 1
     assert joint[0].nbends() in (1, 2)
     assert sum(joint[0].final()[2]) == 3
@@ -61,12 +61,12 @@ def test_segment_monomials_chain():
     d = build_diagram(P2, cfg)
     for bl in enumerate_broken_lines(d, P2, sample_endpoint(301)):
         c0, i0, m0 = bl.segs[0][2]
-        assert c0 == 1 and i0 == frozenset() and sum(m0) == 1
+        assert c0 == 1 and i0 == 0 and sum(m0) == 1
         for (a, b, mono), (a2, b2, mono2) in zip(bl.segs, bl.segs[1:]):
             assert b == a2
-            # exponent grows and the u-set strictly enlarges at a bend
+            # exponent grows and the mark mask strictly enlarges at a bend
             assert all(x <= y for x, y in zip(mono[2], mono2[2]))
-            assert mono[1] < mono2[1]
+            assert mono[1] & ~mono2[1] == 0 and mono[1] != mono2[1]
 
 
 def test_transport_matches_recomputation():
@@ -81,6 +81,26 @@ def test_transport_matches_recomputation():
     assert moved.value == Wp.value
     assert transport(d, Wp, [Qp, Q]).value == W.value
     assert moved.endpoint == Qp
+
+
+def test_transport_from_any_start():
+    # the walls between W.endpoint and the path's first vertex are crossed
+    # too, so transport gives the potential at the last vertex from any
+    # start, and a one-vertex path is a move to that vertex
+    config, d = resample(3, 4, lambda c: build_diagram(P2, c))
+    W = potential(d, P2, sample_endpoint(5))
+    moved = 0
+    for seed in range(601, 611):
+        A, B = sample_endpoint(seed), sample_endpoint(seed + 100)
+        try:
+            WA, WB = potential(d, P2, A), potential(d, P2, B)
+            assert transport(d, W, [A, W.endpoint]).value == W.value
+            assert transport(d, W, [A]).value == WA.value
+            assert transport(d, W, [A, B]).value == WB.value
+        except GenericityError:
+            continue
+        moved += WA.value != W.value
+    assert moved >= 3
 
 
 def test_same_chamber_constant():
@@ -105,13 +125,13 @@ def test_potential_mod_u_and_multilinearity():
         cfg = sample_generic_points(k, seed)
         d = build_diagram(P2, cfg)
         W = potential(d, P2, sample_endpoint(qs))
-        base = ring_mono(3, 1, (), (1, 0, 0)).add(
-            ring_mono(3, 1, (), (0, 1, 0))).add(
-            ring_mono(3, 1, (), (0, 0, 1)))
+        base = ring_mono(3, 1, 0, (1, 0, 0)).add(
+            ring_mono(3, 1, 0, (0, 1, 0))).add(
+            ring_mono(3, 1, 0, (0, 0, 1)))
         assert W.mod_u().y0 == 1
         assert sorted(W.mod_u().terms) == sorted(base.terms)
-        for (m, iset), c in W.value.terms.items():
-            assert len(iset) <= k
+        for (m, mask), c in W.value.terms.items():
+            assert mask.bit_count() <= k
             assert c.denominator == 1 and c > 0
         assert W.k == k
 
@@ -165,9 +185,9 @@ def test_flat_coordinate_accessors():
     d = build_diagram(P2, cfg)
     W = potential(d, P2, sample_endpoint(302))
     kap = W.kappa()
-    assert list(kap.terms) == [((1, 1, 1), frozenset())]
+    assert list(kap.terms) == [((1, 1, 1), 0)]
     us = W.u_sum()
-    assert sorted(tuple(i) for (_, i) in us.terms) == [(0,), (1,)]
+    assert sorted(i for (_, i) in us.terms) == [0b1, 0b10]
     assert all(c == 1 for c in us.terms.values())
 
 

@@ -120,9 +120,9 @@ def collinear_diagram():
     """Wall bases inside collinear walls with no transversal wall there:
     the table leaves the collinear walls out, the reference crosses them
     both ways."""
-    walls = [Wall(P2, (0, 0), (1, 0, 0), 1, (0,)),      # along -x
-             Wall(P2, (-2, 0), (2, 0, 0), 3, (1,)),     # along -x, inside
-             Wall(P2, (-3, 0), (0, 1, 1), -2, (2,))]    # along +x, overlaps
+    walls = [Wall(P2, (0, 0), (1, 0, 0), 1, 0b1),        # along -x
+             Wall(P2, (-2, 0), (2, 0, 0), 3, 0b10),      # along -x, inside
+             Wall(P2, (-3, 0), (0, 1, 1), -2, 0b100)]    # along +x, overlaps
     return ScatteringDiagram(P2, walls, [(0, 0), (-2, 0), (-3, 0)])
 
 

@@ -3,15 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from reference import cokernel_order, smith_normal_form
+from reference import cokernel_order, det, smith_normal_form
 from tropenum.lattice import (angle_key, dot, eliminate, hdiff, hfrac, hnorm,
                               hpoint, hshift, lattice_length, line_param,
                               on_ray, on_segment, primitive, ray_intersect,
                               rot90, wedge)
-
-
-def det2(m):
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
 
 def test_primitive_basic():
@@ -68,17 +64,12 @@ def test_smith_normal_form_examples():
 
 
 def test_smith_normal_form_against_determinant():
+    # the one random check of the reference Smith form against det
     rng = random.Random(23)
     for _ in range(300):
-        n = rng.choice([2, 3])
+        n = rng.randint(1, 4)
         m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-        if n == 2:
-            d = det2(m)
-        else:
-            # cofactor expansion along the first row
-            d = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-                 - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-                 + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+        d = det(m)
         diag = smith_normal_form(m)
         prod = 1
         for x in diag:

@@ -5,19 +5,18 @@ the integer side and line tests the Maslov-0 forest puts in front of them,
 and of its offset-sorted wall index, whose builder `wall_index` must order
 forest trees and diagram walls as `reference.ref_bucket` does; of the
 exact sort keys of ratios; of the integer elimination, checked by matrix
-products on small integer matrices and against the Fraction elimination,
-determinant and Smith form of `reference`; and of the integer angular
+products on small integer matrices and against the Fraction elimination
+and determinant of `reference`; and of the integer angular
 order against the Fraction slopes of `reference.ref_angle_key`."""
 
 from fractions import Fraction
-from math import floor, gcd, prod
+from math import floor, gcd
 from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import (det, ref_angle_key, ref_bucket, ref_eliminate,
-                       smith_normal_form)
+from reference import det, ref_angle_key, ref_bucket, ref_eliminate
 from tropenum.enumeration import Tree
 from tropenum.fan import builtin_fan
 from tropenum.lattice import (OFFSET_BITS, angle_key, eliminate, exact_shift,
@@ -258,7 +257,7 @@ def tied_walls(draw):
                               ("l", len(walls))))
         else:
             k = draw(st.integers(min_value=1, max_value=3))
-            walls.append(Wall(P2, B, (k * a, k * b, 0), 1, {len(walls)}))
+            walls.append(Wall(P2, B, (k * a, k * b, 0), 1, 1 << len(walls)))
     return o, walls
 
 
@@ -340,10 +339,26 @@ def matrices(draw):
     return matmul(block(m, r), block(r, n))
 
 
+@st.composite
+def with_zero_rows(draw):
+    """A matrix of matrices() with one or two rows of zeros inserted."""
+    A = draw(matrices())
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        A.insert(draw(st.integers(0, len(A))), [0] * len(A[0]))
+    return A
+
+
+edge_matrices = st.one_of(
+    st.just([]),
+    st.integers(min_value=1, max_value=4).map(lambda m: [[]] * m),
+    matrices(), with_zero_rows())
+
+
 @SETTINGS
-@given(matrices())
+@given(edge_matrices)
 def test_eliminate_gives_rref_and_left_kernel(A):
-    m, n = len(A), len(A[0])
+    m = len(A)
+    n = len(A[0]) if m else 0
     pivots, R, T, D = eliminate(A)
     rank = len(pivots)
     assert D > 0
@@ -392,26 +407,14 @@ def test_eliminate_solves_consistent_systems(data, A):
         assert not any(apply(A, v))
 
 
-@st.composite
-def with_zero_rows(draw):
-    """A matrix of matrices() with one or two rows of zeros inserted."""
-    A = draw(matrices())
-    for _ in range(draw(st.integers(min_value=1, max_value=2))):
-        A.insert(draw(st.integers(0, len(A))), [0] * len(A[0]))
-    return A
-
-
-edge_matrices = st.one_of(
-    st.just([]),
-    st.integers(min_value=1, max_value=4).map(lambda m: [[]] * m),
-    matrices(), with_zero_rows())
-
-
 @SETTINGS
 @given(edge_matrices)
 def test_eliminate_matches_fraction_reference(A):
     """The integer elimination is the Fraction one scaled by D: the same
-    pivots, R == D * R_ref and T == D * T_ref, every division exact."""
+    pivots, R == D * R_ref and T == D * T_ref, every division exact; and
+    D == |det A| for a square A of full rank.  T*A == R and the left
+    kernel are checked once, by test_eliminate_gives_rref_and_left_kernel
+    on the same matrices."""
     m = len(A)
     n = len(A[0]) if m else 0
     pivots, R, T, D = eliminate(A)
@@ -421,15 +424,11 @@ def test_eliminate_matches_fraction_reference(A):
     assert pivots == ref_pivots and D > 0
     assert R == [[D * e for e in row] for row in ref_R]
     assert T == [[D * e for e in row] for row in ref_T]
-    assert matmul(T, A) == R
-    assert det(T) != 0
-    for y in T[rank:]:
-        assert not any(apply(list(zip(*A)), y))
     if m == n:
         d = det(A)
         assert (d != 0) == (rank == n)
         if d:
-            assert D == abs(d) == prod(smith_normal_form(A))
+            assert D == abs(d)
 
 
 ratio = st.tuples(st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6))

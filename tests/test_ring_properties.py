@@ -1,8 +1,9 @@
 """Property tests of the nilpotent coefficient ring, the powers of a wall
 function and the closed-form wall crossing.
 
-Elements have up to four terms over three point labels u1..u3; walls are
-rays with f = 1 + c*u_I*z^{m0} and I non-empty, as Wall requires.  The
+Elements have up to four terms over three marks u1..u3, each u-part a mark
+mask; walls are rays with f = 1 + c*u_I*z^{m0} and I non-empty, as Wall
+requires.  The
 crossing kernel _cross is checked against the reference crossing
 automorphism of tests/reference.py, whose generator images are powers of f
 of either sign and which applies them by raising the images to powers.
@@ -22,7 +23,8 @@ FAN_IDS = ["p2", "p1xp1"]
 K = 3
 
 coef = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
-labels = st.frozensets(st.integers(0, K - 1))
+masks = st.integers(0, (1 << K) - 1)
+nonempty = st.integers(1, (1 << K) - 1)
 coord = st.fractions(min_value=-20, max_value=20, max_denominator=60)
 
 SETTINGS = settings(max_examples=100, deadline=None)
@@ -30,8 +32,8 @@ SETTINGS = settings(max_examples=100, deadline=None)
 
 def elements(nrays, nilpotent=False):
     exps = st.tuples(*[st.integers(-2, 2)] * nrays)
-    uset = labels.filter(bool) if nilpotent else labels
-    return st.dictionaries(st.tuples(exps, uset), coef, max_size=4).map(
+    us = nonempty if nilpotent else masks
+    return st.dictionaries(st.tuples(exps, us), coef, max_size=4).map(
         lambda terms: RingElement(nrays, terms))
 
 
@@ -39,7 +41,7 @@ def draw_wall(data, fan):
     m0 = data.draw(st.tuples(*[st.integers(0, 2)] * fan.nrays()).filter(
         lambda m: r_vector(fan, m) != (0, 0)))
     base = (data.draw(coord), data.draw(coord))
-    return Wall(fan, base, m0, data.draw(coef), data.draw(labels.filter(bool)))
+    return Wall(fan, base, m0, data.draw(coef), data.draw(nonempty))
 
 
 @pytest.mark.parametrize("fan", FANS, ids=FAN_IDS)
@@ -59,7 +61,7 @@ def test_wall_powers_add(fan, data, a, b):
     n = fan.nrays()
     # u_i^2 = 0 makes the binomial series stop after its linear term
     fa = ref_pow(w.f, a)
-    assert fa == ring_one(n).add(ring_mono(n, a * w.c, w.uset, w.m0))
+    assert fa == ring_one(n).add(ring_mono(n, a * w.c, w.marks, w.m0))
     assert fa.mul(ref_pow(w.f, b)) == ref_pow(w.f, a + b)
     if a >= 0:
         assert w.f.pow(a) == fa

@@ -4,9 +4,10 @@
 only the tests call live in the tests as reference code.  This scan parses
 every package module and demo, collects each top-level function and class
 and each method that is not a dunder, and requires that its name is used
-(as a name or as an attribute) somewhere in those files outside its own
-definition.  A definition that nothing in the program uses must be listed
-in KEEP with the reason it stays.
+somewhere in those files outside its own definition: as a name or as an
+attribute for a function or a class, as an attribute for a method, since a
+method is only called through one.  A definition that nothing in the
+program uses must be listed in KEEP with the reason it stays.
 """
 
 import ast
@@ -74,20 +75,28 @@ def definitions(tree, module):
 
 
 def uses(tree, skip=None):
-    """The names a tree uses, as a Name or an attribute, outside the node
-    `skip` (a definition does not reach itself)."""
-    out = set()
+    """(names, attributes): the names a tree uses as a Name and as an
+    attribute, outside the node `skip` (a definition does not reach
+    itself)."""
+    names, attrs = set(), set()
     stack = [tree]
     while stack:
         node = stack.pop()
         if node is skip:
             continue
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            attrs.add(node.attr)
         stack.extend(ast.iter_child_nodes(node))
-    return out
+    return names, attrs
+
+
+def reaches(used, qual, name):
+    """Does the (names, attributes) pair `used` reach the definition
+    `qual`?  A method (module.Class.method) only through an attribute."""
+    names, attrs = used
+    return name in attrs or (qual.count(".") == 1 and name in names)
 
 
 def unreached(sources, package=PACKAGE):
@@ -100,11 +109,10 @@ def unreached(sources, package=PACKAGE):
         if p.parent != package:
             continue
         for qual, node in definitions(tree, p.stem):
-            name = node.name
-            if any(name in names for q, names in everywhere.items()
-                   if q != p):
+            if any(reaches(used, qual, node.name)
+                   for q, used in everywhere.items() if q != p):
                 continue
-            if name not in uses(tree, skip=node):
+            if not reaches(uses(tree, skip=node), qual, node.name):
                 out.append(qual)
     return out
 
@@ -123,9 +131,13 @@ def test_the_scan_sees_an_unreached_definition(tmp_path):
     mod = tmp_path / "lonely.py"
     mod.write_text("def used():\n    return 1\n\n\n"
                    "def lonely():\n    return lonely() + used()\n\n\n"
-                   "class C:\n    def m(self):\n        return self.m()\n")
+                   "class C:\n    def m(self):\n        return self.m()\n\n\n"
+                   # a local of a method's name does not reach the method
+                   "class D:\n    def pieces(self):\n        return 1\n\n\n"
+                   "def shadow():\n    pieces = D()\n    return pieces\n")
     demo = tmp_path / "demos" / "demo.py"
     demo.parent.mkdir()
-    demo.write_text("print(used())\n")
+    demo.write_text("print(used(), shadow())\n")
     assert unreached([mod, demo], tmp_path) == ["lonely.lonely", "lonely.C",
-                                                "lonely.C.m"]
+                                                "lonely.C.m",
+                                                "lonely.D.pieces"]
