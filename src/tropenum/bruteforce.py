@@ -3,29 +3,28 @@
 A simple plane tropical curve is dual to a lattice subdivision of the Newton
 polygon of its degree: 2-cells correspond to vertices, shared facets to
 bounded edges (rotated a quarter turn, weighted by lattice length), boundary
-facets to unbounded edges.  Rational simple curves are dual to triangulations
-whose dual graph is a tree.  This module enumerates every lattice
-triangulation of the polygon, places the marks on dual edges in all ways, and
-solves each marked type exactly against the point configuration, which is a
+facets to unbounded edges, crossings of the image to parallelograms.  A
+crossing is a node and needs an interior lattice point, so a polygon with
+one is refused (ValueError); without one, rational simple curves are dual
+to triangulations whose dual graph is a tree.  This module enumerates every
+lattice triangulation, places the marks on dual edges in all ways, and
+solves each marked type in integers against the point configuration, by one
+elimination (`lattice.eliminate`) and one product of its transform with a
+right-hand side per assignment of the points to the marks.  That is a
 completely different route to the count than the backward stem recursion in
-enumeration.py.  Each marked type is eliminated once (`lattice.eliminate`);
-every assignment of the points to its marks is then one product of the
-elimination's transform with a right-hand side.  Everything is exponential
-in the polygon, so this is a small-degree cross-check, not a production
-counter.
+enumeration.py, and it ends in the same CountReport.  Everything is
+exponential in the polygon, so this is a small-degree cross-check.
 """
 
-from fractions import Fraction
 from itertools import combinations, permutations
 from math import lcm
 from operator import mul
 
 from .fan import make_degree, newton_polygon
-from .lattice import dot, eliminate, hfrac, hpoint, primitive, rot90, wedge
+from .lattice import (dot, eliminate, hnorm, lattice_length, primitive,
+                      rot90, wedge)
 from .tropcurve import (GenericityError, InvariantError, ParamTropCurve,
-                        canonical_type, geometric_signature,
-                        mikhalkin_multiplicity, validate_curve,
-                        welschinger_multiplicity)
+                        validate_curve)
 from .enumeration import CountReport, precheck_config
 
 
@@ -196,16 +195,20 @@ def _isolates_every_end(nverts, internal, rays, marked):
 
 def bruteforce_rational_curves(fan, deg, config):
     """Count rational curves of degree deg through config by solving every
-    marked dual subdivision type.  Returns the same report shape as the
-    primary enumerator; GenericityError means the configuration sits on a
-    wall for some type."""
+    marked dual subdivision type.  Returns the engine's CountReport;
+    GenericityError means the configuration sits on a wall for some type,
+    ValueError that the Newton polygon has an interior lattice point."""
     deg = make_degree(fan, deg)
     k = len(config)
     poly = newton_polygon(fan, deg)
     if len(poly) < 3:
         raise ValueError("degree has a degenerate Newton polygon")
+    edges = list(map(_sub, poly, poly[1:] + poly[:1]))
+    # Pick: twice the interior points = 2 * area - boundary points + 2
+    if sum(map(wedge, poly, edges)) - sum(map(lattice_length, edges)) + 2:
+        raise ValueError("Newton polygon has an interior lattice point, "
+                         "where solutions may cross themselves")
     precheck_config(fan, deg, config)
-    pts = [hfrac(p) for p in config.points]
     # right-hand sides are integers over the common denominator den_b
     den_b = lcm(*(W for _, _, W in config.points))
     curves = []
@@ -259,38 +262,28 @@ def bruteforce_rational_curves(fan, deg, config):
                     continue
                 if rank < nun:
                     raise InvariantError("marked type solved to a family")
-                # full column rank: pivots are 0..nun-1, so x = T*b / D
-                x = [Fraction(sum(map(mul, row, rhs)), D * den_b)
-                     for row in cols[:nun]]
-                pos = [(x[2 * c], x[2 * c + 1]) for c in range(t)]
+                # full column rank: pivots are 0..nun-1, so x = T*b / D;
+                # keep its numerators over D * den_b
+                x = [sum(map(mul, row, rhs)) for row in cols[:nun]]
                 curve = _realize(fan, internal, rays, slots, subset, perm,
-                                 pos, pts, config)
+                                 x, D * den_b, config)
                 if curve is not None:
                     curves.append(curve)
-    sigs = [geometric_signature(c) for c in curves]
-    if len(set(sigs)) != len(sigs):
-        raise InvariantError("duplicate curve from two subdivision types")
-    types = [canonical_type(c) for c in curves]
-    if len(set(types)) != len(types):
-        raise GenericityError("two solutions share a combinatorial type")
-    order = sorted(range(len(curves)), key=lambda i: (types[i], sigs[i]))
-    curves = [curves[i] for i in order]
-    mults = [mikhalkin_multiplicity(c) for c in curves]
-    wmults = [welschinger_multiplicity(c) for c in curves]
-    return CountReport(fan, deg, config, curves, mults, wmults)
+    return CountReport(fan, deg, config, curves)
 
 
-def _realize(fan, internal, rays, slots, subset, perm, pos, pts, config):
+def _realize(fan, internal, rays, slots, subset, perm, x, E, config):
     """Check positivity and mark interiority, then build and validate the
-    curve; None when the solved positions do not realize the type.
+    curve; None when the solved positions, x over E > 0, do not realize
+    the type.
 
     A strict violation anywhere means the type is simply absent; an exact
     boundary hit with everything else realizable means the configuration
     sits on a wall, which is a genericity failure.
     """
-    mark_on = {}
-    for mi, si in zip(perm, subset):
-        mark_on[slots[si]] = mi
+    mark_on = {slots[si]: mi for mi, si in zip(perm, subset)}
+    pos = list(zip(x[0::2], x[1::2]))
+    pts = [(X * (E // W), Y * (E // W)) for X, Y, W in config.points]
     lengths = []
     boundary = False
     for idx, (a, b, d, w) in enumerate(internal):
@@ -320,7 +313,7 @@ def _realize(fan, internal, rays, slots, subset, perm, pos, pts, config):
             boundary = boundary or s == 0
     if boundary:
         raise GenericityError("marked dual type solved onto a wall")
-    verts = [hpoint(x, y) for x, y in pos]
+    verts = [hnorm(X, Y, E) for X, Y in pos]
     bedges = []
     uedges = []
     marks = []
@@ -330,7 +323,7 @@ def _realize(fan, internal, rays, slots, subset, perm, pos, pts, config):
             bedges.append((a, b, w, d))
             continue
         mv = len(verts)
-        verts.append(hpoint(*pts[mi]))
+        verts.append(config.points[mi])
         marks.append((mi, mv))
         bedges.append((a, mv, w, d))
         bedges.append((mv, b, w, d))
@@ -340,7 +333,7 @@ def _realize(fan, internal, rays, slots, subset, perm, pos, pts, config):
             uedges.append((c, d, w))
             continue
         mv = len(verts)
-        verts.append(hpoint(*pts[mi]))
+        verts.append(config.points[mi])
         marks.append((mi, mv))
         bedges.append((c, mv, w, d))
         uedges.append((mv, d, w))

@@ -20,8 +20,9 @@ at the pivot from opposite directions with equal weight automatically, so
 every valid pair assembles to a solution and the enumeration is a pairing of
 pivot disks.  Any coincidence that only happens on a measure-zero set of
 configurations raises GenericityError and the caller resamples.  A count
-traces only the trees and disks that can pair, so a fault in work it skips
-no longer rejects a configuration (see Forest).
+traces only the trees and disks that can pair (Forest.pivot_disks), so a
+fault in work it skips no longer rejects a configuration (see Forest).
+CountReport finishes this count and bruteforce's alike.
 """
 
 import random
@@ -225,10 +226,11 @@ class Forest:
 
     def build(self, max_level, pivot=None):
         """Trees of levels 1..max_level.  With `pivot`, the point of the
-        pivot disks of enumerate_rational_curves, max_level is the number of
-        allowed marks and the cap is Delta."""
+        pivot disks of enumerate_rational_curves (kept for pivot_disks),
+        max_level is the number of allowed marks and the cap is Delta."""
         if self.levels:
             raise InvariantError("forest already built")
+        self.pivot = pivot
         self.levels[1] = []
         for i in mask_labels(self.allowed):
             for ridx, ray in enumerate(self.rays):
@@ -331,6 +333,22 @@ class Forest:
         return [b for filed in self._at_level.values() for _, b in filed]
 
     # -- Maslov-2 disks ----------------------------------------------------
+
+    def pivot_disks(self):
+        """The disks at the pivot that can pair, in tracing order.  A pivot
+        pair splits the allowed marks, and a disk of degree m has |m| - 1
+        marks: trace the disks with at most half of them, then for each
+        group (mask1, m1) whose complement has more, the complement degree
+        over the complement marks, so that each of its disks pairs."""
+        k = sum(self.cap) - 1
+        half = (k - 1) // 2
+        disks = self.disks(self.pivot, self.allowed,
+                           self.degrees(1, half + 1))
+        for mask1, m1 in sorted({(d.marks, d.deg) for d in disks}):
+            if k - sum(m1) > half:
+                disks += self.disks(self.pivot, self.allowed & ~mask1, [
+                    tuple(a - b for a, b in zip(self.cap, m1))])
+        return disks
 
     def _feeds_pivot(self, P, B, D):
         """Can the tree of a last-level pass disk of degree D at B bend a
@@ -573,17 +591,26 @@ def enumerate_maslov2_disks(fan, config, Q, forest=None):
 
 
 class CountReport:
-    """Outcome of a full enumeration: solutions with multiplicities."""
+    """Outcome of a count by either route, the pivot pairing or the
+    oracle in bruteforce: its validated solutions, checked for repeats,
+    ordered by (type, signature) and weighed."""
 
-    def __init__(self, fan, deg, config, curves, mults, wmults):
+    def __init__(self, fan, deg, config, curves):
+        sigs = [geometric_signature(c) for c in curves]
+        if len(set(sigs)) != len(sigs):
+            raise InvariantError("one solution found twice")
+        types = [canonical_type(c) for c in curves]
+        if len(set(types)) != len(types):
+            raise GenericityError("two solutions share a combinatorial type")
+        order = sorted(range(len(curves)), key=lambda i: (types[i], sigs[i]))
         self.fan = fan
         self.deg = deg
         self.config = config
-        self.curves = curves
-        self.mults = mults
-        self.wmults = wmults
-        self.n_trop = sum(mults)
-        self.w_trop = sum(wmults)
+        self.curves = [curves[i] for i in order]
+        self.mults = [mikhalkin_multiplicity(c) for c in self.curves]
+        self.wmults = [welschinger_multiplicity(c) for c in self.curves]
+        self.n_trop = sum(self.mults)
+        self.w_trop = sum(self.wmults)
 
     def multiset(self):
         return sorted(self.mults)
@@ -610,17 +637,7 @@ def enumerate_rational_curves(fan, deg, config):
     pivot_point = config.points[pivot]
     forest = Forest(fan, config, allowed_mask=others, degree_cap=deg)
     forest.build(max(1, k - 1), pivot=pivot_point)
-    # a pivot pair splits the k - 1 other marks, and a disk of degree m has
-    # |m| - 1 marks: trace the disks with at most half of them, then for
-    # each group (mask1, m1) whose complement has more, the complement
-    # degree over the complement marks, so that each of its disks pairs
-    half = (k - 1) // 2
-    pivot_disks = forest.disks(pivot_point, others,
-                               forest.degrees(1, half + 1))
-    for mask1, m1 in sorted({(d.marks, d.deg) for d in pivot_disks}):
-        if k - sum(m1) > half:
-            pivot_disks += forest.disks(pivot_point, others & ~mask1, [
-                tuple(a - b for a, b in zip(deg, m1))])
+    pivot_disks = forest.pivot_disks()
     pivot_disks.sort(key=lambda d: d.key)
     groups = {}
     for d in pivot_disks:
@@ -628,9 +645,7 @@ def enumerate_rational_curves(fan, deg, config):
     curves = []
     points = dict(enumerate(config.points))
     for (mask1, m1), bunch in sorted(groups.items()):
-        mask2 = others & ~mask1
-        m2 = tuple(a - b for a, b in zip(deg, m1))
-        key2 = (mask2, m2)
+        key2 = (others & ~mask1, tuple(a - b for a, b in zip(deg, m1)))
         if (mask1, m1) > key2:
             continue
         if (mask1, m1) == key2:
@@ -640,17 +655,7 @@ def enumerate_rational_curves(fan, deg, config):
                 curve = _assemble_pair(d1, d2, pivot, pivot_point, fan)
                 validate_curve(curve, fan, points=points)
                 curves.append(curve)
-    sigs = [geometric_signature(c) for c in curves]
-    if len(set(sigs)) != len(sigs):
-        raise InvariantError("duplicate solution from two pivot pairings")
-    types = [canonical_type(c) for c in curves]
-    if len(set(types)) != len(types):
-        raise GenericityError("two solutions share a combinatorial type")
-    order = sorted(range(len(curves)), key=lambda i: (types[i], sigs[i]))
-    curves = [curves[i] for i in order]
-    mults = [mikhalkin_multiplicity(c) for c in curves]
-    wmults = [welschinger_multiplicity(c) for c in curves]
-    return CountReport(fan, deg, config, curves, mults, wmults)
+    return CountReport(fan, deg, config, curves)
 
 
 def resample(k, seed, build):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from reference import ref_maslov_index
-from tropenum import cli, enumeration, lattice
+from tropenum import bruteforce, cli, enumeration, lattice
 from tropenum.bruteforce import bruteforce_rational_curves
 from tropenum.enumeration import (Forest, PointConfig, build_forest,
                                   disk_to_curve, enumerate_maslov0_trees,
@@ -143,7 +143,8 @@ def test_solutions_have_expected_shape():
 
 
 def test_bruteforce_agrees_with_enumeration():
-    for deg, k in (((1, 1, 1), 2), ((2, 2, 2), 5)):
+    for fan, deg in ((P2, (1, 1, 1)), (P2, (2, 2, 2)), (P1P1, (1, 2, 1, 2))):
+        k = sum(deg) - 1
         done = 0
         for seed in range(1, 10):
             if done >= 2:
@@ -151,8 +152,8 @@ def test_bruteforce_agrees_with_enumeration():
             for attempt in range(8):
                 config = sample_generic_points(k, seed, attempt=attempt)
                 try:
-                    main = enumerate_rational_curves(P2, deg, config)
-                    brute = bruteforce_rational_curves(P2, deg, config)
+                    main = enumerate_rational_curves(fan, deg, config)
+                    brute = bruteforce_rational_curves(fan, deg, config)
                 except GenericityError:
                     continue
                 assert main.n_trop == brute.n_trop
@@ -162,6 +163,26 @@ def test_bruteforce_agrees_with_enumeration():
                 done += 1
                 break
         assert done == 2
+
+
+@pytest.mark.parametrize("fan,deg", [(DP6, (1,) * 6), (P2, (3, 3, 3)),
+                                     (P1P1, (2, 2, 2, 2))],
+                         ids=["dp6", "p2-cubic", "p1xp1-22"])
+def test_bruteforce_refuses_polygons_with_interior_points(fan, deg,
+                                                          monkeypatch):
+    """A crossing of a solution's image is a node, dual to a parallelogram
+    that no triangulation has, so it needs an interior lattice point of
+    the Newton polygon.  On dP6 anticanonical, seed 1, 8 of the engine's 9
+    solutions cross once, and the triangulations found only the ninth
+    (N = 4 of 12, W = 0 of 8).  The oracle refuses such a polygon before
+    it enumerates a triangulation."""
+    def triangulations(poly):
+        raise AssertionError("a triangulation was enumerated")
+
+    monkeypatch.setattr(bruteforce, "triangulations", triangulations)
+    config = sample_generic_points(sum(deg) - 1, 1)
+    with pytest.raises(ValueError, match="interior lattice point"):
+        bruteforce_rational_curves(fan, deg, config)
 
 
 def test_p1xp1_counts():

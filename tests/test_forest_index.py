@@ -11,10 +11,10 @@ Its candidate degrees are written out apart from Forest.degrees: every m
 in the box (top,) * nrays, or in the cap's box, with lo <= |m| <= top and
 r(m) != 0.  Its filter of the last pivot level is the plain version too:
 the crossing of a pivot ray with a wall by ray_intersect, not the integer
-signs of ray_meets.  Pivot cases trace the pivot disks as
-enumerate_rational_curves does: the disks with at most half of the other
-marks, then for each group found its complement degree over the
-complement marks.  Both forests run on the same configurations; per
+signs of ray_meets.  Pivot cases trace the pivot disks through
+Forest.pivot_disks, as enumerate_rational_curves does: the disks with at
+most half of the other marks, then for each group found its complement
+degree over the complement marks.  Both forests run on the same configurations; per
 attempt they must build the same trees, trace the same disks, and raise
 the same GenericityError at the same place.
 """
@@ -44,6 +44,7 @@ class ScanForest(Forest):
     caches."""
 
     def build(self, max_level, pivot=None):
+        self.pivot = pivot
         self.levels[1] = []
         for i in range(len(self.config)):
             if not (self.allowed >> i) & 1:
@@ -226,18 +227,6 @@ class ScanForest(Forest):
         out.append(Disk(marks, m_fin, X0, ridx, bends, w, u, mult, key))
 
 
-def _pivot_disks(forest, P, others):
-    """The pivot disks of enumerate_rational_curves, in tracing order."""
-    k = sum(forest.cap) - 1
-    half = (k - 1) // 2
-    disks = forest.disks(P, others, forest.degrees(1, half + 1))
-    for mask1, m1 in sorted({(d.marks, d.deg) for d in disks}):
-        if k - sum(m1) > half:
-            m2 = tuple(a - b for a, b in zip(forest.cap, m1))
-            disks += forest.disks(P, others & ~mask1, [m2])
-    return disks
-
-
 def _run(cls, fan, config, allowed, cap, level, boundary, mask):
     """Build the forest, then trace the disks at `boundary`: the pivot
     disks when capped, else every degree.  Returns the tree keys, the disk
@@ -252,7 +241,7 @@ def _run(cls, fan, config, allowed, cap, level, boundary, mask):
             disks = forest.disks(boundary, mask, forest.degrees(1, top))
         else:
             forest.build(level, pivot=boundary)
-            disks = _pivot_disks(forest, boundary, mask)
+            disks = forest.pivot_disks()
     except GenericityError as e:
         error = str(e)
     return [t.key for t in forest.trees], [d.key for d in disks], error
@@ -409,7 +398,7 @@ def test_pivot_forest_candidates_stay_fresh(fan, deg):
     def build(config):
         forest = _pivot_forest(fan, deg, config)
         _assert_candidates_fresh(forest)
-        _pivot_disks(forest, config.points[-1], forest.allowed)
+        forest.pivot_disks()
         _assert_candidates_fresh(forest)
 
     for seed in (1, 2):

@@ -21,9 +21,9 @@ import collections
 import pytest
 
 from test_forest_index import _grid_config
-from tropenum.enumeration import (Forest, _assemble_pair,
+from tropenum.enumeration import (Forest, PointConfig, _assemble_pair,
                                   enumerate_rational_curves, precheck_config,
-                                  sample_generic_points)
+                                  run_count, sample_generic_points)
 from tropenum.fan import builtin_fan, make_degree
 from tropenum.gw import kontsevich_number
 from tropenum.tropcurve import (GenericityError, InvariantError,
@@ -125,3 +125,46 @@ def test_grid_configs_match_full_pairing():
             tally[_outcome(FANS[name], deg, config, ORACLE[name, deg])] += 1
     assert tally["equal"] >= 400
     assert tally["reference faulted"] >= 10
+
+
+def _marked_images(rep, labels):
+    """The solutions' marked images, mark i relabelled labels[i]."""
+    out = set()
+    for c in rep.curves:
+        bed, ued, mks, _ = geometric_signature(c)
+        out.add((bed, ued, tuple(sorted((labels[i], p) for i, p in mks))))
+    return out
+
+
+def _pivot_free(name, deg, seed):
+    """Count run_count's configuration for `seed` once with each point in
+    turn last, so that each is the pivot: every order must give the same
+    marked images, marks mapped back, and the same N and W."""
+    fan = FANS[name]
+    rep = run_count(fan, deg, seed)
+    config, k = rep.config, len(rep.config)
+    want = _marked_images(rep, range(k))
+    for pivot in range(k):
+        order = [i for i in range(k) if i != pivot] + [pivot]
+        moved = PointConfig([config.points[i] for i in order], config.seed,
+                            config.attempt, config.certificate)
+        got = enumerate_rational_curves(fan, deg, moved)
+        assert (got.n_trop, got.w_trop) == (rep.n_trop, rep.w_trop)
+        assert _marked_images(got, order) == want
+
+
+PIVOT_FREE = [("p2", (3, 3, 3)), ("p1xp1", (2, 2, 2, 2)), ("dp6", (1,) * 6)]
+
+
+@pytest.mark.parametrize("name,deg", PIVOT_FREE,
+                         ids=[name for name, _ in PIVOT_FREE])
+def test_count_does_not_depend_on_the_pivot(name, deg):
+    _pivot_free(name, deg, 1)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name,deg", PIVOT_FREE,
+                         ids=[name for name, _ in PIVOT_FREE])
+def test_count_does_not_depend_on_the_pivot_sweep(name, deg):
+    for seed in range(1, 9):
+        _pivot_free(name, deg, seed)

@@ -6,8 +6,11 @@ every package module and demo, collects each top-level function and class
 and each method that is not a dunder, and requires that its name is used
 somewhere in those files outside its own definition: as a name or as an
 attribute for a function or a class, as an attribute for a method, since a
-method is only called through one.  A definition that nothing in the
-program uses must be listed in KEEP with the reason it stays.
+method is only called through one.  An attribute read that is not a call
+reaches a method only when no class stores an instance attribute of that
+name (self.name = ... or __slots__): `W.value` reads Potential's value,
+not MinPlusPoly's method.  A definition that nothing in the program uses
+must be listed in KEEP with the reason it stays.
 """
 
 import ast
@@ -32,8 +35,12 @@ KEEP = {
     "tropcurve.corner_locus": "library entry point: the corner locus of a "
                               "tropical polynomial",
     "tropcurve.MinPlusPoly": "library entry point: a tropical polynomial",
+    "tropcurve.MinPlusPoly.value": "library entry point: the value of a "
+                                   "tropical polynomial at a point",
     # the tests' independent oracle for the enumeration
-    "bruteforce.bruteforce_rational_curves": "independent count oracle",
+    "bruteforce.bruteforce_rational_curves": "independent count oracle on "
+                                             "Newton polygons without an "
+                                             "interior lattice point",
     # exported library entry points that no command runs
     "scattering.path_automorphism": "library entry point: the wall-crossing "
                                     "automorphism of a path",
@@ -75,10 +82,13 @@ def definitions(tree, module):
 
 
 def uses(tree, skip=None):
-    """(names, attributes): the names a tree uses as a Name and as an
-    attribute, outside the node `skip` (a definition does not reach
-    itself)."""
-    names, attrs = set(), set()
+    """(names, calls, reads, stored): the names a tree uses as a Name, as
+    the attribute of a call (obj.name(...)), as any other attribute, and
+    as an instance attribute that a class stores (self.name = ..., or a
+    name in its __slots__), outside the node `skip` (a definition does not
+    reach itself)."""
+    called = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    names, calls, reads, stored = set(), set(), set(), set()
     stack = [tree]
     while stack:
         node = stack.pop()
@@ -87,16 +97,36 @@ def uses(tree, skip=None):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            attrs.add(node.attr)
+            if id(node) in called:
+                calls.add(node.attr)
+            elif (isinstance(node.ctx, ast.Store)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "self"):
+                stored.add(node.attr)
+            else:
+                reads.add(node.attr)
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if (isinstance(sub, ast.Assign)
+                        and any(isinstance(t, ast.Name)
+                                and t.id == "__slots__" for t in sub.targets)):
+                    stored |= {c.value for c in ast.walk(sub.value)
+                               if isinstance(c, ast.Constant)}
         stack.extend(ast.iter_child_nodes(node))
-    return names, attrs
+    return names, calls, reads, stored
 
 
-def reaches(used, qual, name):
-    """Does the (names, attributes) pair `used` reach the definition
-    `qual`?  A method (module.Class.method) only through an attribute."""
-    names, attrs = used
-    return name in attrs or (qual.count(".") == 1 and name in names)
+def reaches(used, stored, qual, name):
+    """Does the (names, calls, reads, stored) tuple `used` reach the
+    definition `qual`?  A function or a class through a name or any
+    attribute.  A method (module.Class.method) only through an attribute:
+    a call, or a read of a name that no class of the program stores as an
+    instance attribute (`stored`), since such a read may be that
+    attribute."""
+    names, calls, reads, own = used
+    if qual.count(".") == 1:
+        return name in names or name in calls | reads | own
+    return name in calls or (name in reads and name not in stored)
 
 
 def unreached(sources, package=PACKAGE):
@@ -104,15 +134,16 @@ def unreached(sources, package=PACKAGE):
     `sources` uses outside their own definition."""
     trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in sources}
     everywhere = {p: uses(t) for p, t in trees.items()}
+    stored = set().union(*(used[3] for used in everywhere.values()))
     out = []
     for p, tree in trees.items():
         if p.parent != package:
             continue
         for qual, node in definitions(tree, p.stem):
-            if any(reaches(used, qual, node.name)
+            if any(reaches(used, stored, qual, node.name)
                    for q, used in everywhere.items() if q != p):
                 continue
-            if not reaches(uses(tree, skip=node), qual, node.name):
+            if not reaches(uses(tree, skip=node), stored, qual, node.name):
                 out.append(qual)
     return out
 
@@ -134,10 +165,24 @@ def test_the_scan_sees_an_unreached_definition(tmp_path):
                    "class C:\n    def m(self):\n        return self.m()\n\n\n"
                    # a local of a method's name does not reach the method
                    "class D:\n    def pieces(self):\n        return 1\n\n\n"
-                   "def shadow():\n    pieces = D()\n    return pieces\n")
+                   "def shadow():\n    pieces = D()\n    return pieces\n\n\n"
+                   # a read of an attribute that a class stores, through
+                   # self or __slots__, does not reach a method of its
+                   # name; a call does
+                   "class E:\n    def size(self):\n        return 1\n\n"
+                   "    def span(self):\n        return 2\n\n"
+                   "    def rank(self):\n        return 3\n\n\n"
+                   "class F:\n    def __init__(self):\n"
+                   "        self.size = self.rank = 4\n\n\n"
+                   "class G:\n    __slots__ = ('span',)\n")
     demo = tmp_path / "demos" / "demo.py"
     demo.parent.mkdir()
-    demo.write_text("print(used(), shadow())\n")
+    demo.write_text("print(used(), shadow())\n"
+                    "f, g = F(), G()\n"
+                    "g.span = 5\n"
+                    "print(f.size, f.rank, g.span, E().rank())\n")
     assert unreached([mod, demo], tmp_path) == ["lonely.lonely", "lonely.C",
                                                 "lonely.C.m",
-                                                "lonely.D.pieces"]
+                                                "lonely.D.pieces",
+                                                "lonely.E.size",
+                                                "lonely.E.span"]
