@@ -248,13 +248,10 @@ def _trace_faces(verts, edges):
             raise InvariantError("flat corner on a cell boundary")
 
     used = set()
-    faces = []
-    for e in edges:
-        if e[0] != "ray":
-            continue
-        v, din = e[1], e[2]
-        g = cw_next(v, din)
-        step_check((-din[0], -din[1]), g)
+
+    def walk(v, g, stop):
+        # the face left of germ g at v, turning clockwise at each corner,
+        # up to a ray germ (returned) or back to the germ stop (None)
         chain = []
         while True:
             if (v, g) in used:
@@ -263,32 +260,31 @@ def _trace_faces(verts, edges):
             chain.append(v)
             _, w = germs[v][g]
             if w is None:
-                if wedge(g, din) < 0:
-                    raise InvariantError("unbounded cell is not convex")
-                faces.append(("unbounded", tuple(chain), din, g))
-                break
-            rev = (-g[0], -g[1])
-            ng = cw_next(w, rev)
+                return chain, g
+            ng = cw_next(w, (-g[0], -g[1]))
             step_check(g, ng)
             v, g = w, ng
+            if (v, g) == stop:
+                return chain, None
+
+    faces = []
+    for e in edges:
+        if e[0] != "ray":
+            continue
+        v, din = e[1], e[2]
+        g = cw_next(v, din)
+        step_check((-din[0], -din[1]), g)
+        chain, dout = walk(v, g, None)
+        if wedge(dout, din) < 0:
+            raise InvariantError("unbounded cell is not convex")
+        faces.append(("unbounded", tuple(chain), din, dout))
     for v0 in range(len(verts)):
         for g0 in order_dirs[v0]:
             if (v0, g0) in used:
                 continue
-            chain = []
-            v, g = v0, g0
-            while True:
-                used.add((v, g))
-                chain.append(v)
-                _, w = germs[v][g]
-                if w is None:
-                    raise InvariantError("ray germ left over after tracing")
-                rev = (-g[0], -g[1])
-                ng = cw_next(w, rev)
-                step_check(g, ng)
-                v, g = w, ng
-                if (v, g) == (v0, g0):
-                    break
+            chain, dout = walk(v0, g0, (v0, g0))
+            if dout is not None:
+                raise InvariantError("ray germ left over after tracing")
             # twice the area, times L*L: the vertices scaled by L = lcm of
             # their W are integer points
             L = lcm(*(verts[i][2] for i in chain))

@@ -196,8 +196,9 @@ def _isolates_every_end(nverts, internal, rays, marked):
 def bruteforce_rational_curves(fan, deg, config):
     """Count rational curves of degree deg through config by solving every
     marked dual subdivision type.  Returns the engine's CountReport;
-    GenericityError means the configuration sits on a wall for some type,
-    ValueError that the Newton polygon has an interior lattice point."""
+    GenericityError means the configuration sits on a wall for some type
+    or solves one to a family, ValueError that the Newton polygon has an
+    interior lattice point."""
     deg = make_degree(fan, deg)
     k = len(config)
     poly = newton_polygon(fan, deg)
@@ -261,7 +262,7 @@ def bruteforce_rational_curves(fan, deg, config):
                 if any(sum(map(mul, row, rhs)) for row in cols[rank:]):
                     continue
                 if rank < nun:
-                    raise InvariantError("marked type solved to a family")
+                    raise GenericityError("marked type solved to a family")
                 # full column rank: pivots are 0..nun-1, so x = T*b / D;
                 # keep its numerators over D * den_b
                 x = [sum(map(mul, row, rhs)) for row in cols[:nun]]

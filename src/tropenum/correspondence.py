@@ -98,7 +98,8 @@ class PhiSystem:
     """The lattice map of a rigid solution, in explicit bases.
 
     verts: the unmarked vertex indices; vertex verts[k] owns columns
-           2k, 2k+1 (its displacement in M)
+           2k, 2k+1 (its displacement in M).  A line with no vertex has
+           one column instead, its offset in M/Zu
     rows:  one integer row per bounded reduced edge, then one per mark;
            each row reads the quotient M/Zu through the lex-positive
            primitive normal of u
@@ -117,7 +118,7 @@ class PhiSystem:
         self.scale = scale
 
     def shape(self):
-        return (len(self.rows), 2 * len(self.verts))
+        return (len(self.rows), len(self.rows[0]))
 
     def __repr__(self):
         return "PhiSystem(%d rows, %d cols)" % self.shape()
@@ -129,18 +130,19 @@ def build_phi(c):
     A displacement H of the reduced-graph vertices goes to the classes of
     H(v+) - H(v-) in M/Zu for every bounded reduced edge, v- its end a
     and v+ its end b, and of H(a) in M/Zu for every mark on an edge with
-    a vertex a.  Raises InvariantError when the map has a kernel, which
-    would mean the curve deforms and was never rigid.
+    a vertex a.  A line with no vertex moves only by its offset in M/Zu,
+    which is the one coordinate its mark reads.  Raises InvariantError
+    when the map has a kernel, which would mean the curve deforms and was
+    never rigid.
     """
     verts, edges = reduced_graph(c)
     col = {vi: 2 * k for k, vi in enumerate(verts)}
-    ncols = 2 * len(verts)
+    ncols = 2 * len(verts) or 1
     bounded = []
     by_mark = {}
     for a, b, u, _, labels in edges:
         if b is not None:
             bounded.append((col[a], col[b], u))
-        # on a line with no vertex a mark constrains nothing Phi can see
         for lb in labels:
             by_mark[lb] = None if a is None else (col[a], u)
 
@@ -159,7 +161,9 @@ def build_phi(c):
     for label, _ in c.marks:
         row = [0] * ncols
         spot = by_mark[label]
-        if spot is not None:
+        if spot is None:
+            row[0] = 1
+        else:
             cm, u = spot
             row[cm], row[cm + 1] = _lexpos(rot90(u))
         rows.append(row)
@@ -357,14 +361,12 @@ def rescale_lattice(pd):
     multiple of the coordinate denominators, so the scaled vertices are
     lattice points and the cell structure is untouched.  A normalized
     triple has gcd(X, Y, W) = 1, so the denominators of X/W and Y/W have
-    the lcm W, and a is the lcm of the W's.
+    the lcm W, and a is the lcm of the W's: every W divides a, so every
+    scaled triple has W = 1.
     """
     a = lcm(*(v[2] for v in pd.vertices))
     verts = [hnorm(a * v[0], a * v[1], v[2]) for v in pd.vertices]
     pts = [hnorm(a * p[0], a * p[1], p[2]) for p in pd.points]
-    for v in verts:
-        if v[2] != 1:
-            raise InvariantError("rescale failed to clear a denominator")
     return PolyDecomp(verts, pd.edges, pd.faces, pts,
                       scale=pd.scale * a), a
 
@@ -397,75 +399,41 @@ def fan_over(pd, fan):
     """The fan over a decomposition: cones over every cell, together with
     the height-0 copy of the surface fan they degenerate to.
 
-    Verifies before returning that the height-0 part of every cell cone
-    is a cone of the surface fan, that together they exhaust it, and that
-    slicing each cell cone at height 1 recovers the cell it came from.
-    Raises InvariantError when any of that fails.
+    A cell's cone is generated by its vertices, each lifted to its height
+    W, and by its recession directions at height 0.  While it cones the
+    cells, checks that each recession set is a cone of the surface fan
+    and that together they exhaust it; raises InvariantError otherwise.
     """
+    fancones = ({frozenset()} | {frozenset([r]) for r in fan.rays}
+                | {frozenset([fan.rays[i], fan.rays[j]])
+                   for i, j in fan.cones2d})
     cones = [("zero", ())]
     for k, r in enumerate(fan.rays):
         cones.append(("ray0:%d" % k, ((r[0], r[1], 0),)))
     for k, (i, j) in enumerate(fan.cones2d):
         ri, rj = fan.rays[i], fan.rays[j]
         cones.append(("cone0:%d" % k, ((ri[0], ri[1], 0), (rj[0], rj[1], 0))))
+    seen = set()
+
+    def cell(name, verts, rec=()):
+        rs = frozenset(rec)
+        if rs not in fancones:
+            raise InvariantError("recession of %s is not a fan cone" % name)
+        seen.add(rs)
+        cones.append((name, tuple(verts) + tuple((d[0], d[1], 0)
+                                                 for d in rec)))
+
     for vi, v in enumerate(pd.vertices):
-        cones.append(("vertex:%d" % vi, (v,)))
+        cell("vertex:%d" % vi, (v,))
     for ei, e in enumerate(pd.edges):
         if e[0] == "seg":
-            gens = (pd.vertices[e[1]], pd.vertices[e[2]])
+            cell("edge:%d" % ei, (pd.vertices[e[1]], pd.vertices[e[2]]))
         else:
-            d = e[2]
-            gens = (pd.vertices[e[1]], (d[0], d[1], 0))
-        cones.append(("edge:%d" % ei, gens))
+            cell("edge:%d" % ei, (pd.vertices[e[1]],), (e[2],))
     for fi, f in enumerate(pd.faces):
-        gens = tuple(pd.vertices[i] for i in f[1])
-        if f[0] == "unbounded":
-            din, dout = f[2], f[3]
-            gens = gens + ((dout[0], dout[1], 0),)
-            if din != dout:
-                gens = gens + ((din[0], din[1], 0),)
-        cones.append(("face:%d" % fi, gens))
-    f3 = Fan3D(cones)
-    _verify_fan_over(f3, pd, fan)
-    return f3
-
-
-def _verify_fan_over(f3, pd, fan):
-    fancones = {frozenset()}
-    for r in fan.rays:
-        fancones.add(frozenset([r]))
-    for i, j in fan.cones2d:
-        fancones.add(frozenset([fan.rays[i], fan.rays[j]]))
-    seen = set()
-    cellkinds = ("vertex:", "edge:", "face:")
-    for name, gens in f3.cones:
-        if not name.startswith(cellkinds):
-            continue
-        rec = frozenset((g[0], g[1]) for g in gens if g[2] == 0)
-        if rec not in fancones:
-            raise InvariantError("recession of %s is not a fan cone" % name)
-        seen.add(rec)
-        # the height-1 slice must be the cell the cone was built from
-        verts = sorted(hnorm(*g) for g in gens if g[2] > 0)
-        kind, _, idx = name.partition(":")
-        expect = _cell_canonical(pd, kind, int(idx))
-        if (verts, sorted(rec)) != expect:
-            raise InvariantError("height-1 slice of %s differs from its "
-                                 "cell" % name)
+        # an unbounded face recedes along dout, then din when they differ
+        rec = () if f[0] == "bounded" else tuple(dict.fromkeys((f[3], f[2])))
+        cell("face:%d" % fi, [pd.vertices[i] for i in f[1]], rec)
     if seen != fancones:
         raise InvariantError("height-0 cones do not exhaust the fan")
-
-
-def _cell_canonical(pd, kind, idx):
-    if kind == "vertex":
-        return ([pd.vertices[idx]], [])
-    if kind == "edge":
-        e = pd.edges[idx]
-        if e[0] == "seg":
-            return (sorted((pd.vertices[e[1]], pd.vertices[e[2]])), [])
-        return ([pd.vertices[e[1]]], [e[2]])
-    f = pd.faces[idx]
-    verts = sorted(pd.vertices[i] for i in f[1])
-    if f[0] == "bounded":
-        return (verts, [])
-    return (verts, sorted({f[2], f[3]}))
+    return Fan3D(cones)

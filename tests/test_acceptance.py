@@ -21,6 +21,7 @@ from tropenum.correspondence import (build_decomposition, build_phi,
 from tropenum.enumeration import run_count, sample_generic_points
 from tropenum.fan import builtin_fan, make_degree
 from tropenum.gw import kontsevich_number
+from tropenum.lattice import hnorm
 from tropenum.scattering import (RingElement, ScatteringDiagram,
                                  build_diagram, check_consistency,
                                  format_element, path_crossings, ring_mono)
@@ -233,24 +234,58 @@ def test_criterion_7_potential_invariants():
           "pairs, both directions" % (potentials, moved))
 
 
+def _cells(pd):
+    """(name, vertices, recession directions) of every cell, read from
+    the decomposition's own fields."""
+    for vi, v in enumerate(pd.vertices):
+        yield "vertex:%d" % vi, [v], []
+    for ei, e in enumerate(pd.edges):
+        if e[0] == "seg":
+            yield "edge:%d" % ei, [pd.vertices[e[1]], pd.vertices[e[2]]], []
+        else:
+            yield "edge:%d" % ei, [pd.vertices[e[1]]], [e[2]]
+    for fi, f in enumerate(pd.faces):
+        rec = [] if f[0] == "bounded" else [f[2], f[3]]
+        yield "face:%d" % fi, [pd.vertices[i] for i in f[1]], rec
+
+
+def _slice(gens):
+    """A cone's slices: its generators above height 0 brought to height 1
+    (sorted), and the directions of its generators at height 0 (a set)."""
+    return (sorted(hnorm(*g) for g in gens if g[2] > 0),
+            {(g[0], g[1]) for g in gens if g[2] == 0})
+
+
 def test_criterion_8_degeneration(dp6_runs):
     rep, _ = dp6_runs[3]
     pd = build_decomposition(rep.curves, DP6, rep.config.points)
     props = properties_report(pd, rep.curves, DP6)
     assert all(props.values()), props
-    expected = (1 + len(DP6.rays) + len(DP6.cones2d)
-                + len(pd.vertices) + len(pd.edges) + len(pd.faces))
-    # fan_over itself re-slices every cone at height one and checks the
-    # recession cones exhaust the surface fan, so a clean return is the
-    # round trip
-    f3 = fan_over(pd, DP6)
-    assert len(f3.cones) == expected
+    fancones = ([set()] + [{r} for r in DP6.rays]
+                + [{DP6.rays[i], DP6.rays[j]} for i, j in DP6.cones2d])
     scaled, _ = rescale_lattice(pd)
-    f3s = fan_over(scaled, DP6)
-    assert len(f3s.cones) == expected
+    for cells in (pd, scaled):
+        f3 = fan_over(cells, DP6)
+        cones = dict(f3.cones)
+        assert len(cones) == len(f3.cones)
+        # the height-0 copy of the surface fan, cone by cone
+        surface = [gens for name, gens in f3.cones
+                   if name == "zero" or name.startswith(("ray0:", "cone0:"))]
+        assert [_slice(gens) for gens in surface] == [([], c)
+                                                      for c in fancones]
+        # every cell cone slices back to its cell at height 1 and to a
+        # cone of the fan at height 0, and those cones exhaust the fan
+        seen = []
+        for name, verts, rec in _cells(cells):
+            assert _slice(cones.pop(name)) == (sorted(verts), set(rec))
+            assert set(rec) in fancones
+            seen.append(set(rec))
+        assert all(c in seen for c in fancones)
+        assert len(cones) == len(surface)
     ok(8, "dP6 decomposition (%d vertices, %d edges, %d faces) passes "
           "all five cell properties; fan over it slices back to the "
-          "decomposition at height 1 and to the fan at height 0"
+          "decomposition at height 1 and to the fan at height 0, "
+          "before and after rescaling"
        % (len(pd.vertices), len(pd.edges), len(pd.faces)))
 
 

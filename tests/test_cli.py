@@ -264,6 +264,19 @@ def test_phi_check_line():
     doc = json.loads(p.stdout.decode())
     assert doc["all_match"] is True
     assert "1/1 solutions" in p.stderr.decode()
+    # one line through one point, two opposite rays: Phi is the matrix [1]
+    for fan, deg, seed in (("p1xp1", "1,0,1,0", "1"),
+                           ("p1xp1", "0,1,0,1", "2"),
+                           ("dp6", "1,0,0,1,0,0", "1"),
+                           ("dp6", "0,1,0,0,1,0", "3")):
+        p = run_cli("phi-check", "--fan", fan, "--degree", deg,
+                    "--seed", seed)
+        assert p.returncode == 0, p.stderr.decode()
+        doc = json.loads(p.stdout.decode())
+        assert doc["all_match"] is True
+        assert doc["solutions"] == [{
+            "index": 0, "shape": [1, 1], "cokernel_order": 1,
+            "log_count": 1, "product": 1, "mult": 1, "match": True}]
 
 
 def test_scatter_consistent():

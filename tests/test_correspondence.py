@@ -4,10 +4,11 @@ import pytest
 
 from reference import cokernel_order, det
 from tropenum.arrangement import Overlay
-from tropenum.correspondence import (build_decomposition, build_phi,
-                                     fan_over, index_d, log_count_w,
-                                     properties_report, reduced_graph,
-                                     rescale_lattice, verify_correspondence)
+from tropenum.correspondence import (PolyDecomp, build_decomposition,
+                                     build_phi, fan_over, index_d,
+                                     log_count_w, properties_report,
+                                     reduced_graph, rescale_lattice,
+                                     verify_correspondence)
 from tropenum.enumeration import run_count
 from tropenum.fan import builtin_fan, make_degree
 from tropenum.tropcurve import InvariantError, mikhalkin_multiplicity
@@ -116,14 +117,25 @@ def test_correspondence_on_dp6():
     assert max(seen) > 1
 
 
-def test_straight_line_curve_has_infinite_index():
-    fan = builtin_fan("p1xp1")
-    rep = run_count(fan, make_degree(fan, (1, 0, 1, 0)), seed=1)
-    assert rep.n_trop == 1
-    sys = build_phi(rep.curves[0])
-    assert sys.shape() == (1, 0)
-    with pytest.raises(InvariantError):
-        index_d(sys)
+# degrees whose one solution is a line through one point: two opposite rays
+LINES = [("p1xp1", (1, 0, 1, 0), 1), ("p1xp1", (0, 1, 0, 1), 2),
+         ("dp6", (1, 0, 0, 1, 0, 0), 1), ("dp6", (0, 1, 0, 0, 1, 0), 3)]
+
+
+def test_line_through_one_point_has_phi_one():
+    # the reduced graph has no vertex: the line moves only by its offset in
+    # M/Zu, the one coordinate its mark reads, so Phi is the matrix [1]
+    for name, deg, seed in LINES:
+        fan = builtin_fan(name)
+        rep = run_count(fan, make_degree(fan, deg), seed=seed)
+        assert rep.n_trop == 1
+        c = rep.curves[0]
+        sys = build_phi(c)
+        assert sys.shape() == (1, 1)
+        assert sys.rows == ((1,),)
+        assert index_d(sys) == log_count_w(c) == 1
+        assert mikhalkin_multiplicity(c) == 1
+        assert verify_correspondence(c)
 
 
 def test_reduced_graph_of_conic():
@@ -174,3 +186,15 @@ def test_decomposition_of_dp6_and_fan_over():
     text = f3.to_text()
     assert text.count("\n") == len(f3.cones) + 2
     assert "(0,0," not in text  # no zero generators anywhere
+
+
+def test_fan_over_refuses_a_foreign_or_partial_fan():
+    # dP6's cells recede along pairs of dP6 rays that span no P2 cone
+    fan = builtin_fan("dp6")
+    rep = run_count(fan, make_degree(fan, (1,) * 6), seed=2)
+    pd = build_decomposition(rep.curves, fan, rep.config.points)
+    with pytest.raises(InvariantError, match="is not a fan cone"):
+        fan_over(pd, builtin_fan("p2"))
+    # a lone vertex recedes nowhere, so it leaves the fan's rays uncovered
+    with pytest.raises(InvariantError, match="do not exhaust the fan"):
+        fan_over(PolyDecomp([(0, 0, 1)], [], [], []), fan)

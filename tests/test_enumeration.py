@@ -185,6 +185,18 @@ def test_bruteforce_refuses_polygons_with_interior_points(fan, deg,
         bruteforce_rational_curves(fan, deg, config)
 
 
+def test_bruteforce_family_is_a_genericity_failure():
+    """These five points on (1/7)Z^2 meet the rank drop of a marked conic
+    type, which then solves to a family: the points are special, so the
+    oracle asks for a resample.  The engine finds the one conic."""
+    config = PointConfig([hpoint(Fraction(x, 7), Fraction(y, 7))
+                          for x, y in ((-6, 16), (13, -13), (2, 17), (9, 19),
+                                       (16, -17))], 3, 0, {})
+    assert enumerate_rational_curves(P2, (2, 2, 2), config).n_trop == 1
+    with pytest.raises(GenericityError, match="solved to a family"):
+        bruteforce_rational_curves(P2, (2, 2, 2), config)
+
+
 def test_p1xp1_counts():
     assert run_count(P1P1, (1, 0, 1, 0), seed=3).n_trop == 1
     for seed in (1, 2, 3):
