@@ -39,7 +39,7 @@ print("solution %d of %d: multiplicity %d"
 print("its vertex-displacement map is a %dx%d integer matrix" % (rows, cols))
 print("of full rank %d, so its cokernel order is |det|" % sysm.rank)
 d_index = index_d(sysm)
-w_count = log_count_w(c)
+w_count = log_count_w(sysm)
 print("cokernel order d = %d, log count w = %d, product = %d"
       % (d_index, w_count, d_index * w_count))
 assert d_index * w_count == mikhalkin_multiplicity(c)

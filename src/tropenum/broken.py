@@ -29,8 +29,8 @@ from .enumeration import _boxed_exponents, enumerate_maslov2_disks
 # keeps its public name, the same function object
 from .enumeration import sample_endpoint  # noqa: F401
 from .fan import r_vector
-from .lattice import (GenericityError, InvariantError, as_hpoint, hfrac,
-                      hshift, mask_labels, wedge)
+from .lattice import (GenericityError, InvariantError, hfrac, hshift,
+                      mask_labels, wedge)
 from .scattering import (RingElement, _cross, build_diagram, path_crossings,
                          ring_mono)
 
@@ -119,7 +119,7 @@ class _Tracer:
     def __init__(self, diagram, Q):
         self.d = diagram
         self.fan = diagram.fan
-        self.Q = as_hpoint(Q)
+        self.Q = Q
         if diagram.supp_contains(self.Q):
             raise GenericityError("endpoint lies on the diagram support; "
                                   "resample the endpoint")
@@ -177,32 +177,34 @@ class _Tracer:
 
 
 def enumerate_broken_lines(d, fan, Q):
-    """All broken lines of the diagram d ending at Q, sorted by their
-    final monomial.  Q may be a rational pair or a homogeneous triple."""
+    """All broken lines of the diagram d ending at Q, a normalized triple,
+    sorted by their final monomial."""
     if fan is not d.fan and fan.rays != d.fan.rays:
         raise InvariantError("diagram was built over a different fan")
     return _Tracer(d, Q).run()
 
 
 def potential(d, fan, Q):
-    """The superpotential at Q: y0 + sum of broken line finals."""
+    """The superpotential at Q, a normalized triple: y0 + sum of broken
+    line finals."""
     lines = enumerate_broken_lines(d, fan, Q)
     n = fan.nrays()
     val = RingElement(n, {}, y0=1)
     for bl in lines:
         val = val.add(bl.final_element())
-    return Potential(fan, d.k(), as_hpoint(Q), val, lines)
+    return Potential(fan, d.k(), Q, val, lines)
 
 
 def transport(d, W, path):
     """Parallel transport of a potential: crosses, in order, the walls of
-    the polyline from W.endpoint through the vertices of `path`, which may
-    start anywhere off the support, each applied to W.value term by term,
-    and gives the potential at the last vertex."""
+    the polyline from W.endpoint through the vertices of `path`
+    (normalized triples), which may start anywhere off the support, each
+    applied to W.value term by term, and gives the potential at the last
+    vertex."""
     val = W.value
     for widx, n0 in path_crossings(d, [W.endpoint] + list(path)):
         val = _cross(d.walls[widx], n0, val)
-    return Potential(W.fan, W.k, as_hpoint(path[-1]), val, ())
+    return Potential(W.fan, W.k, path[-1], val, ())
 
 
 def verify_disk_correspondence(fan, config, Q):

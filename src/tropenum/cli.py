@@ -11,13 +11,11 @@ import json
 import os
 import sys
 
-from fractions import Fraction
-
 # Start-up is a large share of a command's wall time, so each cmd_* imports
 # the modules it runs when it runs, and a process loads only the engine
 # modules of its own command.  The docstring above is the --help text.
 from . import jsonio
-from .lattice import GenericityError, InvariantError, as_hpoint
+from .lattice import GenericityError, InvariantError, hpoint
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -61,9 +59,9 @@ def load_fan(spec):
 
 
 def parse_degree(fan, text):
-    from .fan import make_degree
+    from .fan import anticanonical_degree, make_degree
     if text == "anticanonical":
-        return make_degree(fan, (1,) * fan.nrays())
+        return anticanonical_degree(fan)
     if "," in text:
         return make_degree(fan, tuple(int(c) for c in text.split(",")))
     d = int(text)
@@ -71,10 +69,10 @@ def parse_degree(fan, text):
 
 
 def parse_qpoint(text):
-    """The endpoint "x,y" (two rationals) as a homogeneous triple."""
+    """The endpoint "x,y" (two rationals) as a normalized triple."""
     try:
         x, y = text.split(",")
-        return as_hpoint((Fraction(x), Fraction(y)))
+        return hpoint(x, y)
     except (ValueError, ZeroDivisionError):
         raise ValueError("--q needs two rationals x,y") from None
 
@@ -164,7 +162,7 @@ def cmd_phi_check(args):
     for c, m in zip(report.curves, report.mults):
         sysm = build_phi(c)
         r, cols = sysm.shape()
-        rows.append((r, cols, index_d(sysm), log_count_w(c), m))
+        rows.append((r, cols, index_d(sysm), log_count_w(sysm), m))
     doc = jsonio.phicheck_doc(report, rows)
     write_out(args, jsonio.dumps(doc))
     n = len(rows)

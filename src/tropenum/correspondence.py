@@ -19,7 +19,7 @@ so a process that only checks Phi does not load the overlay.
 
 from math import lcm
 
-from .lattice import as_hpoint, eliminate, exact_shift, hnorm, primitive, rot90
+from .lattice import eliminate, exact_shift, hnorm, primitive, rot90
 from .tropcurve import InvariantError, mikhalkin_multiplicity
 
 
@@ -107,15 +107,17 @@ class PhiSystem:
     rank, scale: the rank of rows and the scale D of their integer
            elimination (lattice.eliminate), |det| when rows is square
            and of full rank
+    edges: the reduced-edge records (reduced_graph) the rows were read
+           from
     """
 
-    def __init__(self, curve, verts, rows, row_labels, rank, scale):
-        self.curve = curve
+    def __init__(self, verts, rows, row_labels, rank, scale, edges):
         self.verts = tuple(verts)
         self.rows = tuple(tuple(r) for r in rows)
         self.row_labels = tuple(row_labels)
         self.rank = rank
         self.scale = scale
+        self.edges = tuple(edges)
 
     def shape(self):
         return (len(self.rows), len(self.rows[0]))
@@ -171,7 +173,7 @@ def build_phi(c):
     pivots, _, _, scale = eliminate(rows)
     if len(pivots) != ncols:
         raise InvariantError("lattice map has a kernel: curve is not rigid")
-    return PhiSystem(c, verts, rows, row_labels, len(pivots), scale)
+    return PhiSystem(verts, rows, row_labels, len(pivots), scale, edges)
 
 
 def index_d(sys):
@@ -182,19 +184,20 @@ def index_d(sys):
     return sys.scale
 
 
-def log_count_w(c):
-    """Number of log enhancements of a stable map over the solution: the
-    product of the bounded reduced-edge weights, with one extra factor of
-    its edge's weight for every mark."""
+def log_count_w(sys):
+    """Number of log enhancements of a stable map over the solution whose
+    PhiSystem is sys: the product of the bounded reduced-edge weights,
+    with one extra factor of its edge's weight for every mark."""
     out = 1
-    for _, b, _, w, labels in reduced_graph(c)[1]:
+    for _, b, _, w, labels in sys.edges:
         out *= w ** (len(labels) + (b is not None))
     return out
 
 
 def verify_correspondence(c):
     """Does index * log count equal the vertex multiplicity, exactly?"""
-    return index_d(build_phi(c)) * log_count_w(c) == mikhalkin_multiplicity(c)
+    sys = build_phi(c)
+    return index_d(sys) * log_count_w(sys) == mikhalkin_multiplicity(c)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +230,8 @@ def build_decomposition(curves, fan, points):
     marked points vertices and pins the recession behaviour of the
     unbounded cells, and it never hurts where the curves alone would have
     sufficed.  Collinear overlaps merge, with source tags unioned; tags
-    are "curve:<index>" and "fan:<point index>".
+    are "curve:<index>" and "fan:<point index>".  The points are
+    normalized triples.
     """
     from .arrangement import Overlay
     ov = Overlay()
@@ -237,14 +241,13 @@ def build_decomposition(curves, fan, points):
             ov.add_segment(c.vertices[i], c.vertices[j], tag)
         for i, d, w in c.uedges:
             ov.add_ray(c.vertices[i], d, tag)
-    pts = [as_hpoint(P) for P in points]
-    for pi, P in enumerate(pts):
+    for pi, P in enumerate(points):
         tag = "fan:%d" % pi
         for r in fan.rays:
             ov.add_ray(P, r, tag)
         ov.add_point(P)
     cx = ov.build()
-    return PolyDecomp(cx.vertices, cx.edges, cx.faces, pts)
+    return PolyDecomp(cx.vertices, cx.edges, cx.faces, points)
 
 
 def _edges_by_line(pd):

@@ -30,9 +30,9 @@ from itertools import combinations, product
 from math import isqrt
 
 from .fan import degree_total, make_degree, r_vector
-from .lattice import (as_hpoint, hdiff, hshift, mask_labels, on_line,
-                      on_ray, on_segment, primitive, ray_hits, ray_meets,
-                      wall_index, walls_through, wedge)
+from .lattice import (hdiff, hshift, mask_labels, on_line, on_ray,
+                      on_segment, primitive, ray_hits, ray_meets, wall_index,
+                      walls_through, wedge)
 from .tropcurve import (GenericityError, InvariantError, ParamTropCurve,
                         TropicalDisk, TropicalTree, canonical_type,
                         geometric_signature, mikhalkin_multiplicity,
@@ -571,22 +571,20 @@ def enumerate_maslov0_trees(fan, config):
 
 
 def enumerate_maslov2_disks(fan, config, Q, forest=None):
-    """All Maslov-2 disk records with boundary Q over the configuration;
-    disk_to_curve turns one into a curve object.
+    """All Maslov-2 disk records with boundary Q, a normalized triple, over
+    the configuration; disk_to_curve turns one into a curve object.
 
     Q must avoid every tree wall; a wall through Q raises GenericityError.
     A caller that already holds build_forest(fan, config) passes it as
     `forest` to save building it again.
     """
-    qpt = as_hpoint(Q)
     if forest is None:
         forest = build_forest(fan, config)
-    if any(walls_through(b, qpt) for b in forest._buckets()):
+    if any(walls_through(b, Q) for b in forest._buckets()):
         raise GenericityError("base point lies on a tree wall")
-    for p in config.points:
-        if p == qpt:
-            raise GenericityError("base point coincides with a marked point")
-    return forest.disks(qpt, forest.allowed, forest.degrees(
+    if Q in config.points:
+        raise GenericityError("base point coincides with a marked point")
+    return forest.disks(Q, forest.allowed, forest.degrees(
         1, bin(forest.allowed).count("1") + 1))
 
 

@@ -88,6 +88,34 @@ def make_degree(fan, coeffs):
     return d
 
 
+def anticanonical_degree(fan):
+    """The degree of -K: d_rho = -K.D_rho, the lattice length of the edge
+    of {m : <m, rho> >= -1 for every ray} on the line <m, rho> = -1 (on a
+    smooth fan 2 - a_rho, where rho_prev + rho_next = a_rho*rho).  The
+    vertex of the cone (rho, sigma) is rot90(sigma - rho) / wedge(rho,
+    sigma), and the edge of rho is d_rho*rot90(-rho).  Raises ValueError
+    when a vertex is off the lattice (-K is not Cartier) or some d_rho < 0
+    (-K is not nef)."""
+    verts = []
+    for a, b in zip(fan.rays, fan.rays[1:] + fan.rays[:1]):
+        c = wedge(a, b)
+        x, y = rot90((b[0] - a[0], b[1] - a[1]))
+        if x % c or y % c:
+            raise ValueError("-K is not Cartier on fan %s: its polygon has "
+                             "the vertex (%d, %d)/%d off the lattice"
+                             % (fan.name, x, y, c))
+        verts.append((x // c, y // c))
+    deg = []
+    for (rx, ry), p, q in zip(fan.rays, verts[-1:] + verts, verts):
+        # q - p = d*(ry, -rx)
+        d = (q[0] - p[0]) // ry if ry else (q[1] - p[1]) // -rx
+        if d < 0:
+            raise ValueError("-K is not nef on fan %s: -K.D = %d on ray %s"
+                             % (fan.name, d, (rx, ry)))
+        deg.append(d)
+    return make_degree(fan, deg)
+
+
 def degree_total(deg):
     return sum(deg)
 

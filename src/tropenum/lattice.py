@@ -8,8 +8,11 @@ exact elimination, fraction-free in integers (`eliminate`: its scale D is
 |det Phi|, the cokernel order of a rigid solution's lattice map, and the
 brute-force counter runs it once per marked type), and the one point type
 of the package: a rational plane point is an int triple (X, Y, W), W > 0,
-gcd 1, standing for (X/W, Y/W).  `as_hpoint` turns what callers pass (a
-triple or a pair of rationals) into one.
+gcd 1, standing for (X/W, Y/W).  Every function of the package that takes
+a point takes it as such a normalized triple and does not normalize it
+again.  A point is made exact once, where it enters the program: the
+samplers and `hshift` make triples, `hpoint` makes one from two rationals
+(the CLI's `--q`), and `hnorm` normalizes integer coordinates.
 
 `ray_hits` is the one crossing kernel: it answers "which walls of one
 direction does this ray hit" on the index that `wall_index` alone builds,
@@ -156,22 +159,16 @@ def eliminate(A):
 # homogeneous rational points: (X, Y, W) integers, W > 0, gcd(X,Y,W) = 1
 
 def hpoint(x, y):
-    """Homogeneous triple from two Fractions (or ints)."""
+    """The normalized triple of the point (x, y), from two rationals
+    (anything Fraction accepts: ints, Fractions, strings "p/q")."""
     fx, fy = Fraction(x), Fraction(y)
     w = fx.denominator * fy.denominator // gcd(fx.denominator, fy.denominator)
     return hnorm(fx.numerator * (w // fx.denominator),
                  fy.numerator * (w // fy.denominator), w)
 
 
-def as_hpoint(P):
-    """The normalized triple of P, given as a homogeneous triple or as a
-    pair of rationals (anything Fraction accepts)."""
-    if len(P) == 3:
-        return hnorm(*P)
-    return hpoint(P[0], P[1])
-
-
 def hnorm(X, Y, W):
+    """The normalized triple of (X/W, Y/W) from integers, W != 0."""
     if W == 0:
         raise ValueError("point at infinity")
     if W < 0:

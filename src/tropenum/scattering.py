@@ -31,34 +31,22 @@ the one scan of the walls a ray or a segment crosses transversally, with
 the caller's GenericityError messages, for paths and broken lines alike.
 """
 
-from fractions import Fraction
-
 from .enumeration import build_forest
 from .fan import r_vector
-from .lattice import (GenericityError, InvariantError, angle_key, as_hpoint,
-                      dot, exact_shift, hdiff, hshift, mask_labels,
-                      primitive, ray_hits, rot90, wall_index, walls_through,
-                      wedge)
+from .lattice import (GenericityError, InvariantError, angle_key, dot,
+                      exact_shift, hdiff, hshift, mask_labels, primitive,
+                      ray_hits, rot90, wall_index, walls_through, wedge)
 
 
 def _zerovec(nrays):
     return (0,) * nrays
 
 
-def _coef(c):
-    """A coefficient as the ring keeps it: an int when it is an integer,
-    else an exact Fraction."""
-    if type(c) is int:
-        return c
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
 class RingElement:
-    """terms maps (exponent tuple, mark mask) to a rational, an int when
-    it is an integer (every diagram built from trees has integer
-    coefficients only) and a Fraction otherwise.  The mask is the u-part,
-    bit i for u_{i+1}: products test u-parts with & and join them with |.
+    """terms maps (exponent tuple, mark mask) to a non-zero coefficient,
+    kept as given: the forest makes ints, and every diagram built from
+    trees has int coefficients only.  The mask is the u-part, bit i for
+    u_{i+1}: products test u-parts with & and join them with |.
 
     y0 is an additive formal constant: it survives addition and
     automorphism application but refuses multiplication.
@@ -68,13 +56,12 @@ class RingElement:
 
     def __init__(self, nrays, terms=None, y0=0):
         self.nrays = nrays
-        self.y0 = _coef(y0)
+        self.y0 = y0
         self.terms = {}
         if terms:
             for (m, mask), c in terms.items():
                 if type(mask) is not int or mask < 0:
                     raise TypeError("u-part %r is not a mark mask" % (mask,))
-                c = _coef(c)
                 if not c:
                     continue
                 key = (tuple(m), mask)
@@ -234,24 +221,25 @@ class RingAutomorphism:
 class Wall:
     """Ray from base along -r(m0) with the function f = 1 + c*u_I*z^{m0}.
 
-    c is a non-zero rational and I a non-empty mark mask `marks`, so
-    f - 1 is nilpotent and f^e = 1 + e*c*u_I*z^{m0}.  f is kept as a
-    RingElement for the documents and the general ring code.  `ray_hits`
-    reads kn = wedge(base, dirvec) and `marks`.
+    base is a normalized triple and c a non-zero coefficient, m0 and both
+    kept as given, and I a non-empty mark mask `marks`, so f - 1 is
+    nilpotent and f^e = 1 + e*c*u_I*z^{m0}.  f is kept as a RingElement
+    for the documents and the general ring code.  `ray_hits` reads
+    kn = wedge(base, dirvec) and `marks`.
     """
 
     __slots__ = ("fan", "base", "m0", "c", "marks", "f", "dirvec", "kn")
 
     def __init__(self, fan, base, m0, c, marks):
         self.fan = fan
-        self.base = as_hpoint(base)
-        self.m0 = tuple(int(x) for x in m0)
+        self.base = base
+        self.m0 = m0
         r = r_vector(fan, self.m0)
         if r == (0, 0):
             raise InvariantError("wall exponent has no direction")
         self.dirvec = primitive((-r[0], -r[1]))[0]
         self.kn = wedge(self.base, self.dirvec)
-        self.c = _coef(c)
+        self.c = c
         self.marks = marks
         if not self.c:
             raise InvariantError("wall coefficient is zero")
@@ -300,7 +288,8 @@ def _fold(fan, crossings):
 
 
 class ScatteringDiagram:
-    """Finite collection of walls plus the marked points they grew from.
+    """Finite collection of walls plus the marked points they grew from,
+    normalized triples kept as given.
     Walls of one direction o form one `wall_index` (keys, walls, o).
     A wall's index is its position in `walls`, found by identity: one Wall
     may sit in several diagrams, but only once in each."""
@@ -308,7 +297,7 @@ class ScatteringDiagram:
     def __init__(self, fan, walls, marked_points):
         self.fan = fan
         self.walls = tuple(walls)
-        self.marked = tuple(as_hpoint(p) for p in marked_points)
+        self.marked = tuple(marked_points)
         self._germs = None
         self._pos = {}          # id(wall) -> its position in walls
         by_dir = {}
@@ -323,8 +312,7 @@ class ScatteringDiagram:
         return len(self.marked)
 
     def supp_contains(self, X):
-        """Does a wall's ray hold X (a triple or a rational pair)?"""
-        X = as_hpoint(X)
+        """Does a wall's ray hold the point X (a normalized triple)?"""
         return any(walls_through(ix, X) for ix in self._index.values())
 
     def germs(self):
@@ -422,20 +410,19 @@ def path_crossings(diagram, path):
     """The walls a polyline crosses, in order: a list of (wall index, n0)
     with n0 the primitive wall normal against the travel direction.
 
-    Path vertices are homogeneous triples or rational pairs.  Raises
-    GenericityError("non-transverse path ...") when the path has a vertex
-    on the support (as every path running along a wall has) or passes
-    through a singular point or a wall base.
+    The path is a list of normalized triples.  Raises GenericityError(
+    "non-transverse path ...") when the path has a vertex on the support
+    (as every path running along a wall has) or passes through a singular
+    point or a wall base.
     """
-    pts = [as_hpoint(P) for P in path]
-    if len(pts) < 2:
+    if len(path) < 2:
         raise InvariantError("path needs at least two vertices")
-    for P in pts:
+    for P in path:
         if diagram.supp_contains(P):
             raise GenericityError("non-transverse path: vertex on the "
                                   "support")
     crossings = []
-    for A, B in zip(pts, pts[1:]):
+    for A, B in zip(path, path[1:]):
         seg = hdiff(A, B)
         if seg == (0, 0):
             continue
@@ -471,11 +458,11 @@ def build_diagram(fan, config):
 
 def loop_automorphism(diagram, X):
     """Automorphism of a small counterclockwise loop around X, composed
-    exactly from the wall germs at X in angular order; the identity when
-    X is not a singular point."""
+    exactly from the wall germs at X (a normalized triple) in angular
+    order; the identity when X is not a singular point."""
     return _fold(diagram.fan, [
         (diagram.walls[widx], (g[1], -g[0]))    # n0 against the ccw travel
-        for g, widx in diagram.germs().get(as_hpoint(X), ())])
+        for g, widx in diagram.germs().get(X, ())])
 
 
 class ConsistencyReport:

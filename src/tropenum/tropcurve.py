@@ -18,15 +18,14 @@ weight is 0 for even multiplicity m and (-1)^((m-1)/2) otherwise.
 from collections import defaultdict
 from fractions import Fraction
 
-from .lattice import (GenericityError, InvariantError, dot, hdiff, hnorm,
-                      hpoint, lattice_length, on_ray, on_segment, primitive,
-                      wedge)
+from .lattice import (GenericityError, InvariantError, dot, hdiff, hpoint,
+                      lattice_length, on_ray, on_segment, primitive, wedge)
 
 
 class ParamTropCurve:
     """Marked parametrized tropical curve (graph + exact plane positions).
 
-    vertices: tuple of homogeneous points (X, Y, W)
+    vertices: tuple of normalized triples (X, Y, W), kept as given
     bedges:   tuple of (i, j, weight, dir) with dir primitive, oriented i->j
     uedges:   tuple of (i, dir, weight)
     marks:    tuple of (label, vertex_index), sorted by label
@@ -39,7 +38,7 @@ class ParamTropCurve:
 
     def __init__(self, vertices, bedges, uedges, marks, vout=None,
                  out_edge=None):
-        self.vertices = tuple(hnorm(*v) for v in vertices)
+        self.vertices = tuple(vertices)
         self.bedges = tuple((i, j, int(w), (int(d[0]), int(d[1])))
                             for i, j, w, d in bedges)
         self.uedges = tuple((i, (int(d[0]), int(d[1])), int(w))
@@ -174,8 +173,8 @@ def validate_curve(c, fan, points=None):
 
     Construction bugs raise InvariantError; generic-position failures
     (coincident vertices, overlapping edges, a vertex interior to a foreign
-    edge) raise GenericityError.  `points` maps mark labels to homogeneous
-    positions and is checked exactly.
+    edge) raise GenericityError.  `points` maps mark labels to normalized
+    triples, each compared with its mark's vertex as it is.
     """
     n = len(c.vertices)
     for i, j, w, d in c.bedges:
@@ -208,7 +207,7 @@ def validate_curve(c, fan, points=None):
         marked.add(v)
     if points is not None:
         for label, v in c.marks:
-            if c.vertices[v] != hnorm(*points[label]):
+            if c.vertices[v] != points[label]:
                 raise InvariantError("mark %d not at its point" % label)
     for v in range(n):
         val = len(c.germs(v))

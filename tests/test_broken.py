@@ -5,7 +5,7 @@ from tropenum.broken import (enumerate_broken_lines, potential,
                              verify_disk_correspondence)
 from tropenum.enumeration import resample, sample_generic_points
 from tropenum.fan import builtin_fan
-from tropenum.lattice import hfrac
+from tropenum.lattice import hfrac, hpoint
 from tropenum.scattering import (build_diagram, format_element,
                                  path_crossings, ring_mono)
 from tropenum.tropcurve import GenericityError, InvariantError
@@ -158,7 +158,7 @@ def test_trace_through_wall_base_rejected():
     d = build_diagram(P2, cfg)
     p1 = hfrac(cfg.points[0])
     # from here the x0 trace runs due west straight into the wall base
-    Q = (p1[0] + 3, p1[1])
+    Q = hpoint(p1[0] + 3, p1[1])
     with pytest.raises(GenericityError) as err:
         enumerate_broken_lines(d, P2, Q)
     assert "resample" in str(err.value)

@@ -1,8 +1,11 @@
 """Lattice-map identities and decomposition structure on real solutions."""
 
+import json
+
 import pytest
 
 from reference import cokernel_order, det
+from tropenum import cli, correspondence
 from tropenum.arrangement import Overlay
 from tropenum.correspondence import (PolyDecomp, build_decomposition,
                                      build_phi, fan_over, index_d,
@@ -76,7 +79,7 @@ def test_line_phi_and_flip_independence():
     sys = build_phi(rep.curves[0])
     assert sys.shape() == (2, 2)
     assert index_d(sys) == 1
-    assert log_count_w(rep.curves[0]) == 1
+    assert log_count_w(sys) == 1
     # flipping the v+/v- enumeration of an edge negates its row and must
     # not change the index
     rows = [list(r) for r in sys.rows]
@@ -99,7 +102,7 @@ def test_correspondence_on_p2():
             assert sys.shape() == (nbounded + len(c.marks), 2 * len(verts))
             d = index_d(sys)
             assert abs(det(sys.rows)) == d == cokernel_order(sys.rows)
-            assert d * log_count_w(c) == mikhalkin_multiplicity(c)
+            assert d * log_count_w(sys) == mikhalkin_multiplicity(c)
             assert verify_correspondence(c)
 
 
@@ -112,9 +115,27 @@ def test_correspondence_on_dp6():
         for c in rep.curves:
             m = mikhalkin_multiplicity(c)
             seen.add(m)
-            assert index_d(build_phi(c)) * log_count_w(c) == m
+            sys = build_phi(c)
+            assert index_d(sys) * log_count_w(sys) == m
     assert seen <= {1, 3, 4}
     assert max(seen) > 1
+
+
+def test_phi_check_builds_each_reduced_graph_once(monkeypatch, capsys):
+    """build_phi keeps the reduced-edge records in its PhiSystem, and
+    log_count_w reads them there: one reduced graph per solution, where
+    phi-check built two (18 for the 9 cubic solutions of seed 1)."""
+    calls = []
+
+    def counted(c):
+        calls.append(id(c))
+        return reduced_graph(c)
+
+    monkeypatch.setattr(correspondence, "reduced_graph", counted)
+    assert cli.main(["phi-check", "--degree", "3", "--seed", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["all_match"] and len(doc["solutions"]) == 9
+    assert len(calls) == len(set(calls)) == 9
 
 
 # degrees whose one solution is a line through one point: two opposite rays
@@ -133,7 +154,7 @@ def test_line_through_one_point_has_phi_one():
         sys = build_phi(c)
         assert sys.shape() == (1, 1)
         assert sys.rows == ((1,),)
-        assert index_d(sys) == log_count_w(c) == 1
+        assert index_d(sys) == log_count_w(sys) == 1
         assert mikhalkin_multiplicity(c) == 1
         assert verify_correspondence(c)
 

@@ -38,8 +38,8 @@ def _images(rep, A):
 
 
 def _phi(rep):
-    return collections.Counter((index_d(build_phi(c)), log_count_w(c))
-                               for c in rep.curves)
+    systems = [build_phi(c) for c in rep.curves]
+    return collections.Counter((index_d(s), log_count_w(s)) for s in systems)
 
 
 def _equivariant(name, deg, A, seed):

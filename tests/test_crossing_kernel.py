@@ -15,8 +15,6 @@ the reference scans every wall, so loops are also compared at points that
 are not singular and at wall bases inside collinear walls.
 """
 
-from fractions import Fraction
-
 import pytest
 
 from reference import (ref_angle_key, ref_compose, ref_crossing_auto,
@@ -24,7 +22,7 @@ from reference import (ref_angle_key, ref_compose, ref_crossing_auto,
 from tropenum.broken import potential, sample_endpoint, transport
 from tropenum.enumeration import sample_generic_points
 from tropenum.fan import builtin_fan
-from tropenum.lattice import as_hpoint, dot, hdiff, hshift, rot90, wedge
+from tropenum.lattice import dot, hdiff, hpoint, hshift, rot90, wedge
 from tropenum.scattering import (ScatteringDiagram, Wall, build_diagram,
                                  loop_automorphism, path_automorphism,
                                  path_crossings)
@@ -45,7 +43,6 @@ def ref_chain(fan, crossings):
 
 
 def ref_loop_automorphism(diagram, X):
-    X = as_hpoint(X)
     germs = []
     for widx, w in enumerate(diagram.walls):
         v = hdiff(w.base, X)
@@ -101,7 +98,7 @@ def diagrams():
 def sample_paths(seed):
     """Two- and three-vertex paths through sampled endpoints."""
     pts = [sample_endpoint(2000 + 10 * seed + i) for i in range(5)]
-    pts.append((Fraction(0), Fraction(0)))
+    pts.append(hpoint(0, 0))
     cyc = pts + pts[:2]
     return [cyc[i:i + 2 + i % 2] for i in range(len(pts))]
 
@@ -120,10 +117,11 @@ def collinear_diagram():
     """Wall bases inside collinear walls with no transversal wall there:
     the table leaves the collinear walls out, the reference crosses them
     both ways."""
-    walls = [Wall(P2, (0, 0), (1, 0, 0), 1, 0b1),        # along -x
-             Wall(P2, (-2, 0), (2, 0, 0), 3, 0b10),      # along -x, inside
-             Wall(P2, (-3, 0), (0, 1, 1), -2, 0b100)]    # along +x, overlaps
-    return ScatteringDiagram(P2, walls, [(0, 0), (-2, 0), (-3, 0)])
+    bases = [hpoint(0, 0), hpoint(-2, 0), hpoint(-3, 0)]
+    walls = [Wall(P2, bases[0], (1, 0, 0), 1, 0b1),      # along -x
+             Wall(P2, bases[1], (2, 0, 0), 3, 0b10),     # along -x, inside
+             Wall(P2, bases[2], (0, 1, 1), -2, 0b100)]   # along +x, overlaps
+    return ScatteringDiagram(P2, walls, bases)
 
 
 def test_loops_match_reference(diagrams):
@@ -142,7 +140,7 @@ def test_loops_match_reference(diagrams):
             got = loop_automorphism(d, X)
             assert got == ref_loop_automorphism(d, X), X
             assert got.is_identity()
-            plain += as_hpoint(X) not in sing
+            plain += X not in sing
     assert len(diagrams) >= 50
     assert points >= 1000
     assert plain == 3 * len(diagrams)
@@ -151,7 +149,7 @@ def test_loops_match_reference(diagrams):
     d = collinear_diagram()
     assert d.sing_points() == [(-3, 0, 1), (-2, 0, 1), (0, 0, 1)]
     for x in (-5, -3, -2, -1, 0, 1):
-        X = (Fraction(x), Fraction(0))
+        X = hpoint(x, 0)
         got = loop_automorphism(d, X)
         assert got == ref_loop_automorphism(d, X), X
         assert got.is_identity() == (x in (-5, -1, 1)), X
@@ -175,7 +173,7 @@ def test_paths_and_transport_match_reference(diagrams):
                 continue
             moved = transport(d, W, path)
             assert moved.value == want[1].apply(W.value)
-            assert moved.endpoint == as_hpoint(path[-1])
+            assert moved.endpoint == path[-1]
             transported += 1
     assert paths >= 300
     assert nontrivial >= 100

@@ -72,7 +72,7 @@ def test_trees_grow_with_more_points():
 def test_disks_at_base_point():
     cfg = sample_generic_points(0, seed=5)
     disks = [disk_to_curve(d, P2)
-             for d in enumerate_maslov2_disks(P2, cfg, (0, 0))]
+             for d in enumerate_maslov2_disks(P2, cfg, hpoint(0, 0))]
     assert len(disks) == 3
     for c in disks:
         assert ref_maslov_index(c, P2) == 2
@@ -81,7 +81,7 @@ def test_disks_at_base_point():
 
     cfg1 = sample_generic_points(1, seed=5)
     disks1 = [disk_to_curve(d, P2)
-              for d in enumerate_maslov2_disks(P2, cfg1, (0, 0))]
+              for d in enumerate_maslov2_disks(P2, cfg1, hpoint(0, 0))]
     assert len(disks1) > 3
     for c in disks1:
         assert ref_maslov_index(c, P2) == 2

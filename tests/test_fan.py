@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from tropenum.fan import (builtin_fan, degree_total, make_degree, make_fan,
-                          newton_polygon, r_vector)
-from tropenum.lattice import lattice_length, primitive, wedge
+from tropenum import cli
+from tropenum.enumeration import run_count
+from tropenum.fan import (anticanonical_degree, builtin_fan, degree_total,
+                          make_degree, make_fan, newton_polygon, r_vector)
+from tropenum.lattice import dot, lattice_length, primitive, wedge
 
 
 def locate_direction(fan, v):
@@ -145,3 +147,66 @@ def test_newton_polygon_degenerate():
     g = builtin_fan("p1xp1")
     seg = newton_polygon(g, (1, 0, 1, 0))
     assert len(seg) == 2
+
+
+# the smooth toric del Pezzo surfaces, by rays
+DEL_PEZZO = {"p2": builtin_fan("p2").rays,
+             "p1xp1": builtin_fan("p1xp1").rays,
+             "dp6": builtin_fan("dp6").rays,
+             "f1": [(1, 0), (0, 1), (-1, 1), (0, -1)],
+             "dp7": [(1, 0), (1, 1), (0, 1), (-1, 0), (0, -1)]}
+
+
+def self_intersection_rule(fan):
+    """-K.D_rho = 2 - a_rho on a smooth fan, rho_prev + rho_next = a_rho*rho
+    (adjunction: D_rho is a rational curve with D_rho^2 = -a_rho)."""
+    out = []
+    for i, r in enumerate(fan.rays):
+        p, n = fan.rays[i - 1], fan.rays[(i + 1) % fan.nrays()]
+        s = (p[0] + n[0], p[1] + n[1])
+        assert wedge(s, r) == 0
+        out.append(2 - dot(s, r) // dot(r, r))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("rays, want", [
+    (DEL_PEZZO["p2"], (3, 3, 3)),
+    (DEL_PEZZO["p1xp1"], (2, 2, 2, 2)),
+    (DEL_PEZZO["dp6"], (1,) * 6),
+    (DEL_PEZZO["f1"], (2, 1, 2, 3)),
+    (DEL_PEZZO["dp7"], (1, 1, 1, 2, 2)),
+    ([(2, -1), (-1, 2), (-1, -1)], (1, 1, 1)),      # reflexive, P2/(Z/3)
+    ([(1, 0), (0, 1), (-1, -2)], (2, 4, 2)),        # P(1,1,2)
+    ([(1, 0), (0, 1), (-1, 2), (0, -1)], (2, 0, 2, 4)),   # F2
+], ids=["p2", "p1xp1", "dp6", "f1", "dp7", "reflexive", "p112", "f2"])
+def test_anticanonical_degree(rays, want):
+    fan = make_fan(rays)
+    assert anticanonical_degree(fan) == want
+    assert cli.parse_degree(fan, "anticanonical") == want
+    if all(wedge(fan.rays[i - 1], r) == 1 for i, r in enumerate(fan.rays)):
+        assert self_intersection_rule(fan) == want
+
+
+@pytest.mark.parametrize("name", sorted(DEL_PEZZO))
+def test_anticanonical_count_is_twelve(name):
+    # through K^2 - 1 general points the anticanonical curves form a
+    # pencil; its blow-up is a rational elliptic surface, of Euler number
+    # 12, so 12 of its fibres are nodal: one rational curve each
+    fan = make_fan(DEL_PEZZO[name])
+    rep = run_count(fan, cli.parse_degree(fan, "anticanonical"), 1)
+    assert degree_total(rep.deg) - 1 == len(rep.config)
+    assert rep.n_trop == 12
+
+
+def test_anticanonical_refusals(tmp_path, capsys):
+    # a vertex of the -K polygon off the lattice: (-3, 2)/3
+    with pytest.raises(ValueError, match="off the lattice"):
+        anticanonical_degree(make_fan([(1, 0), (0, 1), (-1, -3)]))
+    # F3: -K.D = -1 on the (-3)-curve
+    with pytest.raises(ValueError, match="not nef"):
+        anticanonical_degree(make_fan([(1, 0), (0, 1), (-1, 3), (0, -1)]))
+    path = tmp_path / "fan.json"
+    path.write_text('{"name": "p113", "rays": [[1, 0], [0, 1], [-1, -3]]}')
+    assert cli.main(["count", "--fan", str(path), "--degree",
+                     "anticanonical"]) == cli.EXIT_USAGE
+    assert "off the lattice" in capsys.readouterr().err

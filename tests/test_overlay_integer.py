@@ -22,8 +22,8 @@ from tropenum.arrangement import Overlay
 from tropenum.correspondence import build_decomposition, properties_report
 from tropenum.enumeration import run_count
 from tropenum.fan import builtin_fan, make_degree
-from tropenum.lattice import (InvariantError, as_hpoint, hdiff, hfrac, hnorm,
-                              hpoint, hshift, primitive, rot90, wedge)
+from tropenum.lattice import (InvariantError, hdiff, hfrac, hnorm, hpoint,
+                              hshift, primitive, rot90, wedge)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +337,7 @@ def decomposition_pieces(curves, fan, points):
             pieces.append(("segment", c.vertices[i], c.vertices[j], tag))
         for i, d, w in c.uedges:
             pieces.append(("ray", c.vertices[i], d, tag))
-    for pi, P in enumerate(as_hpoint(P) for P in points):
+    for pi, P in enumerate(points):
         for r in fan.rays:
             pieces.append(("ray", P, r, "fan:%d" % pi))
         pieces.append(("point", P))

@@ -21,7 +21,7 @@ from reference import ref_support_contains
 from tropenum.broken import _LEG_FAULTS, potential, sample_endpoint
 from tropenum.enumeration import sample_generic_points
 from tropenum.fan import builtin_fan, r_vector
-from tropenum.lattice import (as_hpoint, dot, hfrac, hpoint, hshift, rot90,
+from tropenum.lattice import (dot, hfrac, hnorm, hpoint, hshift, rot90,
                               walls_through, wedge)
 from tropenum.scattering import (build_diagram, check_consistency,
                                  path_crossings)
@@ -210,7 +210,7 @@ def test_sing_points_match_reference(diagrams):
     for _, _, d, sing, _ in diagrams:
         got = d.sing_points()
         assert [hfrac(P) for P in got] == sing
-        assert all(P == as_hpoint(P) for P in got)
+        assert all(P == hnorm(*P) for P in got)
     assert len(diagrams) >= 50
 
 
@@ -276,12 +276,10 @@ def test_path_crossings_match_reference(diagrams):
     for _, _, d, sing, pts in diagrams:
         cyc = pts + pts[:2]
         for i in range(len(pts)):
-            # two-vertex paths as rational pairs, the way callers pass
-            # them, and three-vertex paths as triples
+            # two- and three-vertex paths
             path = cyc[i:i + 2 + i % 2]
             want = outcome(ref_path_crossings, d, path)
-            if i % 2:
-                path = [hpoint(*P) for P in path]
+            path = [hpoint(*P) for P in path]
             assert outcome(path_crossings, d, path) == want
             paths += 1
             if want[0] == "generic":
@@ -291,6 +289,7 @@ def test_path_crossings_match_reference(diagrams):
             v = (1, Fraction(1, 173))
             path = [(x - v[0], y - v[1]), (x + v[0], y + v[1])]
             want = outcome(ref_path_crossings, d, path)
+            path = [hpoint(*P) for P in path]
             assert outcome(path_crossings, d, path) == want
             if want[0] == "generic":
                 faults.add(want[1])
@@ -312,8 +311,8 @@ def test_support_queries_match_reference(diagrams):
                     (x + Fraction(b, 7), y - Fraction(a, 7))]
         for X in pts:
             want = [w for w in d.walls if ref_support_contains(w, X)]
-            assert d.supp_contains(X) == bool(want)
             P = hpoint(*X)
+            assert d.supp_contains(P) == bool(want)
             got = [w for ix in d._index.values() for w in walls_through(ix, P)]
             assert sorted(map(id, got)) == sorted({id(w) for w in want})
             held += bool(want)
@@ -322,7 +321,7 @@ def test_support_queries_match_reference(diagrams):
     assert 0 < held < points
 
 
-# -- the boundary converter ---------------------------------------------------
+# -- the point constructors ---------------------------------------------------
 
 
 rationals = st.fractions(max_denominator=10 ** 6).filter(
@@ -330,11 +329,11 @@ rationals = st.fractions(max_denominator=10 ** 6).filter(
 
 
 @given(rationals, rationals, st.integers(1, 10 ** 4))
-def test_as_hpoint_pair_and_triple_agree(x, y, scale):
-    P = as_hpoint((x, y))
+def test_hpoint_and_hnorm_agree(x, y, scale):
+    P = hpoint(x, y)
     X, Y, W = P
-    assert W > 0 and hfrac(P) == (x, y)
+    assert W > 0 and hfrac(P) == (x, y) and hnorm(*P) == P
     # any positive or negative multiple of the triple is the same point
-    assert as_hpoint((X * scale, Y * scale, W * scale)) == P
-    assert as_hpoint((-X * scale, -Y * scale, -W * scale)) == P
-    assert as_hpoint((str(x), str(y))) == P
+    assert hnorm(X * scale, Y * scale, W * scale) == P
+    assert hnorm(-X * scale, -Y * scale, -W * scale) == P
+    assert hpoint(str(x), str(y)) == P

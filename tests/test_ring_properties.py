@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from reference import ref_apply, ref_pow, ref_wall_crossing
 from tropenum.fan import builtin_fan, r_vector
-from tropenum.lattice import InvariantError, rot90
+from tropenum.lattice import InvariantError, hpoint, rot90
 from tropenum.scattering import RingElement, Wall, _cross, ring_mono, ring_one
 
 FANS = [builtin_fan("p2"), builtin_fan("p1xp1")]
@@ -40,7 +40,7 @@ def elements(nrays, nilpotent=False):
 def draw_wall(data, fan):
     m0 = data.draw(st.tuples(*[st.integers(0, 2)] * fan.nrays()).filter(
         lambda m: r_vector(fan, m) != (0, 0)))
-    base = (data.draw(coord), data.draw(coord))
+    base = hpoint(data.draw(coord), data.draw(coord))
     return Wall(fan, base, m0, data.draw(coef), data.draw(nonempty))
 
 

@@ -25,6 +25,8 @@ def test_sweep_covers_every_command_and_the_error_exits():
     for bad in ("count --degree 0", "count --fan nosuchfan --degree 1",
                 "potential --k 2 --q 1/2", "render missing.json out.svg"):
         assert bad in names
+    for fan in ("p2", "p1xp1"):
+        assert "count --fan %s --degree anticanonical --seed 1" % fan in names
 
 
 def test_differences_name_each_stream_and_file():

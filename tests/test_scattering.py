@@ -12,7 +12,7 @@ from tropenum import cli, lattice, scattering
 from tropenum.broken import potential, sample_endpoint
 from tropenum.enumeration import PointConfig, resample, sample_generic_points
 from tropenum.fan import builtin_fan, make_fan
-from tropenum.lattice import hfrac, rot90
+from tropenum.lattice import hfrac, hpoint, rot90
 from tropenum.scattering import (RingElement, ScatteringDiagram, Wall, _fold,
                                  build_diagram, check_consistency,
                                  format_element, loop_automorphism,
@@ -21,6 +21,11 @@ from tropenum.scattering import (RingElement, ScatteringDiagram, Wall, _fold,
 from tropenum.tropcurve import GenericityError, InvariantError
 
 P2 = builtin_fan("p2")
+
+
+def triples(*pts):
+    """The normalized triples of rational pairs, as a path."""
+    return [hpoint(*P) for P in pts]
 
 
 def non_unit(w):
@@ -90,7 +95,7 @@ def test_unipotent_inverse():
         ref_pow(bad, -1)
     # the closed-form crossing raises no power, yet its generator images
     # are z^{e_i} * f^{<n0, v_i>}, with <n0, v_i> = -1, 1 and 0 here
-    w = Wall(P2, (0, 0), (0, 0, 1), 3, 0b1)
+    w = Wall(P2, hpoint(0, 0), (0, 0, 1), 3, 0b1)
     for sign in (1, -1):
         n = rot90(w.dirvec)
         n0 = (sign * n[0], sign * n[1])
@@ -105,7 +110,7 @@ def test_format_element_is_stable():
 
 
 def test_wall_validation():
-    base = hfrac((Fraction(1), Fraction(2), Fraction(1)))
+    base = hpoint(1, 2)
     w = Wall(P2, base, (0, 0, 1), 1, 0b1)
     # r((0,0,1)) = (-1,-1), so the wall points the other way
     assert w.dirvec == (1, 1)
@@ -114,9 +119,9 @@ def test_wall_validation():
     assert not ref_support_contains(w, (Fraction(-1), Fraction(0)))
     assert not ref_support_contains(w, (Fraction(3), Fraction(5)))
     d = ScatteringDiagram(P2, [w], [w.base])
-    assert d.supp_contains((Fraction(3), Fraction(4)))
-    assert not d.supp_contains((Fraction(-1), Fraction(0)))
-    assert not d.supp_contains((Fraction(3), Fraction(5)))
+    assert d.supp_contains(hpoint(3, 4))
+    assert not d.supp_contains(hpoint(-1, 0))
+    assert not d.supp_contains(hpoint(3, 5))
     with pytest.raises(InvariantError):
         Wall(P2, base, (1, 1, 1), 1, 0b1)  # r = 0
     with pytest.raises(InvariantError):
@@ -128,7 +133,7 @@ def test_wall_validation():
 def test_label_sets_are_refused_at_construction():
     # a mark set is an int mask; a set of labels fails when it is passed,
     # not later inside a crossing
-    base = (Fraction(0), Fraction(0))
+    base = hpoint(0, 0)
     for labels in ((0,), [0, 1], frozenset([0]), {1}):
         with pytest.raises(TypeError):
             Wall(P2, base, (0, 0, 1), 1, labels)
@@ -145,7 +150,7 @@ def test_label_sets_are_refused_at_construction():
 
 
 def test_repeated_wall_is_a_bug():
-    base = hfrac((Fraction(0), Fraction(0), Fraction(1)))
+    base = hpoint(0, 0)
     wa = Wall(P2, base, (0, 0, 1), 1, 0b1)
     wb = Wall(P2, base, (0, 0, 2), 1, 0b10)
     # an equal but distinct wall object is a wall of its own
@@ -161,7 +166,7 @@ def crossing(w, sign):
 
 
 def test_wall_crossing_inverse_and_trivial():
-    base = hfrac((Fraction(0), Fraction(0), Fraction(1)))
+    base = hpoint(0, 0)
     w = Wall(P2, base, (0, 0, 1), 2, 0b1)
     fwd = crossing(w, 1)
     bck = crossing(w, -1)
@@ -174,7 +179,7 @@ def test_wall_crossing_inverse_and_trivial():
 
 
 def test_cosupported_walls_commute():
-    base = hfrac((Fraction(0), Fraction(0), Fraction(1)))
+    base = hpoint(0, 0)
     wa = Wall(P2, base, (0, 0, 1), 1, 0b1)
     wb = Wall(P2, base, (0, 0, 2), 1, 0b10)
     n = rot90(wa.dirvec)
@@ -237,8 +242,8 @@ def test_marked_point_loop_is_recorded_not_identity():
 def test_path_crossings_and_inverse():
     cfg = sample_generic_points(2, 5)
     d = build_diagram(P2, cfg)
-    A = (Fraction(-40), Fraction(3, 7))
-    B = (Fraction(40), Fraction(5, 11))
+    A = hpoint(-40, Fraction(3, 7))
+    B = hpoint(40, Fraction(5, 11))
     hits = path_crossings(d, [A, B])
     assert hits
     fwd = path_automorphism(d, [A, B])
@@ -256,26 +261,26 @@ def test_path_homotopy_invariance():
     t = (Fraction(1, 3) - A[0]) / (B[0] - A[0])
     ychord = A[1] + t * (B[1] - A[1])
     near = (Fraction(1, 3), ychord + Fraction(1, 100003))
-    direct = path_automorphism(d, [A, B])
-    assert path_automorphism(d, [A, near, B]) == direct
+    direct = path_automorphism(d, triples(A, B))
+    assert path_automorphism(d, triples(A, near, B)) == direct
     # routing far around encloses marked points and changes the class
     far = (Fraction(1, 3), Fraction(29))
-    assert path_automorphism(d, [A, far, B]) != direct
+    assert path_automorphism(d, triples(A, far, B)) != direct
 
 
 def test_trivial_and_degenerate_paths():
     cfg = sample_generic_points(1, 3)
     d = build_diagram(P2, cfg)
-    A = (Fraction(-9), Fraction(1, 3))
+    A = hpoint(-9, Fraction(1, 3))
     assert path_automorphism(d, [A, A]).is_identity()
     with pytest.raises(InvariantError):
         path_automorphism(d, [A])
     p1 = hfrac(cfg.points[0])
-    on_wall = (p1[0] - 2, p1[1])  # west ray from the marked point
+    on_wall = hpoint(p1[0] - 2, p1[1])  # west ray from the marked point
     with pytest.raises(GenericityError) as err:
         path_automorphism(d, [on_wall, A])
     assert "non-transverse" in str(err.value)
-    through_base = [(p1[0] - 1, p1[1] - 1), (p1[0] + 1, p1[1] + 1)]
+    through_base = triples((p1[0] - 1, p1[1] - 1), (p1[0] + 1, p1[1] + 1))
     with pytest.raises(GenericityError):
         path_automorphism(d, through_base)
 
@@ -286,9 +291,9 @@ def test_path_along_or_onto_a_wall_rejected():
     d = build_diagram(P2, cfg)
     x, y = hfrac(cfg.points[0])
     # from off the walls, through the base and along the west ray
-    along = [(x + 1, y), (x - 3, y)]
+    along = triples((x + 1, y), (x - 3, y))
     # ends on the south ray
-    onto = [(x - 9, y + Fraction(1, 3)), (x, y - 2)]
+    onto = triples((x - 9, y + Fraction(1, 3)), (x, y - 2))
     for path in (along, onto):
         with pytest.raises(GenericityError) as err:
             path_crossings(d, path)
@@ -301,8 +306,8 @@ def test_path_through_singular_point_rejected():
     glue = [w for w in d.walls if non_unit(w)[1] == 0b11]
     assert glue
     sx, sy = hfrac(glue[0].base)
-    path = [(sx - 1, sy - Fraction(1, 173)),
-            (sx + 1, sy + Fraction(1, 173))]
+    path = triples((sx - 1, sy - Fraction(1, 173)),
+                   (sx + 1, sy + Fraction(1, 173)))
     with pytest.raises(GenericityError) as err:
         path_automorphism(d, path)
     assert str(err.value).startswith("non-transverse path")

@@ -44,6 +44,10 @@ def sweep():
     for fan, deg, seed in LINES:
         cases.append([["phi-check", "--fan", fan, "--degree", deg,
                        "--seed", str(seed)]])
+    # -K on P2 and P1xP1 is the cubic and the bidegree (2,2)
+    for fan in ("p2", "p1xp1"):
+        cases.append([["count", "--fan", fan, "--degree", "anticanonical",
+                       "--seed", "1"]])
     for fan in ("p2", "p1xp1", "dp6"):
         for k in (3, 4):
             base = ["--fan", fan, "--k", str(k), "--seed", "1"]
