@@ -98,8 +98,9 @@ def _covered(spans, num, den):
 
 class Overlay:
     """Collects segments, rays and required points, then builds the
-    refined complex.  Tags are arbitrary hashable labels recorded per
-    atomic edge (unioned where sources overlap)."""
+    refined complex.  Points are normalized triples, kept as given.  Tags
+    are arbitrary hashable labels recorded per atomic edge (unioned where
+    sources overlap)."""
 
     def __init__(self):
         # line key -> pieces (lo, hi, tags), ends as triples ordered along
@@ -111,8 +112,6 @@ class Overlay:
         self._lines.setdefault(key, []).append((lo, hi, frozenset([tag])))
 
     def add_segment(self, A, B, tag):
-        A = hnorm(*A)
-        B = hnorm(*B)
         d = hdiff(A, B)
         if d == (0, 0):
             raise ValueError("zero-length segment")
@@ -122,7 +121,6 @@ class Overlay:
         self._add(key, A, B, tag)
 
     def add_ray(self, A, d, tag):
-        A = hnorm(*A)
         dp, _ = primitive(d)
         key = line_key(A, dp)
         if dp == line_dir(key):
@@ -131,7 +129,7 @@ class Overlay:
             self._add(key, None, A, tag)
 
     def add_point(self, P):
-        self._points.append(hnorm(*P))
+        self._points.append(P)
 
     def build(self):
         K = exact_shift(k[3] for k in self._lines)

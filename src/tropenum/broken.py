@@ -29,7 +29,7 @@ from .enumeration import _boxed_exponents, enumerate_maslov2_disks
 # keeps its public name, the same function object
 from .enumeration import sample_endpoint  # noqa: F401
 from .fan import r_vector
-from .lattice import (GenericityError, InvariantError, hfrac, hshift,
+from .lattice import (GenericityError, InvariantError, dot, hfrac, hshift,
                       mask_labels, wedge)
 from .scattering import (RingElement, _cross, build_diagram, path_crossings,
                          ring_mono)
@@ -203,7 +203,7 @@ def transport(d, W, path):
     vertex."""
     val = W.value
     for widx, n0 in path_crossings(d, [W.endpoint] + list(path)):
-        val = _cross(d.walls[widx], n0, val)
+        val = _cross(d.walls[widx], [dot(n0, v) for v in W.fan.rays], val)
     return Potential(W.fan, W.k, path[-1], val, ())
 
 

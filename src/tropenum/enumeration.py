@@ -20,8 +20,10 @@ at the pivot from opposite directions with equal weight automatically, so
 every valid pair assembles to a solution and the enumeration is a pairing of
 pivot disks.  Any coincidence that only happens on a measure-zero set of
 configurations raises GenericityError and the caller resamples.  A count
-traces only the trees and disks that can pair (Forest.pivot_disks), so a
-fault in work it skips no longer rejects a configuration (see Forest).
+traces only the trees and disks that can pair: on the last two forest
+levels the trees that something downstream can use (see Forest), and at
+the pivot the disks that can pair (Forest.pivot_disks).  So a fault in
+work it skips no longer rejects a configuration.
 CountReport finishes this count and bruteforce's alike.
 """
 
@@ -197,8 +199,11 @@ class Forest:
     tree's root".  Trees, disks and documents come out in the order and
     with the bytes of a linear scan.
 
-    Built with a pivot, the last level skips the pass disks whose trees no
-    pivot disk can meet (_feeds_pivot).  That work is a subset of the full
+    Built with a pivot, the last two levels skip the trees that nothing
+    downstream can use.  On the last level, only the glue trees and pass
+    disks whose walls a pivot ray meets are kept or traced (_feeds_pivot);
+    on the level below, only the pass disks whose walls something can use
+    are traced (pivotwalls.walls_used).  That work is a subset of the full
     forest's, so a configuration faults only where the full forest does,
     and may pass where the fault lay only in skipped work.
     """
@@ -210,6 +215,7 @@ class Forest:
         self.allowed = ((1 << len(config)) - 1 if allowed_mask is None
                         else allowed_mask)
         self.cap = tuple(degree_cap) if degree_cap is not None else None
+        self.pivot = self.last = None
         self.trees = []
         self.levels = {}
         self._at_level = {}     # filed level -> [(degree, bucket)]
@@ -231,6 +237,12 @@ class Forest:
         if self.levels:
             raise InvariantError("forest already built")
         self.pivot = pivot
+        self.last = max_level if pivot is not None else None
+        if pivot is not None:
+            self._feeding = {
+                (1 << i, m) for i in mask_labels(self.allowed)
+                for m in self.degrees(max_level, max_level)
+                if self._feeds_pivot(self.config.points[i], m)}
         self.levels[1] = []
         for i in mask_labels(self.allowed):
             for ridx, ray in enumerate(self.rays):
@@ -248,10 +260,16 @@ class Forest:
                 for ta in self.levels[n1]:
                     self._join(ta, n - n1, n)
             degs = self.degrees(n, n)
+            used = None
+            if pivot is not None and n == max_level:
+                used = self._feeding
+            elif pivot is not None and n == max_level - 1:
+                from .pivotwalls import walls_used
+                used = walls_used(self, degs)
             for i in mask_labels(self.allowed):
                 p, sub = self.config.points[i], self.allowed & ~(1 << i)
-                feeds = [m for m in degs if pivot is None or n < max_level
-                         or self._feeds_pivot(pivot, p, m)]
+                feeds = [m for m in degs
+                         if used is None or (1 << i, m) in used]
                 for disk in self.disks(p, sub, feeds):
                     t = Tree(disk.marks | (1 << i), disk.deg, p, disk.u,
                              disk.w, disk.mult, "pass", (i, disk),
@@ -310,13 +328,15 @@ class Forest:
             if isinstance(hit, str):
                 raise GenericityError(hit)
             tb, deg, d, c = hit
+            root = hshift(X, d, X[2] * tb.base[2] * c, r)
+            if level == self.last and not self._feeds_pivot(root, deg):
+                continue
             rv = self._rvec(deg)
             out, w = primitive((-rv[0], -rv[1]))
             ka, kb = sorted((ta.key, tb.key))
             mult = ta.mult * tb.mult * ta.w * tb.w * abs(c)
-            self._add(Tree(ta.marks | tb.marks, deg,
-                           hshift(X, d, X[2] * tb.base[2] * c, r), out, w,
-                           mult, "glue", (ta, tb), ("g", ka, kb)), level)
+            self._add(Tree(ta.marks | tb.marks, deg, root, out, w, mult,
+                           "glue", (ta, tb), ("g", ka, kb)), level)
 
     def _check_walls_off_points(self):
         """Raise the fault of the lowest tree serial, then the lowest point
@@ -350,14 +370,14 @@ class Forest:
                     tuple(a - b for a, b in zip(self.cap, m1))])
         return disks
 
-    def _feeds_pivot(self, P, B, D):
-        """Can the tree of a last-level pass disk of degree D at B bend a
-        pivot disk at P?  It holds every allowed mark, so only as the single
+    def _feeds_pivot(self, B, D):
+        """Can a last-level tree of degree D rooted at B bend a pivot disk
+        at the pivot P?  It holds every allowed mark, so only as the single
         bend of a disk of degree Delta - e_l, left with e_j, whose stem
         P + s*r(Delta - e_l) = P - s*ray_l (r(Delta) = 0) meets the wall
         B - t*r(D)."""
         rx, ry = self._rvec(D)
-        return any(c > x and ray_meets(P, (-a, -b), B, (-rx, -ry))
+        return any(c > x and ray_meets(self.pivot, (-a, -b), B, (-rx, -ry))
                    for c, x, (a, b) in zip(self.cap, D, self.rays))
 
     def degrees(self, lo, top):

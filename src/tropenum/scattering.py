@@ -255,11 +255,10 @@ class Wall:
                 % (self.base, self.dirvec, format_element(self.f)))
 
 
-def _cross(wall, n0, elem):
-    """Image of elem under crossing wall with normal n0: each term
-    c*u_J*z^m picks up the factor f^e = 1 + e*c_w*u_I*z^{m0}, with
-    e = <n0, r(m)>."""
-    ns = [dot(n0, v) for v in wall.fan.rays]
+def _cross(wall, ns, elem):
+    """Image of elem under crossing wall with normal n0, given
+    ns = [<n0, v> for each ray v]: each term c*u_J*z^m picks up the factor
+    f^e = 1 + e*c_w*u_I*z^{m0}, with e = <n0, r(m)> = sum m_i * ns_i."""
     cw, iw, m0 = wall.c, wall.marks, wall.m0
     out = dict(elem.terms)
     for (m, mask), c in elem.terms.items():
@@ -283,7 +282,8 @@ def _fold(fan, crossings):
     nrays = fan.nrays()
     images = [ray_generator(nrays, i) for i in range(nrays)]
     for wall, n0 in crossings:
-        images = [_cross(wall, n0, im) for im in images]
+        ns = [dot(n0, v) for v in fan.rays]
+        images = [_cross(wall, ns, im) for im in images]
     return RingAutomorphism(nrays, images)
 
 

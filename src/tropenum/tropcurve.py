@@ -272,7 +272,9 @@ def canonical_type(c):
     graph with edge directions, up to isomorphism respecting marks.  Curves
     here are trees, so a minimal rooted encoding over all roots is canonical.
     A disk's boundary vertex carries the label -1, below every mark, so
-    that labels compare as ints.
+    that labels compare as ints.  The encoding of the subtree at v away
+    from its parent is made once per directed edge and shared by every
+    root.
     """
     n = len(c.vertices)
     labels = [[] for _ in range(n)]
@@ -280,15 +282,20 @@ def canonical_type(c):
         labels[v].append(label)
     if c.vout is not None:
         labels[c.vout].append(-1)
+    memo = {}
 
     def enc(v, parent):
-        ends = c.incidence[v]
-        subs = sorted(enc(u, v) + ((w, d),)
-                      for w, d, u, _, _ in ends
-                      if u is not None and u != parent)
-        leaf = sorted(("eout" if e == c.out_edge else "ray", d, w)
-                      for w, d, u, e, _ in ends if u is None)
-        return (tuple(sorted(labels[v], key=str)), tuple(leaf), tuple(subs))
+        got = memo.get((v, parent))
+        if got is None:
+            ends = c.incidence[v]
+            subs = sorted(enc(u, v) + ((w, d),)
+                          for w, d, u, _, _ in ends
+                          if u is not None and u != parent)
+            leaf = sorted(("eout" if e == c.out_edge else "ray", d, w)
+                          for w, d, u, e, _ in ends if u is None)
+            got = memo[v, parent] = (tuple(sorted(labels[v], key=str)),
+                                     tuple(leaf), tuple(subs))
+        return got
 
     return min(repr(enc(v, -1)) for v in range(n))
 

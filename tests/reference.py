@@ -19,7 +19,9 @@ written so that they share no shortcut with the code they check:
   insertion, as the Maslov-0 forest filed its trees before
   `lattice.wall_index` built each bucket once;
 * `ref_support_contains`, a wall's ray on Fraction pairs;
-* `ref_maslov_index`, 2 * (total degree - number of marks).
+* `ref_maslov_index`, 2 * (total degree - number of marks);
+* `ref_canonical_type_all_roots`, the combinatorial type encoded afresh
+  from every root (the library shares each directed edge's encoding).
 """
 
 from bisect import bisect_right
@@ -290,3 +292,26 @@ def ref_support_contains(w, X):
 def ref_maslov_index(c, fan):
     """2 * (total degree - number of marks); 0 for trees, 2 for disks."""
     return 2 * (degree_total(degree(c, fan)) - len(c.marks))
+
+
+def ref_canonical_type_all_roots(c):
+    """tropcurve.canonical_type as it was before it shared the encoding of
+    each directed edge between roots: the whole tree encoded afresh from
+    every vertex, the smallest repr kept."""
+    n = len(c.vertices)
+    labels = [[] for _ in range(n)]
+    for label, v in c.marks:
+        labels[v].append(label)
+    if c.vout is not None:
+        labels[c.vout].append(-1)
+
+    def enc(v, parent):
+        ends = c.incidence[v]
+        subs = sorted(enc(u, v) + ((w, d),)
+                      for w, d, u, _, _ in ends
+                      if u is not None and u != parent)
+        leaf = sorted(("eout" if e == c.out_edge else "ray", d, w)
+                      for w, d, u, e, _ in ends if u is None)
+        return (tuple(sorted(labels[v], key=str)), tuple(leaf), tuple(subs))
+
+    return min(repr(enc(v, -1)) for v in range(n))

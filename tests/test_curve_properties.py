@@ -6,13 +6,19 @@ vertices happen to be numbered: relabelling the vertices by any
 permutation, with the edges and marks remapped, and listing the edges in
 any order must leave both unchanged.  The curves are the solutions of
 run_count for the P2 conic and cubic and the dP6 anticanonical class.
+canonical_type must also equal the all-roots reference on the curves of
+the golden documents: those counts, and the trees and disks of the
+`trees` and `disks` commands.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropenum.enumeration import run_count
+from reference import ref_canonical_type_all_roots
+from tropenum.enumeration import (build_forest, disk_to_curve,
+                                  enumerate_maslov2_disks, resample,
+                                  run_count, sample_endpoint, tree_to_curve)
 from tropenum.fan import builtin_fan
 from tropenum.tropcurve import (ParamTropCurve, canonical_type,
                                 geometric_signature)
@@ -60,3 +66,19 @@ def test_solutions_are_told_apart(solutions):
     assert len(solutions) > 12
     for fn in (canonical_type, geometric_signature):
         assert len({fn(c) for c in solutions}) == len(solutions)
+
+
+def test_canonical_type_matches_all_roots_reference(solutions):
+    curves = list(solutions)
+    for fan, deg in (("p1xp1", (2, 2, 2, 2)), ("dp6", (1,) * 6)):
+        curves.extend(run_count(builtin_fan(fan), deg, 1).curves)
+    for fan, k, seed in (("p2", 3, 1), ("p2", 3, 2), ("p1xp1", 3, 3),
+                         ("dp6", 2, 3)):
+        fan = builtin_fan(fan)
+        config, forest = resample(k, seed, lambda c: build_forest(fan, c))
+        curves.extend(tree_to_curve(t, fan) for t in forest.trees)
+        curves.extend(disk_to_curve(d, fan) for d in enumerate_maslov2_disks(
+            fan, config, sample_endpoint(seed + 1), forest=forest))
+    assert len(curves) > 150
+    for c in curves:
+        assert canonical_type(c) == ref_canonical_type_all_roots(c)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from reference import ref_maslov_index
-from tropenum import bruteforce, cli, enumeration, lattice
+from tropenum import bruteforce, cli, enumeration, lattice, pivotwalls
 from tropenum.bruteforce import bruteforce_rational_curves
 from tropenum.enumeration import (Forest, PointConfig, build_forest,
                                   disk_to_curve, enumerate_maslov0_trees,
@@ -216,17 +216,20 @@ def test_cubic_count_work_stays_pruned(monkeypatch):
     builds a point with hshift only for a hit, and tries on_segment and
     on_ray only on points on a stem's or a wall's line other than its
     start, where a strict test is always False.  The count traces only
-    the disks that can pair: the last level's pass disks whose walls a
-    pivot ray meets, and the large side of a pivot pair only for a small
-    side found.  On seed 1 that is 0 ray_params calls, 30,020 ray_hits
-    calls, 7,480 hshift calls and no on_segment or on_ray call; tracing
-    every disk made 47,270 ray_hits calls and 11,702 hshift calls, and
-    trying the starts too made 767 on_segment calls and 581 on_ray calls.
+    the disks that can pair: on the last two levels the pass disks whose
+    trees something downstream can use, and the large side of a pivot
+    pair only for a small side found.  On seed 1 that is 0 ray_params
+    calls, 22,872 ray_hits calls (the filter of the level below the last
+    included), 5,527 hshift calls and no on_segment or on_ray call;
+    filtering the last level alone made 30,020 ray_hits calls and 7,480
+    hshift calls, tracing every disk made 47,270 ray_hits calls and 11,702
+    hshift calls, and trying the starts too made 767 on_segment calls and
+    581 on_ray calls.
     With ray_params behind an integer side test the same count made 94,324
     ray_params calls, 13,552 on_segment calls and 6,738 on_ray calls; with
     no side test, 245,864 ray_params calls and 35,417 hshift calls.  The
-    lattice bindings are counted too, so a return to ray_params or
-    ray_intersect shows here.
+    lattice and pivotwalls bindings are counted too, so a return to
+    ray_params or ray_intersect shows here.
     """
     calls = collections.Counter()
 
@@ -239,14 +242,14 @@ def test_cubic_count_work_stays_pruned(monkeypatch):
     for name in ("ray_params", "ray_hits", "hshift", "on_segment",
                  "on_ray"):
         fn = getattr(lattice, name)
-        for mod in (enumeration, lattice):
+        for mod in (enumeration, lattice, pivotwalls):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, counted(name, fn))
     rep = run_count(P2, (3, 3, 3), seed=1)
     assert (rep.n_trop, rep.w_trop) == (12, 8)
     assert calls["ray_params"] == 0
-    assert calls["ray_hits"] == 30020
-    assert calls["hshift"] <= 7480
+    assert calls["ray_hits"] == 22872
+    assert calls["hshift"] <= 5527
     assert calls["on_segment"] == 0
     assert calls["on_ray"] == 0
 

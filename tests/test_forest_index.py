@@ -9,14 +9,16 @@ point built by ray_intersect before the sign, root and cap tests, and
 on_segment and on_ray tried on every point, with no integer test in front.
 Its candidate degrees are written out apart from Forest.degrees: every m
 in the box (top,) * nrays, or in the cap's box, with lo <= |m| <= top and
-r(m) != 0.  Its filter of the last pivot level is the plain version too:
-the crossing of a pivot ray with a wall by ray_intersect, not the integer
-signs of ray_meets.  Pivot cases trace the pivot disks through
+r(m) != 0.  Its filters of the last two pivot levels are plain versions
+too, written apart from pivotwalls.walls_used: each wall of the level
+below the last is tried against every user in turn, and a crossing is
+built by ray_intersect, not settled by the integer signs of ray_hits or
+ray_meets on a wall index.  Pivot cases trace the pivot disks through
 Forest.pivot_disks, as enumerate_rational_curves does: the disks with at
 most half of the other marks, then for each group found its complement
-degree over the complement marks.  Both forests run on the same configurations; per
-attempt they must build the same trees, trace the same disks, and raise
-the same GenericityError at the same place.
+degree over the complement marks.  Both forests run on the same
+configurations; per attempt they must build the same trees, trace the
+same disks, and raise the same GenericityError at the same place.
 """
 
 import random
@@ -69,15 +71,18 @@ class ScanForest(Forest):
                         if ta.marks & tb.marks:
                             continue
                         t = self._glue(ta, tb)
-                        if t is not None:
+                        if t is not None and (pivot is None or n < max_level
+                                              or self._feeds(t.base, t.deg)):
                             self._add(t, n)
             for i in range(len(self.config)):
                 if not (self.allowed >> i) & 1:
                     continue
                 sub = self.allowed & ~(1 << i)
+                p = self.config.points[i]
                 degs = [m for m in self.degrees(n, n)
-                        if pivot is None or n < max_level
-                        or self._meets_pivot_ray(pivot, i, m)]
+                        if pivot is None or n < max_level - 1
+                        or (n == max_level and self._feeds(p, m))
+                        or (n == max_level - 1 and self._usable(i, m))]
                 for disk in self.disks(self.config.points[i], sub, degs):
                     t = Tree(disk.marks | (1 << i), disk.deg,
                              self.config.points[i], disk.u, disk.w, disk.mult,
@@ -133,24 +138,97 @@ class ScanForest(Forest):
                       if lo <= sum(m) <= top
                       and r_vector(self.fan, m) != (0, 0))
 
-    def _meets_pivot_ray(self, P, i, D):
+    @staticmethod
+    def _cross(A, da, B, db):
+        """(met, X): does the ray A + s*da meet the ray B + t*db, s, t >= 0,
+        or run along its line?  X is the crossing point when s, t > 0."""
+        hit = ray_intersect(A, da, B, db)
+        if hit is None:
+            return wedge(da, hdiff(A, B)) == 0, None
+        s, t, den, X = hit
+        return s >= 0 and t >= 0, X if s > 0 and t > 0 else None
+
+    def _feeds(self, B, D):
         """Does the stem of some pivot disk of degree cap - e_l, l with
-        D_l < cap_l, meet or run along the wall of point i's pass disks of
-        degree D, the ray p_i + t * -r(D)?"""
-        B = self.config.points[i]
+        D_l < cap_l, meet or run along the wall B + t * -r(D) of a
+        last-level tree?"""
         rd = r_vector(self.fan, D)
-        wall = (-rd[0], -rd[1])
         for l in range(len(self.rays)):
             if D[l] >= self.cap[l]:
                 continue
             m = tuple(c - (j == l) for j, c in enumerate(self.cap))
-            r = r_vector(self.fan, m)
-            hit = ray_intersect(P, r, B, wall)
-            if hit is None:
-                if wedge(r, hdiff(P, B)) == 0:
-                    return True
-            elif hit[0] >= 0 and hit[1] >= 0:
+            if self._cross(self.pivot, r_vector(self.fan, m), B,
+                           (-rd[0], -rd[1]))[0]:
                 return True
+        return False
+
+    def _usable(self, i, D):
+        """Can anything use a pass tree of degree D at point i on the level
+        below the last?  It holds every allowed mark but some j != i; each
+        user is tried for each j and each ray l:
+        (a) a pivot disk of degree D + e_l bending at it, traced when a
+            pivot disk of degree cap - D - e_l bends at leaf j;
+        (b) a pivot disk of degree cap - e_l bending at it, then at leaf j;
+        (c) the same disk bending at leaf j, then at it;
+        (d) a pass disk at p_j of degree D + e_l bending at it, whose tree
+            feeds the pivot;
+        (e) its gluing with leaf (j, l), whose root feeds the pivot.
+        A meeting that is not a crossing beyond both roots counts."""
+        P, cap, fan, pts = self.pivot, self.cap, self.fan, self.config.points
+        n = len(self.rays)
+        B = pts[i]
+        rd = r_vector(fan, D)
+        wall = (-rd[0], -rd[1])
+        others = [pts[j] for j in range(len(pts))
+                  if j != i and (self.allowed >> j) & 1]
+
+        def plus(m, a, k=1):
+            return tuple(x + k * (b == a) for b, x in enumerate(m))
+
+        def at_leaf(X, m, Q):
+            """Does the stem X + s*r(m) meet a leaf at Q of a ray in m?"""
+            return any(self._cross(X, r_vector(fan, m), Q,
+                                   (-self.rays[a][0], -self.rays[a][1]))[0]
+                       for a in range(n) if m[a])
+
+        for l in range(n):
+            m = plus(D, l)
+            if m[l] <= cap[l] and r_vector(fan, m) != (0, 0):
+                comp = tuple(c - x for c, x in zip(cap, m))
+                for Q in others:
+                    if at_leaf(P, comp, Q) and self._cross(
+                            P, r_vector(fan, m), B, wall)[0]:
+                        return True                             # (a)
+                    if self._feeds(Q, m) and self._cross(
+                            Q, r_vector(fan, m), B, wall)[0]:
+                        return True                             # (d)
+            if m[l] <= cap[l]:
+                for Q in others:
+                    met, X = self._cross(Q, (-self.rays[l][0],
+                                             -self.rays[l][1]), B, wall)
+                    if met and (X is None or self._feeds(X, m)):
+                        return True                             # (e)
+            if not cap[l]:
+                continue
+            top = plus(cap, l, -1)
+            neg = (-self.rays[l][0], -self.rays[l][1])
+            rest = tuple(t - x for t, x in zip(top, D))
+            if min(rest) >= 0 and r_vector(fan, rest) != (0, 0):
+                met, V = self._cross(P, neg, B, wall)
+                if met and (V is None or any(at_leaf(V, rest, Q)
+                                             for Q in others)):
+                    return True                                 # (b)
+            for a in range(n):
+                rest = plus(top, a, -1)
+                if (min(rest) < 0 or r_vector(fan, rest) == (0, 0)
+                        or min(x - y for x, y in zip(rest, D)) < 0):
+                    continue
+                for Q in others:
+                    V = self._cross(P, neg, Q, (-self.rays[a][0],
+                                                -self.rays[a][1]))[1]
+                    if V is not None and self._cross(
+                            V, r_vector(fan, rest), B, wall)[0]:
+                        return True                             # (c)
         return False
 
     def _trace(self, X0, X, m, rmask, steps, out):
@@ -421,8 +499,9 @@ def test_uncapped_forest_candidates_stay_fresh(fan, k):
 def test_candidate_tables_scan_only_lower_levels(monkeypatch):
     """A stem of monomial m is deflected only by trees of degree below m,
     which lie at levels below |m|, so its candidate table scans only the
-    buckets of those levels.  On the P2 cubic, seed 1, that is 1,116
-    _add_cand calls; scanning every bucket made 1,575.  The freshness tests
+    buckets of those levels.  On the P2 cubic, seed 1, that is 993
+    _add_cand calls (1,116 when the level below the last traced all its
+    pass disks); scanning every bucket made 1,575.  The freshness tests
     above check that the tables equal a scan of every bucket."""
     calls = []
     add_cand = Forest._add_cand
@@ -434,7 +513,7 @@ def test_candidate_tables_scan_only_lower_levels(monkeypatch):
     monkeypatch.setattr(Forest, "_add_cand", counted)
     rep = run_count(P2, (3, 3, 3), seed=1)
     assert (rep.n_trop, rep.w_trop) == (12, 8)
-    assert len(calls) == 1116
+    assert len(calls) == 993
 
 
 def test_levels_are_filed_once_complete(monkeypatch):
@@ -472,7 +551,8 @@ def test_walls_through_matches_a_scan():
     just off them, over uncapped and pivot forests."""
     forests = [_generic(lambda cfg: build_forest(P2, cfg), 4, 1),
                _generic(lambda cfg: build_forest(P1P1, cfg), 3, 2),
-               _generic(lambda cfg: _pivot_forest(DP6, (1,) * 6, cfg), 5, 1)]
+               _generic(lambda cfg: _pivot_forest(DP6, (1,) * 6, cfg), 5, 1),
+               _generic(lambda cfg: _pivot_forest(P2, (2, 2, 2), cfg), 5, 1)]
     points = held = 0
     for forest in forests:
         pts = list(forest.config.points)

@@ -18,6 +18,8 @@ import tropenum
 BASE = {"cli", "jsonio", "lattice"}
 COUNT = BASE | {"fan", "tropcurve", "enumeration"}
 POTENTIAL = COUNT | {"scattering", "broken"}
+# a count with at least four marks filters the level below the last
+PIVOT = COUNT | {"pivotwalls"}
 
 # the 72 names the package exported when it imported every submodule,
 # less the 7 that only the tests used (now in tests/reference.py)
@@ -65,6 +67,7 @@ def test_each_command_loads_only_its_modules(tmp_path):
         (["-c", "import tropenum.cli"], BASE),
         (["-m", "tropenum", "--help"], BASE),
         (["-m", "tropenum", "count", "--degree", "1"] + out, COUNT),
+        (["-m", "tropenum", "count", "--degree", "2"] + out, PIVOT),
         (["-m", "tropenum", "welschinger", "--degree", "1"] + out, COUNT),
         (["-m", "tropenum", "trees", "--k", "2"] + out, COUNT),
         (["-m", "tropenum", "disks", "--k", "2"] + out, COUNT),

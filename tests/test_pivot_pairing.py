@@ -3,15 +3,19 @@
 full_pairing is the reference: it builds every forest level with every
 pass disk, traces the pivot disks of every degree 0 < |m| < |Delta| over
 all the other marks, and pairs the groups of complementary marks and
-degrees.  enumerate_rational_curves traces only what can pair: the last
-level's pass disks whose walls a pivot ray meets, the pivot disks with at
-most half of the other marks, and each complement degree over the
-complement marks of a group found.  That work is a subset of the
-reference's, so on every configuration:
+degrees.  enumerate_rational_curves traces only what can pair: on the
+last two levels the trees that something downstream can use (on the last
+level the glue trees and pass disks whose walls a pivot ray meets, on the
+level below the pass disks that a pivot disk, a last-level pass disk or a
+last-level gluing can use), the pivot disks with at most half of the
+other marks, and each complement degree over the complement marks of a
+group found.  That work is a subset of the reference's, so on every
+configuration:
 
 * when the count faults, the reference faults too;
 * when both succeed, they give the same multiplicities, Welschinger
-  multiplicities and geometric signatures;
+  multiplicities and geometric signatures, and the count's combinatorial
+  types equal the all-roots reference's;
 * when only the count succeeds (the reference met a fault in work the
   count skips), its n_trop is the invariant.
 """
@@ -20,6 +24,7 @@ import collections
 
 import pytest
 
+from reference import ref_canonical_type_all_roots
 from test_forest_index import _grid_config
 from tropenum.enumeration import (Forest, PointConfig, _assemble_pair,
                                   enumerate_rational_curves, precheck_config,
@@ -89,6 +94,8 @@ def _outcome(fan, deg, config, oracle):
         with pytest.raises(GenericityError):
             full_pairing(fan, deg, config)
         return "both faulted"
+    assert ([canonical_type(c) for c in rep.curves]
+            == [ref_canonical_type_all_roots(c) for c in rep.curves])
     got = (rep.mults, rep.wmults,
            [geometric_signature(c) for c in rep.curves])
     try:
@@ -102,7 +109,7 @@ def _outcome(fan, deg, config, oracle):
 
 FANS = {"p2": P2, "p1xp1": P1P1, "dp6": DP6}
 GENERIC = [("p2", (2, 2, 2), range(1, 9)), ("p2", (3, 3, 3), range(1, 4)),
-           ("p1xp1", (2, 2, 2, 2), range(1, 4)),
+           ("p1xp1", (2, 2, 2, 2), (1, 2, 3, 77)),
            ("dp6", (1,) * 6, range(1, 7))]
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from reference import ref_apply, ref_pow, ref_wall_crossing
 from tropenum.fan import builtin_fan, r_vector
-from tropenum.lattice import InvariantError, hpoint, rot90
+from tropenum.lattice import InvariantError, dot, hpoint, rot90
 from tropenum.scattering import RingElement, Wall, _cross, ring_mono, ring_one
 
 FANS = [builtin_fan("p2"), builtin_fan("p1xp1")]
@@ -79,7 +79,7 @@ def test_cross_is_the_crossing_automorphism(fan, data, sign, y0):
     x = data.draw(elements(fan.nrays(), nilpotent=True))
     x = x.add(RingElement(fan.nrays(), y0=y0))
     n = rot90(w.dirvec)
-    n0 = (sign * n[0], sign * n[1])
-    assert _cross(w, n0, x) == ref_apply(ref_wall_crossing(w, sign), x)
+    ns = [sign * dot(n, v) for v in fan.rays]
+    assert _cross(w, ns, x) == ref_apply(ref_wall_crossing(w, sign), x)
     # crossing back undoes the crossing
-    assert _cross(w, (-n0[0], -n0[1]), _cross(w, n0, x)) == x
+    assert _cross(w, [-e for e in ns], _cross(w, ns, x)) == x

@@ -27,6 +27,7 @@ def test_sweep_covers_every_command_and_the_error_exits():
         assert bad in names
     for fan in ("p2", "p1xp1"):
         assert "count --fan %s --degree anticanonical --seed 1" % fan in names
+    assert "count --fan p1xp1 --degree 2 --seed 77" in names
 
 
 def test_differences_name_each_stream_and_file():

@@ -48,6 +48,10 @@ def sweep():
     for fan in ("p2", "p1xp1"):
         cases.append([["count", "--fan", fan, "--degree", "anticanonical",
                        "--seed", "1"]])
+    # a solution whose tree on the level below the last only a pivot disk
+    # bending at it first, then at a leaf, uses
+    cases.append([["count", "--fan", "p1xp1", "--degree", "2", "--seed",
+                   "77"]])
     for fan in ("p2", "p1xp1", "dp6"):
         for k in (3, 4):
             base = ["--fan", fan, "--k", str(k), "--seed", "1"]
