@@ -65,7 +65,7 @@ class BrokenLine:
 
     def key(self):
         c, mask, m = self.final()
-        return (m, mask_labels(mask), (c.numerator, c.denominator))
+        return (m, mask_labels(mask), c)
 
     def __repr__(self):
         c, mask, m = self.final()
@@ -214,6 +214,6 @@ def verify_disk_correspondence(fan, config, Q):
     agree exactly."""
     d = build_diagram(fan, config)
     lines = enumerate_broken_lines(d, fan, Q)
-    want = sorted((rec.deg, mask_labels(rec.marks), (rec.mult, 1))
+    want = sorted((rec.deg, mask_labels(rec.marks), rec.mult)
                   for rec in enumerate_maslov2_disks(fan, config, Q))
     return sorted(bl.key() for bl in lines) == want

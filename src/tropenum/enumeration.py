@@ -19,12 +19,16 @@ with complementary mark sets and complementary degrees; the two stems arrive
 at the pivot from opposite directions with equal weight automatically, so
 every valid pair assembles to a solution and the enumeration is a pairing of
 pivot disks.  Any coincidence that only happens on a measure-zero set of
-configurations raises GenericityError and the caller resamples.  A count
-traces only the trees and disks that can pair: on the last two forest
-levels the trees that something downstream can use (see Forest), and at
-the pivot the disks that can pair (Forest.pivot_disks).  So a fault in
-work it skips no longer rejects a configuration.
-CountReport finishes this count and bruteforce's alike.
+configurations raises GenericityError and the caller resamples.
+
+A count traces only what its pivot disks can reach: a pass disk when a
+stem or a gluing first meets its wall, a last-level glue tree whose root
+feeds the pivot (see Forest), and at the pivot the disks that can pair
+(Forest.pivot_disks).  That work is a subset of the full forest's, and
+what it skips can make no pivot disk, so a configuration faults only
+where the full forest does and, where both succeed, gives the same
+solutions; a fault in work the count skips no longer rejects a
+configuration.  CountReport finishes this count and bruteforce's alike.
 """
 
 import random
@@ -138,6 +142,13 @@ class Tree:
 
     kn = wedge(base, out) on the homogeneous root, the numerator of the
     wall's offset kn / base.w (see lattice.ray_hits).
+
+    A record of kind "wall" is a pass wall that a forest with a pivot
+    files for the pass trees of point i and degree deg: their root and out
+    direction, no serial, and in parts the trees once traced
+    (Forest._real).  Its marks are those all its trees hold: 1 << i, then,
+    once traced, their intersection (-1, every mark, if none), so ray_hits
+    skips it for a ray that can use none of them.
     """
 
     # a forest holds thousands of trees: no per-instance dict
@@ -182,8 +193,8 @@ class Forest:
     that consumes them.
 
     Each tree gets a serial number, its position in `trees`.  A level is
-    filed once complete (the leaves, then each level's glue and pass
-    trees): one `lattice.wall_index` bucket per degree, in the order the
+    filed once complete (the leaves, then each level's glue trees and pass
+    trees or walls): one `lattice.wall_index` bucket per degree, in the order the
     degrees first occur; `ray_hits` asks a bucket which walls a ray meets.
     Nothing reads a level before it is filed: gluing at level n asks only
     lower levels, and a stem of monomial m only levels below |m|.  The
@@ -199,13 +210,21 @@ class Forest:
     tree's root".  Trees, disks and documents come out in the order and
     with the bytes of a linear scan.
 
-    Built with a pivot, the last two levels skip the trees that nothing
-    downstream can use.  On the last level, only the glue trees and pass
-    disks whose walls a pivot ray meets are kept or traced (_feeds_pivot);
-    on the level below, only the pass disks whose walls something can use
-    are traced (pivotwalls.walls_used).  That work is a subset of the full
-    forest's, so a configuration faults only where the full forest does,
-    and may pass where the fault lay only in skipped work.
+    Built with a pivot, a level files one pass wall per (point i, degree
+    D) in place of the pass trees of (i, D), which all lie on it; `_real`
+    traces its disks the first time a stem or a gluing meets it in a way
+    that can make a disk, a tree or a fault.  Three tests made before a
+    wall is traced skip only work that can make no pivot disk: a degree
+    whose candidates all run parallel to its stem (c == 0) files no wall;
+    a stem crossing a wall with |left| > 1 traces it only if a stem from
+    the crossing meets a wall with the marks the wall's point leaves free
+    (`_goes_on`), a superset of what each of its trees leaves free; and a
+    last-level glue tree is kept only if its root feeds the pivot
+    (`_feeds_pivot`).  So every tree built is a tree of the full forest
+    and every fault raised one that it meets: a configuration faults only
+    where the full forest does, may pass where the fault lay in skipped
+    work, and gives the full forest's pivot disks.  Without a pivot, a
+    level traces all its pass disks as it is built.
     """
 
     def __init__(self, fan, config, allowed_mask=None, degree_cap=None):
@@ -217,7 +236,7 @@ class Forest:
         self.cap = tuple(degree_cap) if degree_cap is not None else None
         self.pivot = self.last = None
         self.trees = []
-        self.levels = {}
+        self.levels = {}        # level -> its trees and pass walls
         self._at_level = {}     # filed level -> [(degree, bucket)]
         self._cands = {}        # stem monomial -> [(left, bucket, c)]
         self._r = {}            # exponent vector -> r_vector
@@ -233,26 +252,22 @@ class Forest:
     def build(self, max_level, pivot=None):
         """Trees of levels 1..max_level.  With `pivot`, the point of the
         pivot disks of enumerate_rational_curves (kept for pivot_disks),
-        max_level is the number of allowed marks and the cap is Delta."""
+        max_level is the number of allowed marks, the cap is Delta and the
+        levels file pass walls (see Forest)."""
         if self.levels:
             raise InvariantError("forest already built")
         self.pivot = pivot
         self.last = max_level if pivot is not None else None
-        if pivot is not None:
-            self._feeding = {
-                (1 << i, m) for i in mask_labels(self.allowed)
-                for m in self.degrees(max_level, max_level)
-                if self._feeds_pivot(self.config.points[i], m)}
+        pts = self.config.points
         self.levels[1] = []
         for i in mask_labels(self.allowed):
             for ridx, ray in enumerate(self.rays):
                 if self.cap is not None and self.cap[ridx] < 1:
                     continue
                 deg = tuple(int(j == ridx) for j in range(len(self.rays)))
-                t = Tree(1 << i, deg, self.config.points[i],
-                         (-ray[0], -ray[1]), 1, 1, "leaf", (i, ridx),
-                         ("l", i, ridx))
-                self._add(t, 1)
+                self.levels[1].append(self._add(Tree(
+                    1 << i, deg, pts[i], (-ray[0], -ray[1]), 1, 1, "leaf",
+                    (i, ridx), ("l", i, ridx))))
         self._file(1)
         for n in range(2, max_level + 1):
             self.levels[n] = []
@@ -260,29 +275,46 @@ class Forest:
                 for ta in self.levels[n1]:
                     self._join(ta, n - n1, n)
             degs = self.degrees(n, n)
-            used = None
-            if pivot is not None and n == max_level:
-                used = self._feeding
-            elif pivot is not None and n == max_level - 1:
-                from .pivotwalls import walls_used
-                used = walls_used(self, degs)
-            for i in mask_labels(self.allowed):
-                p, sub = self.config.points[i], self.allowed & ~(1 << i)
-                feeds = [m for m in degs
-                         if used is None or (1 << i, m) in used]
-                for disk in self.disks(p, sub, feeds):
-                    t = Tree(disk.marks | (1 << i), disk.deg, p, disk.u,
-                             disk.w, disk.mult, "pass", (i, disk),
-                             ("p", i, disk.key))
-                    self._add(t, n)
+            if pivot is None:
+                for i in mask_labels(self.allowed):
+                    self.levels[n] += self._pass_trees(i, degs)
+            else:
+                walls = [(D, primitive(self._rvec(D))) for D in degs
+                         if any(c for _, _, c in self._candidates(D))]
+                for i in mask_labels(self.allowed):
+                    self.levels[n] += [
+                        Tree(1 << i, D, pts[i], (-rx, -ry), w, None, "wall",
+                             None, None) for D, ((rx, ry), w) in walls]
             self._file(n)
         self._check_walls_off_points()
         return self.trees
 
-    def _add(self, t, level):
+    def _add(self, t):
         t.serial = len(self.trees)
-        self.levels[level].append(t)
         self.trees.append(t)
+        return t
+
+    def _pass_trees(self, i, degs):
+        """The pass trees of point i of the degrees degs, traced and
+        numbered."""
+        p, disks = self.config.points[i], []
+        for D in degs:
+            self._trace(p, p, D, self.allowed & ~(1 << i), [], disks)
+        return [self._add(Tree(d.marks | 1 << i, d.deg, p, d.u, d.w, d.mult,
+                               "pass", (i, d), ("p", i, d.key)))
+                for d in disks]
+
+    def _real(self, t):
+        """The trees a filed record stands for: a tree itself, a pass wall
+        its trees, traced the first time they are asked for."""
+        if t.kind != "wall":
+            return (t,)
+        if t.parts is None:
+            t.parts = self._pass_trees(t.marks.bit_length() - 1, [t.deg])
+            t.marks = -1        # from now on, the marks all its trees hold
+            for u in t.parts:
+                t.marks &= u.marks
+        return t.parts
 
     def _file(self, level):
         """File a complete level: one wall index per degree."""
@@ -296,10 +328,12 @@ class Forest:
                                  for deg, ts in by_deg.items()]
 
     def _join(self, ta, n2, level):
-        """Glue ta to the level-n2 trees its out-ray crosses."""
+        """Glue ta to the level-n2 trees its out-ray crosses.  A pass wall
+        on either side stands for its trees, traced only once a crossing
+        can make a glue tree or a fault."""
         X, r = ta.base, ta.out
         xr, same = wedge(X, r), 2 * n2 == level
-        found = []          # (tb serial, fault reason or (tb, deg, d, c))
+        found = []          # (tb, fault reason or (deg, root, c))
         for deg_b, bucket in self._at_level[n2]:
             c = wedge(r, bucket[2])
             walls = ray_hits(bucket, X, r, c, xr, ta.marks)
@@ -308,43 +342,46 @@ class Forest:
             deg = tuple(a + b for a, b in zip(ta.deg, deg_b))
             over = self.cap and any(x > y for x, y in zip(deg, self.cap))
             for tb, d, e in walls:
-                if same and ta.key >= tb.key:
-                    continue
                 if not c:
                     if X != tb.base and (on_ray(tb.base, X, r)
                                          or on_ray(X, tb.base, tb.out)):
-                        found.append((tb.serial,
-                                      "collinear overlapping tree rays"))
+                        found.append((tb, "collinear overlapping tree rays"))
                 elif not (d or e):
                     continue        # shared root, contracted gluing
                 elif d and e:
-                    if not over:
-                        found.append((tb.serial, (tb, deg, d, c)))
+                    if over:
+                        continue
+                    root = hshift(X, d, X[2] * tb.base[2] * c, r)
+                    if level != self.last or self._feeds_pivot(root, deg):
+                        found.append((tb, (deg, root, c)))
                 else:
-                    found.append((tb.serial,
-                                  "tree ray through another tree's root"))
-        found.sort()        # by tb serial, which is unique
-        for _, hit in found:
-            if isinstance(hit, str):
-                raise GenericityError(hit)
-            tb, deg, d, c = hit
-            root = hshift(X, d, X[2] * tb.base[2] * c, r)
-            if level == self.last and not self._feeds_pivot(root, deg):
-                continue
-            rv = self._rvec(deg)
-            out, w = primitive((-rv[0], -rv[1]))
-            ka, kb = sorted((ta.key, tb.key))
-            mult = ta.mult * tb.mult * ta.w * tb.w * abs(c)
-            self._add(Tree(ta.marks | tb.marks, deg, root, out, w, mult,
-                           "glue", (ta, tb), ("g", ka, kb)), level)
+                    found.append((tb, "tree ray through another tree's root"))
+        if not found:
+            return
+        for a in self._real(ta):
+            for _, b, hit in sorted(
+                    (b.serial, b, hit) for tb, hit in found
+                    for b in self._real(tb)
+                    if not (a.marks & b.marks or same and a.key >= b.key)):
+                if isinstance(hit, str):
+                    raise GenericityError(hit)
+                deg, root, c = hit
+                rv = self._rvec(deg)
+                out, w = primitive((-rv[0], -rv[1]))
+                ka, kb = sorted((a.key, b.key))
+                mult = a.mult * b.mult * a.w * b.w * abs(c)
+                self.levels[level].append(self._add(Tree(
+                    a.marks | b.marks, deg, root, out, w, mult, "glue",
+                    (a, b), ("g", ka, kb))))
 
     def _check_walls_off_points(self):
         """Raise the fault of the lowest tree serial, then the lowest point
         index, whose wall passes through a marked point other than its
         root."""
-        faults = [(t.serial, j) for bucket in self._buckets()
+        faults = [(u.serial, j) for bucket in self._buckets()
                   for j, p in enumerate(self.config.points)
-                  for t in walls_through(bucket, p) if t.base != p]
+                  for t in walls_through(bucket, p) if t.base != p
+                  for u in self._real(t)]
         if faults:
             raise GenericityError(
                 "tree wall passes through point %d" % min(faults)[1])
@@ -440,10 +477,17 @@ class Forest:
                     reason = "stem hits a tree wall at its root"
                 else:
                     V = hshift(X, d, X[2] * t.base[2] * c, r)
-                    hits.append((t.serial, V, t, left))
+                    if t.kind != "wall":
+                        hits.append((t.serial, V, t, left))
+                    elif (t.parts is not None or sum(left) == 1
+                          or self._goes_on(V, left, rmask & ~t.marks)):
+                        hits += [(u.serial, V, u, left) for u in self._real(t)
+                                 if not u.marks & skip]
                     continue
-                if fault is None or t.serial < fault[0]:
-                    fault = (t.serial, reason)
+                for u in self._real(t):
+                    if not u.marks & skip and (fault is None
+                                               or u.serial < fault[0]):
+                        fault = (u.serial, reason)
         if fault is not None:
             raise GenericityError(fault[1])
         hits.sort()         # by serial, which is unique
@@ -459,6 +503,14 @@ class Forest:
             steps.append((V, t, m))
             self._trace(X0, V, left, rmask & ~t.marks, steps, out)
             steps.pop()
+
+    def _goes_on(self, X, m, rmask):
+        """Does the stem X + s*r(m) meet a wall with no mark outside
+        rmask?  If not, a stem carrying m from X bends nowhere."""
+        r = self._rvec(m)
+        xr, skip = wedge(X, r), ~rmask
+        return any(ray_hits(bucket, X, r, c, xr, skip)
+                   for _, bucket, c in self._candidates(m))
 
     def _emit(self, X0, m, steps, out):
         ridx = m.index(1)

@@ -472,17 +472,16 @@ class ConsistencyReport:
 
     def __init__(self, rows):
         self.rows = tuple(rows)
-        self.ok = all(ident for _, marked, ident, _ in self.rows
-                      if not marked)
+        self.ok = not self.failures()
 
     def failures(self):
+        """The rows of unmarked points whose loop is not the identity."""
         return [r for r in self.rows if not r[1] and not r[2]]
 
     def __repr__(self):
-        bad = len(self.failures())
         return ("ConsistencyReport(%d singular points, %s)"
-                % (len(self.rows), "ok" if self.ok and not bad
-                   else "%d failures" % bad))
+                % (len(self.rows), "ok" if self.ok
+                   else "%d failures" % len(self.failures())))
 
 
 def check_consistency(diagram):

@@ -4,7 +4,7 @@ The only place in the package where rationals become decimals; every
 coordinate is printed with 6 fixed digits, so output is byte-stable.
 """
 
-from .jsonio import parse_point
+from .jsonio import parse_point, schema_id
 from .lattice import InvariantError
 
 SIZE = 640.0
@@ -169,14 +169,16 @@ def _render_decomposition(doc):
     return board.emit()
 
 
+_RENDER = {
+    schema_id("count"): _render_count,
+    schema_id("diagram"): _render_diagram,
+    schema_id("potential"): lambda doc: _render_diagram(doc, extra=True),
+    schema_id("decomposition"): _render_decomposition,
+}
+
+
 def render_doc(doc):
     kind = doc.get("schema", "")
-    if kind == "tropenum/count/1":
-        return _render_count(doc)
-    if kind == "tropenum/diagram/1":
-        return _render_diagram(doc)
-    if kind == "tropenum/potential/1":
-        return _render_diagram(doc, extra=True)
-    if kind == "tropenum/decomposition/1":
-        return _render_decomposition(doc)
-    raise InvariantError("schema %r has no SVG renderer" % (kind,))
+    if kind not in _RENDER:
+        raise InvariantError("schema %r has no SVG renderer" % (kind,))
+    return _RENDER[kind](doc)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from reference import ref_maslov_index
-from tropenum import bruteforce, cli, enumeration, lattice, pivotwalls
+from tropenum import bruteforce, cli, enumeration, lattice
 from tropenum.bruteforce import bruteforce_rational_curves
 from tropenum.enumeration import (Forest, PointConfig, build_forest,
                                   disk_to_curve, enumerate_maslov0_trees,
@@ -209,27 +209,29 @@ def test_cubic_count_single_seed():
 
 
 def test_cubic_count_work_stays_pruned(monkeypatch):
-    """Crossing-kernel calls and point builds of one P2 cubic count.
+    """Crossing-kernel calls, point builds and pass walls traced of one
+    P2 cubic count.
 
     The forest settles the signs of every crossing in integers on the
     offset-sorted slice of a bucket, so it never calls ray_params; it
     builds a point with hshift only for a hit, and tries on_segment and
     on_ray only on points on a stem's or a wall's line other than its
     start, where a strict test is always False.  The count traces only
-    the disks that can pair: on the last two levels the pass disks whose
-    trees something downstream can use, and the large side of a pivot
-    pair only for a small side found.  On seed 1 that is 0 ray_params
-    calls, 22,872 ray_hits calls (the filter of the level below the last
-    included), 5,527 hshift calls and no on_segment or on_ray call;
-    filtering the last level alone made 30,020 ray_hits calls and 7,480
-    hshift calls, tracing every disk made 47,270 ray_hits calls and 11,702
-    hshift calls, and trying the starts too made 767 on_segment calls and
-    581 on_ray calls.
+    the disks that can pair: a pass wall's disks when a stem or a gluing
+    first meets the wall, and the large side of a pivot pair only for a
+    small side found.  On seed 1 that is 0 ray_params calls, 20,066
+    ray_hits calls, 4,472 hshift calls and no on_segment or on_ray call,
+    and of the (point, degree) pass walls of levels 2-7, 21 of 21, 42 of
+    42, 69 of 84, 62 of 84, 9 of 63 and 7 of 42 traced.  Filtering the
+    last two levels as a whole made 22,872 ray_hits calls and 5,527
+    hshift calls, filtering the last level alone 30,020 and 7,480,
+    tracing every disk 47,270 and 11,702, and trying the starts too made
+    767 on_segment calls and 581 on_ray calls.
     With ray_params behind an integer side test the same count made 94,324
     ray_params calls, 13,552 on_segment calls and 6,738 on_ray calls; with
     no side test, 245,864 ray_params calls and 35,417 hshift calls.  The
-    lattice and pivotwalls bindings are counted too, so a return to
-    ray_params or ray_intersect shows here.
+    lattice bindings are counted too, so a return to ray_params or
+    ray_intersect shows here.
     """
     calls = collections.Counter()
 
@@ -242,16 +244,30 @@ def test_cubic_count_work_stays_pruned(monkeypatch):
     for name in ("ray_params", "ray_hits", "hshift", "on_segment",
                  "on_ray"):
         fn = getattr(lattice, name)
-        for mod in (enumeration, lattice, pivotwalls):
+        for mod in (enumeration, lattice):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, counted(name, fn))
+    forests = []
+    pivot_disks = Forest.pivot_disks
+
+    def kept(self):
+        forests.append(self)
+        return pivot_disks(self)
+
+    monkeypatch.setattr(Forest, "pivot_disks", kept)
     rep = run_count(P2, (3, 3, 3), seed=1)
     assert (rep.n_trop, rep.w_trop) == (12, 8)
     assert calls["ray_params"] == 0
-    assert calls["ray_hits"] == 22872
-    assert calls["hshift"] <= 5527
+    assert calls["ray_hits"] == 20066
+    assert calls["hshift"] <= 4472
     assert calls["on_segment"] == 0
     assert calls["on_ray"] == 0
+    walls = {n: [t for t in ts if t.kind == "wall"]
+             for n, ts in forests[-1].levels.items()}
+    assert {n: (sum(t.parts is not None for t in ws), len(ws))
+            for n, ws in walls.items() if ws} == {
+        2: (21, 21), 3: (42, 42), 4: (69, 84), 5: (62, 84), 6: (9, 63),
+        7: (7, 42)}
 
 
 @pytest.mark.slow
