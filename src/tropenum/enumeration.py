@@ -21,11 +21,13 @@ every valid pair assembles to a solution and the enumeration is a pairing of
 pivot disks.  Any coincidence that only happens on a measure-zero set of
 configurations raises GenericityError and the caller resamples.
 
-A count traces only what its pivot disks can reach: a pass disk when a
-stem or a gluing first meets its wall, a last-level glue tree whose root
-feeds the pivot (see Forest), and at the pivot the disks that can pair
-(Forest.pivot_disks).  That work is a subset of the full forest's, and
-what it skips can make no pivot disk, so a configuration faults only
+Every forest files the pass trees of one point and degree on their one
+wall (see Forest), and one without a pivot traces each wall as its level
+completes.  A count traces only what its pivot disks can reach: a pass
+disk when a stem or a gluing first meets its wall, a last-level glue
+tree whose root feeds the pivot, and at the pivot the disks that can
+pair (Forest.pivot_disks).  That work is a subset of the full forest's,
+and what it skips can make no pivot disk, so a configuration faults only
 where the full forest does and, where both succeed, gives the same
 solutions; a fault in work the count skips no longer rejects a
 configuration.  CountReport finishes this count and bruteforce's alike.
@@ -143,12 +145,12 @@ class Tree:
     kn = wedge(base, out) on the homogeneous root, the numerator of the
     wall's offset kn / base.w (see lattice.ray_hits).
 
-    A record of kind "wall" is a pass wall that a forest with a pivot
-    files for the pass trees of point i and degree deg: their root and out
-    direction, no serial, and in parts the trees once traced
-    (Forest._real).  Its marks are those all its trees hold: 1 << i, then,
-    once traced, their intersection (-1, every mark, if none), so ray_hits
-    skips it for a ray that can use none of them.
+    A record of kind "wall" is a pass wall that a forest files for the
+    pass trees of point i and degree deg: their root and out direction,
+    no serial, and in parts the trees once traced (Forest._real).  Its
+    marks are those all its trees hold: 1 << i, then, once traced, their
+    intersection (-1, every mark, if none), so ray_hits skips it for a ray
+    that can use none of them.
     """
 
     # a forest holds thousands of trees: no per-instance dict
@@ -194,7 +196,7 @@ class Forest:
 
     Each tree gets a serial number, its position in `trees`.  A level is
     filed once complete (the leaves, then each level's glue trees and pass
-    trees or walls): one `lattice.wall_index` bucket per degree, in the order the
+    walls): one `lattice.wall_index` bucket per degree, in the order the
     degrees first occur; `ray_hits` asks a bucket which walls a ray meets.
     Nothing reads a level before it is filed: gluing at level n asks only
     lower levels, and a stem of monomial m only levels below |m|.  The
@@ -210,21 +212,24 @@ class Forest:
     tree's root".  Trees, disks and documents come out in the order and
     with the bytes of a linear scan.
 
-    Built with a pivot, a level files one pass wall per (point i, degree
-    D) in place of the pass trees of (i, D), which all lie on it; `_real`
-    traces its disks the first time a stem or a gluing meets it in a way
-    that can make a disk, a tree or a fault.  Three tests made before a
-    wall is traced skip only work that can make no pivot disk: a degree
-    whose candidates all run parallel to its stem (c == 0) files no wall;
-    a stem crossing a wall with |left| > 1 traces it only if a stem from
-    the crossing meets a wall with the marks the wall's point leaves free
-    (`_goes_on`), a superset of what each of its trees leaves free; and a
-    last-level glue tree is kept only if its root feeds the pivot
+    Each level files one pass wall per (point i, degree D) in place of
+    the pass trees of (i, D), which all lie on it; `_real` traces its
+    disks once.  A degree whose candidates all run parallel to its stem
+    (c == 0) files no wall: the stem bends nowhere, and a wall it runs
+    along is a parallel leaf that already faulted at level 2 with the
+    leaf of the same ray at the stem's point.  Without a pivot, a level
+    traces its walls in filing order before it is filed and drops those
+    with no tree.  With one, `_real` traces a wall the first time a stem
+    or a gluing meets it in a way that can make a disk, a tree or a
+    fault, and two more tests skip only work that can make no pivot
+    disk: a stem crossing a wall with |left| > 1 traces it only if a stem
+    from the crossing meets a wall with the marks the wall's point leaves
+    free (`_goes_on`), a superset of what each of its trees leaves free;
+    and a last-level glue tree is kept only if its root feeds the pivot
     (`_feeds_pivot`).  So every tree built is a tree of the full forest
     and every fault raised one that it meets: a configuration faults only
     where the full forest does, may pass where the fault lay in skipped
-    work, and gives the full forest's pivot disks.  Without a pivot, a
-    level traces all its pass disks as it is built.
+    work, and gives the full forest's pivot disks.
     """
 
     def __init__(self, fan, config, allowed_mask=None, degree_cap=None):
@@ -250,10 +255,11 @@ class Forest:
     # -- Maslov-0 trees ----------------------------------------------------
 
     def build(self, max_level, pivot=None):
-        """Trees of levels 1..max_level.  With `pivot`, the point of the
-        pivot disks of enumerate_rational_curves (kept for pivot_disks),
-        max_level is the number of allowed marks, the cap is Delta and the
-        levels file pass walls (see Forest)."""
+        """Trees of levels 1..max_level, with pass walls (see Forest).
+        With `pivot`, the point of the pivot disks of
+        enumerate_rational_curves (kept for pivot_disks), max_level is the
+        number of allowed marks, the cap is Delta and walls are traced when
+        first met; without, as each level completes."""
         if self.levels:
             raise InvariantError("forest already built")
         self.pivot = pivot
@@ -274,17 +280,15 @@ class Forest:
             for n1 in range(1, n // 2 + 1):
                 for ta in self.levels[n1]:
                     self._join(ta, n - n1, n)
-            degs = self.degrees(n, n)
+            walls = [(D, primitive(self._rvec(D)))
+                     for D in self.degrees(n, n)
+                     if any(c for _, _, c in self._candidates(D))]
+            for i in mask_labels(self.allowed):
+                self.levels[n] += [
+                    Tree(1 << i, D, pts[i], (-rx, -ry), w, None, "wall",
+                         None, None) for D, ((rx, ry), w) in walls]
             if pivot is None:
-                for i in mask_labels(self.allowed):
-                    self.levels[n] += self._pass_trees(i, degs)
-            else:
-                walls = [(D, primitive(self._rvec(D))) for D in degs
-                         if any(c for _, _, c in self._candidates(D))]
-                for i in mask_labels(self.allowed):
-                    self.levels[n] += [
-                        Tree(1 << i, D, pts[i], (-rx, -ry), w, None, "wall",
-                             None, None) for D, ((rx, ry), w) in walls]
+                self.levels[n] = [t for t in self.levels[n] if self._real(t)]
             self._file(n)
         self._check_walls_off_points()
         return self.trees
@@ -294,12 +298,10 @@ class Forest:
         self.trees.append(t)
         return t
 
-    def _pass_trees(self, i, degs):
-        """The pass trees of point i of the degrees degs, traced and
-        numbered."""
-        p, disks = self.config.points[i], []
-        for D in degs:
-            self._trace(p, p, D, self.allowed & ~(1 << i), [], disks)
+    def _pass_trees(self, wall):
+        """The pass trees on a pass wall, traced and numbered."""
+        i, p, disks = wall.marks.bit_length() - 1, wall.base, []
+        self._trace(p, p, wall.deg, self.allowed & ~(1 << i), [], disks)
         return [self._add(Tree(d.marks | 1 << i, d.deg, p, d.u, d.w, d.mult,
                                "pass", (i, d), ("p", i, d.key)))
                 for d in disks]
@@ -310,7 +312,7 @@ class Forest:
         if t.kind != "wall":
             return (t,)
         if t.parts is None:
-            t.parts = self._pass_trees(t.marks.bit_length() - 1, [t.deg])
+            t.parts = self._pass_trees(t)
             t.marks = -1        # from now on, the marks all its trees hold
             for u in t.parts:
                 t.marks &= u.marks

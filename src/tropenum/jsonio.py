@@ -29,13 +29,6 @@ def schema_id(kind):
     return "tropenum/%s/1" % kind
 
 
-def fmt_q(x):
-    f = Fraction(x)
-    if f.denominator == 1:
-        return "%d" % f.numerator
-    return "%d/%d" % (f.numerator, f.denominator)
-
-
 def parse_q(s):
     if not isinstance(s, str):
         raise InvariantError("rational must be a string, got %r" % (s,))
@@ -43,14 +36,14 @@ def parse_q(s):
     if slash and not (den and int(den)):
         raise InvariantError("rational %r needs a nonzero denominator" % s)
     value = Fraction(int(num), int(den) if slash else 1)
-    if fmt_q(value) != s:
+    if _fmt_ratio(value.numerator, value.denominator) != s:
         raise InvariantError("rational %r is not \"p\" or \"p/q\" in lowest "
                              "terms" % s)
     return value
 
 
 def _fmt_ratio(num, den):
-    """fmt_q of num/den, den > 0."""
+    """num/den as "p" or "p/q" in lowest terms, den > 0."""
     g = gcd(num, den)
     if g == den:
         return "%d" % (num // g)
@@ -210,9 +203,9 @@ def element_doc(elem):
     terms = []
     for (m, mask), c in sorted(elem.terms.items(), key=lambda kv: (
             kv[0][0], mask_labels(kv[0][1]))):
-        terms.append({"coeff": fmt_q(c), "z": list(m),
+        terms.append({"coeff": "%d" % c, "z": list(m),
                       "u": [i + 1 for i in mask_labels(mask)]})
-    return {"y0": fmt_q(elem.y0), "terms": terms}
+    return {"y0": "%d" % elem.y0, "terms": terms}
 
 
 def diagram_doc(fan, config, diagram, report):
@@ -251,7 +244,7 @@ def potential_doc(fan, config, diagram, report, W):
             segs.append({
                 "start": None if a is None else fmt_point(a),
                 "end": fmt_point(b),
-                "coeff": fmt_q(c),
+                "coeff": "%d" % c,
                 "u": [i + 1 for i in mask_labels(mask)],
                 "z": list(m),
             })

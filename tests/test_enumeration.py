@@ -270,6 +270,28 @@ def test_cubic_count_work_stays_pruned(monkeypatch):
         7: (7, 42)}
 
 
+def test_uncapped_forest_files_pass_walls(monkeypatch):
+    """The uncapped P2 forest of `trees --k 5 --seed 1` files the pass
+    trees of each (point, degree) on one wall, as a count's forest does:
+    its 204 trees sit in 185 bucket entries, 31 of them walls, and it
+    makes 2,898 ray_hits calls.  Filing each pass tree by itself made 204
+    entries and 3,030 calls."""
+    calls = collections.Counter()
+    ray_hits = lattice.ray_hits
+
+    def counted(*args):
+        calls["ray_hits"] += 1
+        return ray_hits(*args)
+
+    monkeypatch.setattr(enumeration, "ray_hits", counted)
+    forest = build_forest(P2, sample_generic_points(5, 1))
+    entries = [t for b in forest._buckets() for t in b[1]]
+    assert len(forest.trees) == 204
+    assert len(entries) == 185
+    assert sum(t.kind == "wall" for t in entries) == 31
+    assert calls["ray_hits"] == 2898
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", [1, 2])
 def test_quartic_count(seed):

@@ -4,6 +4,12 @@ ScanForest is the reference: it files trees in one list, recomputes
 r_vector every time, glues every (ta, tb) pair of levels in a plain double
 loop, traces every pass disk of every level, and at each stem step scans
 every tree in order, exactly as the forest did before the degree index.
+It numbers the pass trees of each (point, degree) as that degree's trace
+ends, as Forest numbers a pass wall's trees, so the trees built before a
+fault agree too.  It also traces the degrees whose stem no candidate
+crosses, which Forest files no wall for: such a stem can meet only
+leaves parallel to it, and a leaf it runs along already faulted as a
+collinear pair at level 2.
 Its gluing, its disk check and its wall check against the marked points
 are the plain versions: the crossing point built by ray_intersect before
 the sign, root and cap tests, and on_segment and on_ray tried on every
@@ -79,12 +85,13 @@ class ScanForest(Forest):
                 if not (self.allowed >> i) & 1:
                     continue
                 sub = self.allowed & ~(1 << i)
-                for disk in self.disks(self.config.points[i], sub,
-                                       self.degrees(n, n)):
-                    t = Tree(disk.marks | (1 << i), disk.deg,
-                             self.config.points[i], disk.u, disk.w, disk.mult,
-                             "pass", (i, disk), ("p", i, disk.key))
-                    self.levels[n].append(self._add(t))
+                for D in self.degrees(n, n):
+                    for disk in self.disks(self.config.points[i], sub, [D]):
+                        t = Tree(disk.marks | (1 << i), disk.deg,
+                                 self.config.points[i], disk.u, disk.w,
+                                 disk.mult, "pass", (i, disk),
+                                 ("p", i, disk.key))
+                        self.levels[n].append(self._add(t))
         self._check_walls_off_points()
         return self.trees
 
@@ -443,6 +450,7 @@ def test_levels_are_filed_once_complete(monkeypatch):
     buckets hold exactly its entries, so nothing joined it later, and
     every tree, pass trees traced after their level was filed included,
     is an entry of a filed level or a tree kept on a filed pass wall.
+    Without a pivot, every filed pass wall is traced and holds a tree.
     Serials are positions in Forest.trees.  On the P2 cubic count, the
     uncapped P2 forest with k = 4, and the dP6 anticanonical count."""
     file_level = Forest._file
@@ -467,6 +475,10 @@ def test_levels_are_filed_once_complete(monkeypatch):
             reached.update(id(u) for t in entries if t.kind == "wall"
                            for u in t.parts or ())
         assert {id(t) for t in forest.trees} <= reached
+        if forest.pivot is None:
+            walls = [t for ts in forest.levels.values() for t in ts
+                     if t.kind == "wall"]
+            assert walls and all(t.parts for t in walls)
         assert [t.serial for t in forest.trees] == list(
             range(len(forest.trees)))
     assert len(set(forests)) >= 3

@@ -60,6 +60,9 @@ def sweep():
             for cmd in ("scatter", "potential"):
                 cases.append([[cmd] + base + ["--out", "doc.json"],
                               ["render", "doc.json", "doc.svg"]])
+    # walls that hold several pass trees each
+    for cmd in ("trees", "disks"):
+        cases.append([[cmd, "--fan", "p2", "--k", "5", "--seed", "1"]])
     cases += [[["count", "--degree", "0"]],
               [["count", "--fan", "nosuchfan", "--degree", "1"]],
               [["potential", "--k", "2", "--q", "1/2"]],
