@@ -13,13 +13,16 @@ translate of the fan at every marked point, generates a polyhedral
 decomposition of the plane.  That decomposition can be rescaled to an
 integral one and coned off to a fan in one dimension higher whose
 height-1 slice returns the decomposition and whose height-0 subfan is
-the surface fan.  The global half imports `arrangement` where it uses it,
-so a process that only checks Phi does not load the overlay.
+the surface fan.  That every solution lies in the 1-skeleton is checked
+on the decomposition's own edges: each curve edge must be a chain of them,
+walked from its start vertex.  The global half imports `arrangement`
+where it uses it, so a process that only checks Phi does not load the
+overlay.
 """
 
 from math import lcm
 
-from .lattice import eliminate, exact_shift, hnorm, primitive, rot90
+from .lattice import eliminate, hnorm, primitive, rot90
 from .tropcurve import InvariantError, mikhalkin_multiplicity
 
 
@@ -250,71 +253,6 @@ def build_decomposition(curves, fan, points):
     return PolyDecomp(cx.vertices, cx.edges, cx.faces, points)
 
 
-def _edges_by_line(pd):
-    """line_key -> the decomposition edges on that line, each as
-    (position of its start, position of its end or None for a ray, the
-    ray direction or None for a segment), positions as arrangement's
-    (num, den) pairs."""
-    from .arrangement import line_coord, line_key
-    index = {}
-    for e in pd.edges:
-        va = pd.vertices[e[1]]
-        if e[0] == "seg":
-            vb = pd.vertices[e[2]]
-            key = line_key(va, e[3])
-            span = (line_coord(key, va), line_coord(key, vb), None)
-        else:
-            key = line_key(va, e[2])
-            span = (line_coord(key, va), None, e[2])
-        index.setdefault(key, []).append(span)
-    return index
-
-
-def _cover_query(index, A, B, d):
-    """Do the decomposition edges (index: _edges_by_line) tile the segment
-    A-B or, when B is None, the ray from A?  d is the piece's direction.
-
-    Works on exact integer keys of the positions, oriented along the
-    query, so one upward sweep covers both cases; None stands for the
-    infinite end.
-    """
-    from .arrangement import line_coord, line_dir, line_key
-    dp, _ = primitive(d)
-    key = line_key(A, dp)
-    sign = 1 if dp == line_dir(key) else -1
-    edges = index.get(key, ())
-    K = exact_shift([P[2] for P in (A, B) if P is not None]
-                    + [t[1] for e in edges for t in e[:2] if t is not None])
-
-    def at(pos):
-        return (sign * pos[0] << K) // pos[1]
-
-    sa = at(line_coord(key, A))
-    sb = at(line_coord(key, B)) if B is not None else None
-    if sb is not None and sb < sa:
-        sa, sb = sb, sa
-    spans = []
-    for t1, t2, rdir in edges:
-        t1 = at(t1)
-        if rdir is None:
-            t2 = at(t2)
-            spans.append((min(t1, t2), max(t1, t2)))
-        elif rdir == dp:
-            spans.append((t1, None))
-        else:
-            spans.append((None, t1))
-    cur = sa
-    for lo, hi in sorted(spans,
-                         key=lambda s: (0, 0) if s[0] is None else (1, s[0])):
-        if lo is not None and lo > cur:
-            break
-        if hi is None:
-            return True
-        if hi > cur:
-            cur = hi
-    return sb is not None and cur >= sb
-
-
 def properties_report(pd, curves, fan):
     """The five decomposition properties, each tested directly.
 
@@ -323,17 +261,38 @@ def properties_report(pd, curves, fan):
     3. everything in sight is rational,
     4. every cell has at least one vertex,
     5. every cell's recession cone is a cone of the fan.
+
+    `curves` are the solutions `pd` was built from, so their vertices are
+    vertices of `pd`.  A curve edge A -> B along d lies in the skeleton
+    when the chain of `pd` edges leaving A along d reaches B; a curve ray,
+    when that chain ends on a ray.
     """
-    index = _edges_by_line(pd)
-    ok1 = True
-    for c in curves:
-        for i, j, w, d in c.bedges:
-            ok1 = ok1 and _cover_query(index, c.vertices[i], c.vertices[j],
-                                       d)
-        for i, d, w in c.uedges:
-            ok1 = ok1 and _cover_query(index, c.vertices[i], None, d)
-    vset = set(pd.vertices)
-    ok2 = all(p in vset for p in pd.points)
+    vid = {v: k for k, v in enumerate(pd.vertices)}
+    step = {}       # (vertex, primitive direction) -> far vertex, None: a ray
+    for e in pd.edges:
+        if e[0] == "seg":
+            d = e[3]
+            step[e[1], d] = e[2]
+            step[e[2], (-d[0], -d[1])] = e[1]
+        else:
+            step[e[1], e[2]] = None
+
+    def chain(A, B, d):
+        # from vertex A along d to vertex B, or to infinity when B is None
+        v = vid.get(A)
+        end = None if B is None else vid.get(B, -1)
+        d, _ = primitive(d)
+        while v is not None and (v, d) in step:
+            v = step[v, d]
+            if v == end:
+                return True
+        return False
+
+    ok1 = all(chain(c.vertices[i], c.vertices[j], d)
+              for c in curves for i, j, w, d in c.bedges) and \
+        all(chain(c.vertices[i], None, d)
+            for c in curves for i, d, w in c.uedges)
+    ok2 = all(p in vid for p in pd.points)
     ok3 = all(isinstance(t, int) for v in pd.vertices for t in v) and \
         all(v[2] > 0 for v in pd.vertices)
     ok4 = all(len(f[1]) >= 1 for f in pd.faces)

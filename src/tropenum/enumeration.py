@@ -83,10 +83,15 @@ def sample_generic_points(k, seed, attempt=0):
     and the large pairwise-coprime denominators keep accidental rational
     collinearities rare.  The point (n1/p, n2/q) is the triple
     (n1*q, n2*p, p*q), already in lowest terms.  Deterministic in
-    (seed, attempt).
+    (seed, attempt).  The range holds 1,061 primes, so k is at most 530;
+    a larger k raises ValueError.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
+    if 2 * k > len(_PRIMES):
+        raise ValueError("k = %d points need %d distinct prime denominators; "
+                         "at most %d points can be sampled"
+                         % (k, 2 * k, len(_PRIMES) // 2))
     rng = random.Random(seed * 0x9E3779B97F4A7C15 + attempt)
     lo, hi = BBOX
     denoms = rng.sample(_PRIMES, 2 * k) if k else []
@@ -497,8 +502,8 @@ class Forest:
         for _, V, t, _ in hits:
             by_point.setdefault(V, []).append(t)
         for ts in by_point.values():
-            if len(ts) > 1 and any(wedge(a.out, b.out)
-                                   for a, b in combinations(ts, 2)):
+            # outs are nonzero, so all are parallel when all are to the first
+            if any(wedge(ts[0].out, t.out) for t in ts[1:]):
                 raise GenericityError("two transversal walls cross the stem "
                                       "at one point")
         for _, V, t, left in hits:

@@ -29,16 +29,22 @@ def schema_id(kind):
     return "tropenum/%s/1" % kind
 
 
+_NOT_PQ = "rational %r is not \"p\" or \"p/q\" in lowest terms"
+
+
 def parse_q(s):
     if not isinstance(s, str):
         raise InvariantError("rational must be a string, got %r" % (s,))
     num, slash, den = s.partition("/")
-    if slash and not (den and int(den)):
+    try:
+        num, den = int(num), int(den or 0) if slash else 1
+    except ValueError:
+        raise InvariantError(_NOT_PQ % s) from None
+    if not den:
         raise InvariantError("rational %r needs a nonzero denominator" % s)
-    value = Fraction(int(num), int(den) if slash else 1)
+    value = Fraction(num, den)
     if _fmt_ratio(value.numerator, value.denominator) != s:
-        raise InvariantError("rational %r is not \"p\" or \"p/q\" in lowest "
-                             "terms" % s)
+        raise InvariantError(_NOT_PQ % s)
     return value
 
 

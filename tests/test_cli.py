@@ -134,6 +134,14 @@ def test_degree_zero_names_the_degree():
     assert p.stderr.decode() == "error: degree too small: no marked points\n"
 
 
+def test_too_many_points_names_the_limit():
+    p = run_cli("trees", "--k", "531")
+    err = p.stderr.decode()
+    assert p.returncode == 1
+    assert "Traceback" not in err
+    assert "at most 530 points can be sampled" in err
+
+
 def test_bad_endpoint_exits_one():
     for q in ("1/0,2", "1", "1,2,3", "x,1"):
         p = run_cli("potential", "--k", "1", "--q", q)
@@ -210,7 +218,7 @@ def test_render_rejects_malformed_document(tmp_path):
                       # docs/schemas.md: "p" or "p/q" in lowest terms
                       *((COUNT_AT % q, "%r is not \"p\" or \"p/q\"" % q)
                         for q in ("2/4", "1/-2", "3/1", "+3", " 3",
-                                  "1_000"))):
+                                  "1_000", "a", "1/x"))):
         bad.write_text(text)
         p = run_cli("render", str(bad), str(tmp_path / "bad.svg"))
         err = p.stderr.decode()

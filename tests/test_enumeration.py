@@ -38,6 +38,13 @@ def test_sampler_deterministic_and_generic():
         assert -10 < x < 10
 
 
+def test_sampler_names_its_limit():
+    # 2k distinct primes from the 1,061 in [1009, 9973]
+    assert len(sample_generic_points(530, seed=1).points) == 530
+    with pytest.raises(ValueError, match="at most 530 points"):
+        sample_generic_points(531, seed=1)
+
+
 def test_precheck_flags_aligned_pairs():
     pts = [hpoint(Fraction(0), Fraction(0)), hpoint(Fraction(3), Fraction(3))]
     bad = PointConfig(pts, 0, 0, {})

@@ -1,13 +1,16 @@
-"""The integer overlay and coverage check against Fraction reference code.
+"""The integer overlay and the skeleton check against Fraction reference
+code.
 
 `RefOverlay`, `ref_line_key`, `ref_line_coord`, `ref_edges_by_line` and
-`ref_cover_query` are the overlay and the coverage check as they were
-written on Fraction line keys and Fraction positions, with the cell
-orientation a Fraction shoelace sum and the germs at a vertex in the
-Fraction-slope order of `reference.ref_angle_key`.  The program's integer versions must
-give the same complex (vertices, edges with their tags, faces), the same
-properties and the same InvariantError, message and all, on real
-decompositions and on small random arrangements.
+`ref_cover_query` are the overlay and a coverage sweep written on Fraction
+line keys and Fraction positions, with the cell orientation a Fraction
+shoelace sum and the germs at a vertex in the Fraction-slope order of
+`reference.ref_angle_key`.  The program's integer overlay must give the
+same complex (vertices, edges with their tags, faces) and the same
+InvariantError, message and all, on real decompositions and on small
+random arrangements.  Its skeleton check, a walk over the decomposition's
+own edges, must answer as the sweep does, on the real decompositions and
+on each of them with one curve edge dropped.
 """
 
 from fractions import Fraction
@@ -17,13 +20,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference import ref_angle_key
-from tropenum import correspondence
 from tropenum.arrangement import Overlay
-from tropenum.correspondence import build_decomposition, properties_report
+from tropenum.correspondence import (PolyDecomp, build_decomposition,
+                                     properties_report)
 from tropenum.enumeration import run_count
 from tropenum.fan import builtin_fan, make_degree
 from tropenum.lattice import (InvariantError, hdiff, hfrac, hnorm, hpoint,
-                              hshift, primitive, rot90, wedge)
+                              primitive, rot90, wedge)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +364,16 @@ def decompositions():
     return out
 
 
-def test_decompositions_match_reference(decompositions, monkeypatch):
+def skeleton_queries(curves):
+    """The (A, B or None, d) of every curve edge and ray, for
+    ref_cover_query."""
+    return ([(c.vertices[i], c.vertices[j], d)
+             for c in curves for i, j, w, d in c.bedges]
+            + [(c.vertices[i], None, d)
+               for c in curves for i, d, w in c.uedges])
+
+
+def test_decompositions_match_reference(decompositions):
     for fan, curves, points in decompositions:
         pd = build_decomposition(curves, fan, points)
         want = run_overlay(RefOverlay,
@@ -369,58 +381,45 @@ def test_decompositions_match_reference(decompositions, monkeypatch):
         assert want[0] == "ok"
         assert ("ok", pd.vertices, pd.edges, pd.faces) == want
         props = properties_report(pd, curves, fan)
-        with monkeypatch.context() as m:
-            m.setattr(correspondence, "_edges_by_line", ref_edges_by_line)
-            m.setattr(correspondence, "_cover_query", ref_cover_query)
-            assert properties_report(pd, curves, fan) == props
+        index = ref_edges_by_line(pd)
+        assert props["curves_in_skeleton"] == all(
+            ref_cover_query(index, *q) for q in skeleton_queries(curves))
         assert all(props.values())
     assert len(decompositions) >= 50
 
 
-def test_cover_query_matches_reference_off_the_skeleton(decompositions):
-    """Queries the decompositions do not all cover: each curve edge
-    shifted by half a unit, the reversed rays of the fan translates, and
-    each decomposition edge run on by 1/EPS past its end (a segment) or
-    started 1/EPS before its start (a ray), so that a coverage test that
-    rounds positions answers wrong."""
-    queries = 0
-    outcomes = set()
+def test_skeleton_check_matches_reference_without_an_edge(decompositions):
+    """Negative controls: every decomposition with one edge that carries a
+    curve dropped, each such edge in turn.  The walk over the
+    decomposition's edges must give the reference sweep's answer on every
+    control, and some answers must be False.
 
-    def check(A, B, d):
-        nonlocal queries
-        got = correspondence._cover_query(index, A, B, d)
-        assert got == ref_cover_query(ref, A, B, d)
-        outcomes.add(got)
-        queries += 1
-
-    for fan, curves, points in decompositions[::5]:
+    Dropping an edge changes the reference index on its own line only, so
+    a query on another line keeps its answer on the whole decomposition.
+    """
+    outcomes = []
+    for fan, curves, points in decompositions:
         pd = build_decomposition(curves, fan, points)
-        index = correspondence._edges_by_line(pd)
-        ref = ref_edges_by_line(pd)
-        for c in curves:
-            for i, j, w, d in c.bedges:
-                check(c.vertices[i], c.vertices[j], d)
-                check(_shift(c.vertices[i]), _shift(c.vertices[j]), d)
-        for P in pd.points:
-            for r in fan.rays:
-                check(P, None, r)
-                check(P, None, (-r[0], -r[1]))
-        for e in pd.edges:
-            A = pd.vertices[e[1]]
-            if e[0] == "seg":
-                check(A, hshift(pd.vertices[e[2]], 1, EPS, e[3]), e[3])
-            else:
-                check(hshift(A, -1, EPS, e[2]), None, e[2])
-    assert outcomes == {True, False}
-    assert queries > 500
-
-
-EPS = 10 ** 12
-
-
-def _shift(P):
-    X, Y, W = P
-    return hnorm(2 * X + W, 2 * Y, 2 * W)
+        index = ref_edges_by_line(pd)
+        queries = skeleton_queries(curves)
+        keys = [ref_line_key(A, primitive(d)[0]) for A, _, d in queries]
+        whole = [ref_cover_query(index, *q) for q in queries]
+        for k, e in enumerate(pd.edges):
+            if not any(t.startswith("curve:") for t in e[-1]):
+                continue
+            cut = PolyDecomp(pd.vertices, pd.edges[:k] + pd.edges[k + 1:],
+                             pd.faces, pd.points)
+            got = properties_report(cut, curves, fan)["curves_in_skeleton"]
+            [(key, [span])] = ref_edges_by_line(
+                PolyDecomp(pd.vertices, [e], (), ())).items()
+            cut_index = dict(index)
+            cut_index[key] = [t for t in index[key] if t != span]
+            assert got == all(
+                ref_cover_query(cut_index, *q) if qk == key else ok
+                for q, qk, ok in zip(queries, keys, whole))
+            outcomes.append(got)
+    assert False in outcomes
+    assert len(outcomes) > 500
 
 
 # small arrangements: points on a grid of halves, so pieces often share a

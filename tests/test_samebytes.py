@@ -30,6 +30,10 @@ def test_sweep_covers_every_command_and_the_error_exits():
     assert "count --fan p1xp1 --degree 2 --seed 77" in names
     for cmd in ("trees", "disks"):
         assert "%s --fan p2 --k 5 --seed 1" % cmd in names
+    for fan, deg, seed in samebytes.LINES:
+        for cmd in ("phi-check", "degenerate"):
+            assert "%s --fan %s --degree %s --seed %d" % (
+                cmd, fan, deg, seed) in names
 
 
 def test_differences_name_each_stream_and_file():

@@ -41,9 +41,11 @@ def sweep():
                                ("degenerate", ["--rescale"])):
                 cases.append([[cmd] + base + extra + ["--out", "doc.json"],
                               ["render", "doc.json", "doc.svg"]])
+    # one line through one point: the skeleton check walks rays alone
     for fan, deg, seed in LINES:
-        cases.append([["phi-check", "--fan", fan, "--degree", deg,
-                       "--seed", str(seed)]])
+        for cmd in ("phi-check", "degenerate"):
+            cases.append([[cmd, "--fan", fan, "--degree", deg,
+                           "--seed", str(seed)]])
     # -K on P2 and P1xP1 is the cubic and the bidegree (2,2)
     for fan in ("p2", "p1xp1"):
         cases.append([["count", "--fan", fan, "--degree", "anticanonical",
