@@ -23,9 +23,9 @@ configurations raises GenericityError and the caller resamples.
 
 Every forest files the pass trees of one point and degree on their one
 wall (see Forest), and one without a pivot traces each wall as its level
-completes.  A count traces only what its pivot disks can reach: a pass
-disk when a stem or a gluing first meets its wall, a last-level glue
-tree whose root feeds the pivot, and at the pivot the disks that can
+completes.  A count files each crossing of its last level as a wall too,
+and builds only what its pivot disks can reach: a wall's trees when a
+stem or a gluing first meets it, and at the pivot the disks that can
 pair (Forest.pivot_disks).  That work is a subset of the full forest's,
 and what it skips can make no pivot disk, so a configuration faults only
 where the full forest does and, where both succeed, gives the same
@@ -39,7 +39,7 @@ from math import isqrt
 
 from .fan import degree_total, make_degree, r_vector
 from .lattice import (hdiff, hshift, mask_labels, on_line, on_ray,
-                      on_segment, primitive, ray_hits, ray_meets, wall_index,
+                      on_segment, primitive, ray_hits, wall_index,
                       walls_through, wedge)
 from .tropcurve import (GenericityError, InvariantError, ParamTropCurve,
                         TropicalDisk, TropicalTree, canonical_type,
@@ -150,12 +150,13 @@ class Tree:
     kn = wedge(base, out) on the homogeneous root, the numerator of the
     wall's offset kn / base.w (see lattice.ray_hits).
 
-    A record of kind "wall" is a pass wall that a forest files for the
-    pass trees of point i and degree deg: their root and out direction,
-    no serial, and in parts the trees once traced (Forest._real).  Its
-    marks are those all its trees hold: 1 << i, then, once traced, their
-    intersection (-1, every mark, if none), so ray_hits skips it for a ray
-    that can use none of them.
+    A record of kind "wall" (no serial) stands for the trees on its root
+    and out direction, built into parts when first asked for
+    (Forest._real): point i's pass trees of degree deg, or a count's
+    last-level glue trees at one crossing (key: Forest._glue's
+    arguments).  Its marks are those all its trees hold: 1 << i or every
+    allowed mark, then, once built, their intersection (-1, every mark,
+    if none), so ray_hits skips it for a ray that can use none of them.
     """
 
     # a forest holds thousands of trees: no per-instance dict
@@ -200,7 +201,7 @@ class Forest:
     that consumes them.
 
     Each tree gets a serial number, its position in `trees`.  A level is
-    filed once complete (the leaves, then each level's glue trees and pass
+    filed once complete (the leaves, then each level's glue trees and
     walls): one `lattice.wall_index` bucket per degree, in the order the
     degrees first occur; `ray_hits` asks a bucket which walls a ray meets.
     Nothing reads a level before it is filed: gluing at level n asks only
@@ -218,23 +219,24 @@ class Forest:
     with the bytes of a linear scan.
 
     Each level files one pass wall per (point i, degree D) in place of
-    the pass trees of (i, D), which all lie on it; `_real` traces its
-    disks once.  A degree whose candidates all run parallel to its stem
-    (c == 0) files no wall: the stem bends nowhere, and a wall it runs
-    along is a parallel leaf that already faulted at level 2 with the
-    leaf of the same ray at the stem's point.  Without a pivot, a level
-    traces its walls in filing order before it is filed and drops those
-    with no tree.  With one, `_real` traces a wall the first time a stem
-    or a gluing meets it in a way that can make a disk, a tree or a
-    fault, and two more tests skip only work that can make no pivot
-    disk: a stem crossing a wall with |left| > 1 traces it only if a stem
-    from the crossing meets a wall with the marks the wall's point leaves
-    free (`_goes_on`), a superset of what each of its trees leaves free;
-    and a last-level glue tree is kept only if its root feeds the pivot
-    (`_feeds_pivot`).  So every tree built is a tree of the full forest
-    and every fault raised one that it meets: a configuration faults only
-    where the full forest does, may pass where the fault lay in skipped
-    work, and gives the full forest's pivot disks.
+    the pass trees of (i, D), which all lie on it, and a count's last
+    level files each proper crossing of two out-rays as a wall too; the
+    faults a join finds are raised at once.  D files no pass wall when
+    every ray of its support is parallel to r(D): so is every tree out
+    that can deflect its stem (c == 0), the stem bends nowhere, and a
+    wall it runs along is a parallel leaf that already faulted at level 2
+    with the leaf of the same ray at the stem's point.  Without a pivot,
+    a level traces its walls in filing order before it is filed and
+    drops those with no tree.  With one, `_real` builds a wall's trees
+    the first time a stem, a gluing or the check against the marked
+    points meets it in a way that can make a disk, a tree or a fault; a
+    stem crossing a wall with |left| > 1 traces it only if a stem from
+    the crossing meets a wall with the marks the wall's point leaves free
+    (`_goes_on`), a superset of what each of its trees leaves free.  So
+    every tree built is a tree of the full forest and every fault raised
+    one that it meets: a configuration faults only where the full forest
+    does, may pass where the fault lay in skipped work, and gives the
+    full forest's pivot disks.
     """
 
     def __init__(self, fan, config, allowed_mask=None, degree_cap=None):
@@ -246,7 +248,7 @@ class Forest:
         self.cap = tuple(degree_cap) if degree_cap is not None else None
         self.pivot = self.last = None
         self.trees = []
-        self.levels = {}        # level -> its trees and pass walls
+        self.levels = {}        # level -> its trees and walls
         self._at_level = {}     # filed level -> [(degree, bucket)]
         self._cands = {}        # stem monomial -> [(left, bucket, c)]
         self._r = {}            # exponent vector -> r_vector
@@ -285,13 +287,13 @@ class Forest:
             for n1 in range(1, n // 2 + 1):
                 for ta in self.levels[n1]:
                     self._join(ta, n - n1, n)
-            walls = [(D, primitive(self._rvec(D)))
-                     for D in self.degrees(n, n)
-                     if any(c for _, _, c in self._candidates(D))]
+            walls = [(D, self._out(D)) for D in self.degrees(n, n)
+                     if any(x and wedge(ray, self._rvec(D))
+                            for x, ray in zip(D, self.rays))]
             for i in mask_labels(self.allowed):
                 self.levels[n] += [
-                    Tree(1 << i, D, pts[i], (-rx, -ry), w, None, "wall",
-                         None, None) for D, ((rx, ry), w) in walls]
+                    Tree(1 << i, D, pts[i], out, w, None, "wall", None, None)
+                    for D, (out, w) in walls]
             if pivot is None:
                 self.levels[n] = [t for t in self.levels[n] if self._real(t)]
             self._file(n)
@@ -303,6 +305,11 @@ class Forest:
         self.trees.append(t)
         return t
 
+    def _out(self, m):
+        """The primitive direction of -r(m) and its weight."""
+        rx, ry = self._rvec(m)
+        return primitive((-rx, -ry))
+
     def _pass_trees(self, wall):
         """The pass trees on a pass wall, traced and numbered."""
         i, p, disks = wall.marks.bit_length() - 1, wall.base, []
@@ -312,12 +319,13 @@ class Forest:
                 for d in disks]
 
     def _real(self, t):
-        """The trees a filed record stands for: a tree itself, a pass wall
-        its trees, traced the first time they are asked for."""
+        """The trees a filed record stands for: a tree itself, a wall its
+        trees, traced or glued the first time they are asked for."""
         if t.kind != "wall":
             return (t,)
         if t.parts is None:
-            t.parts = self._pass_trees(t)
+            t.parts = (self._pass_trees(t) if t.key is None
+                       else list(self._glue(*t.key)))
             t.marks = -1        # from now on, the marks all its trees hold
             for u in t.parts:
                 t.marks &= u.marks
@@ -335,9 +343,9 @@ class Forest:
                                  for deg, ts in by_deg.items()]
 
     def _join(self, ta, n2, level):
-        """Glue ta to the level-n2 trees its out-ray crosses.  A pass wall
-        on either side stands for its trees, traced only once a crossing
-        can make a glue tree or a fault."""
+        """Glue ta to the level-n2 trees its out-ray crosses; at a count's
+        last level, file each proper crossing as a wall instead.  A wall
+        stands for its trees, built only once needed (`_real`)."""
         X, r = ta.base, ta.out
         xr, same = wedge(X, r), 2 * n2 == level
         found = []          # (tb, fault reason or (deg, root, c))
@@ -359,12 +367,23 @@ class Forest:
                     if over:
                         continue
                     root = hshift(X, d, X[2] * tb.base[2] * c, r)
-                    if level != self.last or self._feeds_pivot(root, deg):
-                        found.append((tb, (deg, root, c)))
+                    hit = (tb, (deg, root, c))
+                    if level == self.last:
+                        self.levels[level].append(Tree(
+                            self.allowed, deg, root, *self._out(deg), None,
+                            "wall", None, (ta, [hit], same)))
+                    else:
+                        found.append(hit)
                 else:
                     found.append((tb, "tree ray through another tree's root"))
-        if not found:
-            return
+        if found:
+            self.levels[level] += self._glue(ta, found, same)
+
+    def _glue(self, ta, found, same):
+        """Yield the glue trees of ta's trees with those of each tb of
+        found, in tb serial order, for the pairs with disjoint marks (and a
+        smaller key first when same): a hit (deg, root, c) glues the pair
+        at root, a fault reason raises."""
         for a in self._real(ta):
             for _, b, hit in sorted(
                     (b.serial, b, hit) for tb, hit in found
@@ -373,13 +392,11 @@ class Forest:
                 if isinstance(hit, str):
                     raise GenericityError(hit)
                 deg, root, c = hit
-                rv = self._rvec(deg)
-                out, w = primitive((-rv[0], -rv[1]))
+                out, w = self._out(deg)
                 ka, kb = sorted((a.key, b.key))
                 mult = a.mult * b.mult * a.w * b.w * abs(c)
-                self.levels[level].append(self._add(Tree(
-                    a.marks | b.marks, deg, root, out, w, mult, "glue",
-                    (a, b), ("g", ka, kb))))
+                yield self._add(Tree(a.marks | b.marks, deg, root, out, w,
+                                     mult, "glue", (a, b), ("g", ka, kb)))
 
     def _check_walls_off_points(self):
         """Raise the fault of the lowest tree serial, then the lowest point
@@ -413,16 +430,6 @@ class Forest:
                 disks += self.disks(self.pivot, self.allowed & ~mask1, [
                     tuple(a - b for a, b in zip(self.cap, m1))])
         return disks
-
-    def _feeds_pivot(self, B, D):
-        """Can a last-level tree of degree D rooted at B bend a pivot disk
-        at the pivot P?  It holds every allowed mark, so only as the single
-        bend of a disk of degree Delta - e_l, left with e_j, whose stem
-        P + s*r(Delta - e_l) = P - s*ray_l (r(Delta) = 0) meets the wall
-        B - t*r(D)."""
-        rx, ry = self._rvec(D)
-        return any(c > x and ray_meets(self.pivot, (-a, -b), B, (-rx, -ry))
-                   for c, x, (a, b) in zip(self.cap, D, self.rays))
 
     def degrees(self, lo, top):
         """The monomials m <= cap (in the box of top when uncapped) with
@@ -526,11 +533,9 @@ class Forest:
         mult = 1
         for V, t, mm in steps:
             marks |= t.marks
-            r_dn = self._rvec(mm)
-            dn, w_dn = primitive((-r_dn[0], -r_dn[1]))
+            dn, w_dn = self._out(mm)
             mult *= t.mult * t.w * w_dn * abs(wedge(t.out, dn))
-        r_fin = self._rvec(m_fin)
-        u, w = primitive((-r_fin[0], -r_fin[1]))
+        u, w = self._out(m_fin)
         verts = [X0] + [V for V, _, _ in steps]
         if len(set(verts)) != len(verts):
             raise GenericityError("disk stem revisits a vertex")

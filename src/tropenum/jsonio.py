@@ -14,7 +14,6 @@ called, so reading or rendering a document loads no engine module.
 
 import json
 
-from fractions import Fraction
 from math import gcd
 
 from .lattice import InvariantError, mask_labels
@@ -42,6 +41,7 @@ def parse_q(s):
         raise InvariantError(_NOT_PQ % s) from None
     if not den:
         raise InvariantError("rational %r needs a nonzero denominator" % s)
+    from fractions import Fraction
     value = Fraction(num, den)
     if _fmt_ratio(value.numerator, value.denominator) != s:
         raise InvariantError(_NOT_PQ % s)

@@ -19,8 +19,8 @@ direction does this ray hit" on the index that `wall_index` alone builds,
 the walls sorted by `offset_key`, settling the signs of both crossing
 parameters in integers, for the Maslov-0 forest (stem tracer, gluing)
 and the scattering diagram (`crossings`, `germs`), which build a point
-with `hshift` only for a hit; `ray_meets` settles the same signs for one
-wall, and `walls_through` asks the same index which walls hold a point.
+with `hshift` only for a hit; `walls_through` asks the same index which
+walls hold a point.
 `mask_labels` writes out the labels of a mark mask, the one form of a
 set of marks from the forest's trees to the ring and the broken lines.
 `ray_params` (the parameters of one pair of lines) and `ray_intersect`
@@ -36,7 +36,6 @@ error types live here too: `GenericityError` means "resample" and
 """
 
 from bisect import bisect_left, bisect_right
-from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
 
@@ -161,6 +160,7 @@ def eliminate(A):
 def hpoint(x, y):
     """The normalized triple of the point (x, y), from two rationals
     (anything Fraction accepts: ints, Fractions, strings "p/q")."""
+    from fractions import Fraction
     fx, fy = Fraction(x), Fraction(y)
     w = fx.denominator * fy.denominator // gcd(fx.denominator, fy.denominator)
     return hnorm(fx.numerator * (w // fx.denominator),
@@ -181,6 +181,7 @@ def hnorm(X, Y, W):
 
 def hfrac(P):
     """Back to a pair of Fractions."""
+    from fractions import Fraction
     X, Y, W = P
     return Fraction(X, W), Fraction(Y, W)
 
@@ -326,15 +327,6 @@ def walls_through(index, P):
                 and (px * bw - bx * pw) * ox + (py * bw - by * pw) * oy >= 0):
             out.append(t)
     return out
-
-
-def ray_meets(X, r, B, o):
-    """Would ray_hits return the wall B + t*o (t >= 0) for the ray X + s*r:
-    does the ray meet it at or beyond its root, or run along its line?"""
-    c = wedge(r, o)
-    d = wedge(B, o) * X[2] - wedge(X, o) * B[2]
-    e = wedge(B, r) * X[2] - wedge(X, r) * B[2]
-    return d * c >= 0 and (c or not d) and e * c >= 0
 
 
 def on_line(P, A, d):

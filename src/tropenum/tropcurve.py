@@ -16,7 +16,6 @@ weight is 0 for even multiplicity m and (-1)^((m-1)/2) otherwise.
 """
 
 from collections import defaultdict
-from fractions import Fraction
 
 from .lattice import (GenericityError, InvariantError, dot, hdiff, hpoint,
                       lattice_length, on_ray, on_segment, primitive, wedge)
@@ -320,6 +319,7 @@ class MinPlusPoly:
     min (default) or max and +."""
 
     def __init__(self, terms):
+        from fractions import Fraction
         seen = set()
         tt = []
         for a, n in terms:
@@ -350,6 +350,7 @@ class CornerLocus:
 
 def _strict_feasible_1d(cons):
     # cons: (a, b) meaning a*t < b; exact Fraction feasibility
+    from fractions import Fraction
     lo, hi = None, None
     for a, b in cons:
         if a == 0:
@@ -368,6 +369,7 @@ def _strict_feasible_1d(cons):
 
 def _strict_feasible_2d(cons):
     # cons: (cx, cy, b) meaning cx*x + cy*y < b; Fourier-Motzkin on x
+    from fractions import Fraction
     ycons = []
     lowers, uppers = [], []
     for cx, cy, b in cons:
@@ -393,6 +395,7 @@ def corner_locus(f, convention="min"):
     carrying weight equal to the lattice length of n_i - n_j.  Max is min of
     the negated polynomial at the same locus.
     """
+    from fractions import Fraction
     if convention not in ("min", "max"):
         raise ValueError("convention must be 'min' or 'max'")
     terms = [(a, n) for a, n in f.terms]

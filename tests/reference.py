@@ -19,6 +19,11 @@ written so that they share no shortcut with the code they check:
   insertion, as the Maslov-0 forest filed its trees before
   `lattice.wall_index` built each bucket once;
 * `ref_support_contains`, a wall's ray on Fraction pairs;
+* `ref_feeds_pivot`, the test a count once applied to every crossing of
+  its last forest level, before the level filed its crossings as walls
+  glued when a pivot stem first meets them: can a last-level tree bend a
+  pivot disk?  `ref_ray_meets` is its own test of one ray against one
+  wall;
 * `ref_maslov_index`, 2 * (total degree - number of marks);
 * `ref_canonical_type_all_roots`, the combinatorial type encoded afresh
   from every root (the library shares each directed edge's encoding).
@@ -27,7 +32,7 @@ written so that they share no shortcut with the code they check:
 from bisect import bisect_right
 from fractions import Fraction
 
-from tropenum.fan import degree_total
+from tropenum.fan import degree_total, r_vector
 from tropenum.lattice import (InvariantError, dot, hfrac, offset_key, rot90,
                               wedge)
 from tropenum.scattering import (RingAutomorphism, RingElement, ray_generator,
@@ -287,6 +292,28 @@ def ref_support_contains(w, X):
     base = hfrac(w.base)
     v = (X[0] - base[0], X[1] - base[1])
     return wedge(w.dirvec, v) == 0 and dot(w.dirvec, v) >= 0
+
+
+def ref_ray_meets(X, r, B, o):
+    """Does the ray X + s*r (s >= 0) meet the wall B + t*o (t >= 0) at or
+    beyond its root, or run along its line?  Points are homogeneous
+    triples; the signs of both crossing parameters are settled in
+    integers."""
+    c = wedge(r, o)
+    d = wedge(B, o) * X[2] - wedge(X, o) * B[2]
+    e = wedge(B, r) * X[2] - wedge(X, r) * B[2]
+    return d * c >= 0 and (c or not d) and e * c >= 0
+
+
+def ref_feeds_pivot(fan, cap, pivot, B, D):
+    """Can a last-level tree of degree D rooted at B bend a pivot disk of
+    the count of degree cap at the pivot P?  It holds every allowed mark,
+    so only as the single bend of a disk of degree cap - e_l, left with
+    e_j, whose stem P + s*r(cap - e_l) = P - s*ray_l (r(cap) = 0) meets
+    the wall B - t*r(D)."""
+    rx, ry = r_vector(fan, D)
+    return any(c > x and ref_ray_meets(pivot, (-a, -b), B, (-rx, -ry))
+               for c, x, (a, b) in zip(cap, D, fan.rays))
 
 
 def ref_maslov_index(c, fan):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from reference import ref_maslov_index
+from reference import ref_feeds_pivot, ref_maslov_index
 from tropenum import bruteforce, cli, enumeration, lattice
 from tropenum.bruteforce import bruteforce_rational_curves
 from tropenum.enumeration import (Forest, PointConfig, build_forest,
@@ -226,10 +226,15 @@ def test_cubic_count_work_stays_pruned(monkeypatch):
     start, where a strict test is always False.  The count traces only
     the disks that can pair: a pass wall's disks when a stem or a gluing
     first meets the wall, and the large side of a pivot pair only for a
-    small side found.  On seed 1 that is 0 ray_params calls, 20,066
-    ray_hits calls, 4,472 hshift calls and no on_segment or on_ray call,
-    and of the (point, degree) pass walls of levels 2-7, 21 of 21, 42 of
-    42, 69 of 84, 62 of 84, 9 of 63 and 7 of 42 traced.  Filtering the
+    small side found.  The last level files each crossing as a wall and
+    glues its trees when a pivot stem first meets it.  On seed 1 that is
+    0 ray_params calls, 20,068 ray_hits calls, 4,472 hshift calls and no
+    on_segment or on_ray call; of the (point, degree) pass walls of
+    levels 2-7, 21 of 21, 42 of 42, 69 of 84, 62 of 84, 9 of 63 and 7 of
+    42 traced; and of the 113 last-level crossings, 8 glued.  Keeping
+    only the last-level glue trees whose root fed the pivot made 20,066
+    ray_hits calls: two pass walls its joins traced were then met first
+    by a stem, which asks whether it bends again.  Filtering the
     last two levels as a whole made 22,872 ray_hits calls and 5,527
     hshift calls, filtering the last level alone 30,020 and 7,480,
     tracing every disk 47,270 and 11,702, and trying the starts too made
@@ -265,16 +270,45 @@ def test_cubic_count_work_stays_pruned(monkeypatch):
     rep = run_count(P2, (3, 3, 3), seed=1)
     assert (rep.n_trop, rep.w_trop) == (12, 8)
     assert calls["ray_params"] == 0
-    assert calls["ray_hits"] == 20066
+    assert calls["ray_hits"] == 20068
     assert calls["hshift"] <= 4472
     assert calls["on_segment"] == 0
     assert calls["on_ray"] == 0
-    walls = {n: [t for t in ts if t.kind == "wall"]
+    walls = {n: [t for t in ts if t.kind == "wall" and t.key is None]
              for n, ts in forests[-1].levels.items()}
     assert {n: (sum(t.parts is not None for t in ws), len(ws))
             for n, ws in walls.items() if ws} == {
         2: (21, 21), 3: (42, 42), 4: (69, 84), 5: (62, 84), 6: (9, 63),
         7: (7, 42)}
+    crossings = [t for t in forests[-1].levels[7] if t.key is not None]
+    assert (sum(t.parts is not None for t in crossings),
+            len(crossings)) == (8, 113)
+
+
+@pytest.mark.parametrize("fan,deg", [(P2, (3, 3, 3)), (P1P1, (2, 2, 2, 2)),
+                                     (DP6, (1,) * 6)],
+                         ids=["p2", "p1xp1", "dp6"])
+def test_glued_last_level_trees_feed_the_pivot(monkeypatch, fan, deg):
+    """A count files each crossing of its last level as a wall and glues
+    its trees when a pivot stem first meets it, so every last-level glue
+    tree it builds feeds the pivot, by the geometric test the forest once
+    applied to every crossing.  Every forest that reaches its pivot disks
+    counts, on seeds 1-10."""
+    forests = []
+    pivot_disks = Forest.pivot_disks
+
+    def kept(self):
+        forests.append(self)
+        return pivot_disks(self)
+
+    monkeypatch.setattr(Forest, "pivot_disks", kept)
+    for seed in range(1, 11):
+        run_count(fan, deg, seed)
+    glued = [(f, t) for f in forests for t in f.trees
+             if t.kind == "glue" and sum(t.deg) == f.last]
+    assert glued
+    for f, t in glued:
+        assert ref_feeds_pivot(fan, f.cap, f.pivot, t.base, t.deg)
 
 
 def test_uncapped_forest_files_pass_walls(monkeypatch):

@@ -424,14 +424,14 @@ def test_uncapped_forest_candidates_stay_fresh(fan, k):
 def test_candidate_tables_scan_only_lower_levels(monkeypatch):
     """A stem of monomial m is deflected only by trees of degree below m,
     which lie at levels below |m|, so its candidate table scans only the
-    buckets of those levels.  On the P2 cubic, seed 1, that is 1,251
-    _add_cand calls: a pivot forest asks the table of every degree of a
-    level once, to file no pass wall where the stem cannot bend, and a
-    level has a bucket for each degree with a pass wall, traced or not.
-    With the per-level filters the pass walls replaced it was 993, with
-    the last level's filter alone 1,116, and scanning every bucket made
-    1,575.  The freshness tests above check that the tables equal a scan
-    of every bucket."""
+    buckets of those levels.  On the P2 cubic, seed 1, that is 1,008
+    _add_cand calls: a table is built only for a stem that is traced, and
+    a level has a bucket for each degree with a pass wall, traced or not.
+    Asking the table of every degree of a level, to file no pass wall
+    where the stem cannot bend, made 1,251; with the per-level filters the
+    pass walls replaced it was 993, with the last level's filter alone
+    1,116, and scanning every bucket made 1,575.  The freshness tests
+    above check that the tables equal a scan of every bucket."""
     calls = []
     add_cand = Forest._add_cand
 
@@ -442,7 +442,7 @@ def test_candidate_tables_scan_only_lower_levels(monkeypatch):
     monkeypatch.setattr(Forest, "_add_cand", counted)
     rep = run_count(P2, (3, 3, 3), seed=1)
     assert (rep.n_trop, rep.w_trop) == (12, 8)
-    assert len(calls) == 1251
+    assert len(calls) == 1008
 
 
 def test_levels_are_filed_once_complete(monkeypatch):

@@ -5,7 +5,10 @@ loads the modules of its own command and no others.  Each command below
 runs as `python -X importtime -m tropenum ...`; the interpreter lists
 every module it imports on stderr, and the tropenum modules among them
 must be exactly the command's set.  A new module-level import that crosses
-layers fails here.
+layers fails here.  So does a module-level import of `fractions`, which
+with `decimal` and `numbers` costs about 2 ms of start-up: the package
+imports it inside the functions that make a Fraction, so only a process
+that parses or renders a rational loads it.
 """
 
 import subprocess
@@ -42,18 +45,20 @@ PUBLIC = [
 ]
 
 
-def loaded(python_args):
-    """The tropenum submodules a fresh interpreter imports, by short name."""
+def imported(python_args):
+    """Every module a fresh interpreter imports, by full name."""
     p = subprocess.run([sys.executable, "-X", "importtime"] + python_args,
                        capture_output=True, text=True)
     assert p.returncode == 0, p.stderr[-2000:]
-    names = set()
-    for line in p.stderr.splitlines():
-        if line.startswith("import time:"):
-            name = line.rpartition("|")[2].strip()
-            if name.startswith("tropenum."):
-                names.add(name.partition(".")[2])
-    return names - {"__main__"}
+    return {line.rpartition("|")[2].strip()
+            for line in p.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def loaded(python_args):
+    """The tropenum submodules a fresh interpreter imports, by short name."""
+    return {name.partition(".")[2] for name in imported(python_args)
+            if name.startswith("tropenum.")} - {"__main__"}
 
 
 def test_each_command_loads_only_its_modules(tmp_path):
@@ -82,6 +87,17 @@ def test_each_command_loads_only_its_modules(tmp_path):
     ]
     for args, want in runs:
         assert loaded(args) == want, args
+
+
+def test_commands_without_a_rational_skip_fractions(tmp_path):
+    doc = str(tmp_path / "count.json")
+    for args in (["count", "--degree", "2", "--out", doc],
+                 ["potential", "--k", "2"], ["degenerate", "--degree", "1"],
+                 ["phi-check", "--degree", "1"]):
+        assert "fractions" not in imported(["-m", "tropenum"] + args), args
+    # the renderer parses the document's rationals
+    assert "fractions" in imported(["-m", "tropenum", "render", doc,
+                                    str(tmp_path / "count.svg")])
 
 
 def test_public_names_resolve_lazily():

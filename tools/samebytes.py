@@ -54,6 +54,9 @@ def sweep():
     # bending at it first, then at a leaf, uses
     cases.append([["count", "--fan", "p1xp1", "--degree", "2", "--seed",
                    "77"]])
+    # 57 solutions, many of them pairings at a last-level glue tree
+    cases.append([["count", "--fan", "p1xp1", "--degree", "2,3,2,3",
+                   "--seed", "1"]])
     for fan in ("p2", "p1xp1", "dp6"):
         for k in (3, 4):
             base = ["--fan", fan, "--k", str(k), "--seed", "1"]
